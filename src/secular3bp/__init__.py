@@ -12,14 +12,11 @@ from .averaging import (
     AveragedCoefficients,
     QuadratureSpec,
     SeparationGuard,
-    SeparationPair,
     averaged_AC,
     averaged_B,
     averaged_R,
     averaged_coefficients,
     direct_average_V3d,
-    disturbing_V,
-    separation_pair,
 )
 from .equilibrium import (
     EquilibriumRecord,
@@ -35,24 +32,12 @@ from .errors import (
     Secular3bpError,
 )
 from .geometry import (
-    CartesianState,
     DelaunayElements,
     OrbitConfig,
-    OsculatingElements,
-    PlanetState,
     PoincareState,
     aligned_noncrossing_interval,
-    asteroid_plane_position,
-    asteroid_position,
-    delaunay_from_osculating,
     delaunay_from_poincare,
-    orbit_min_separation,
-    osculating_from_delaunay,
-    planet_position,
-    poincare_from_delaunay,
-    rotate_to_inertial,
     rotation_matrix,
-    solve_kepler,
     wrap_angle,
 )
 from .stability import (
@@ -68,7 +53,6 @@ from .sweep import CellResult, SweepGrid, evaluate_cell, run_sweep
 __all__ = [
     "__version__",
     "AveragedCoefficients",
-    "CartesianState",
     "CellResult",
     "DegenerateError",
     "DelaunayElements",
@@ -76,44 +60,30 @@ __all__ = [
     "NonConvergedError",
     "OrbitConfig",
     "OrbitCrossingError",
-    "OsculatingElements",
     "PlanarState",
-    "PlanetState",
     "PoincareState",
     "QuadratureSpec",
     "ResonancePoint",
     "Secular3bpError",
     "SeparationGuard",
-    "SeparationPair",
     "StabilityRecord",
     "SweepGrid",
     "aligned_noncrossing_interval",
-    "asteroid_plane_position",
-    "asteroid_position",
     "averaged_AC",
     "averaged_B",
     "averaged_R",
     "averaged_coefficients",
     "classify_spatial",
     "dRbar_de",
-    "delaunay_from_osculating",
     "delaunay_from_poincare",
     "direct_average_V3d",
-    "disturbing_V",
     "evaluate_cell",
     "find_equilibrium",
     "frequencies",
     "linearized_matrix",
-    "orbit_min_separation",
-    "osculating_from_delaunay",
     "planar_hessian",
-    "planet_position",
-    "poincare_from_delaunay",
-    "rotate_to_inertial",
     "rotation_matrix",
     "run_sweep",
-    "separation_pair",
-    "solve_kepler",
     "trace_resonance",
     "wrap_angle",
 ]

@@ -44,10 +44,7 @@ __all__ = [
     "DEFAULT_SEPARATION_THRESHOLD",
     "QuadratureSpec",
     "AveragedCoefficients",
-    "SeparationPair",
     "SeparationGuard",
-    "disturbing_V",
-    "separation_pair",
     "averaged_R",
     "averaged_AC",
     "averaged_B",
@@ -100,38 +97,14 @@ class AveragedCoefficients:
     crossing_flag: bool = False
 
 
-@dataclass(frozen=True)
-class SeparationPair:
-    """Distances to the planet (r1) and to its x-axis mirror image (r2)."""
-
-    r1: float
-    r2: float
-
-
-def separation_pair(x, y, xJ, yJ) -> SeparationPair:
-    r1 = math.hypot(x - xJ, y - yJ)
-    r2 = math.hypot(x - xJ, y + yJ)
-    return SeparationPair(r1=r1, r2=r2)
-
-
-def disturbing_V(x, y, z, xJ, yJ):
-    """Pointwise disturbing function 1 / |r - rJ| (planet in the z=0 plane)."""
-    rsq = (x - xJ) ** 2 + (y - yJ) ** 2 + z * z
-    if rsq == 0.0:
-        raise ValueError("asteroid and planet positions coincide")
-    return 1.0 / math.sqrt(rsq)
-
-
 class SeparationGuard:
     """Cached orbit-separation checks for one (a, eJ) parameter cell.
 
     Exact separations come from the support-function form
-    (:func:`aligned_separation`, which agrees with the sampling-based
-    :func:`orbit_min_separation` wherever the separation is positive but is
-    far cheaper); between cached eccentricities a Lipschitz bound (the
-    aligned curves move at most ~4a per unit of e) certifies safety without
-    re-evaluating, keeping repeated guard checks cheap inside derivative
-    stencils and root refinement.
+    (:func:`aligned_separation`); between cached eccentricities a Lipschitz
+    bound (the aligned curves move at most ~4a per unit of e) certifies
+    safety without re-evaluating, keeping repeated guard checks cheap inside
+    derivative stencils and root refinement.
     """
 
     def __init__(self, cfg: OrbitConfig, threshold=DEFAULT_SEPARATION_THRESHOLD):

@@ -23,29 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-
 __all__ = [
     "TWO_PI",
     "OrbitConfig",
-    "OsculatingElements",
     "DelaunayElements",
     "PoincareState",
     "ConversionFlags",
-    "CartesianState",
-    "PlanetState",
     "wrap_angle",
-    "solve_kepler",
-    "planet_position",
-    "asteroid_plane_position",
     "rotation_matrix",
-    "rotate_to_inertial",
-    "asteroid_position",
-    "delaunay_from_osculating",
-    "osculating_from_delaunay",
-    "poincare_from_delaunay",
     "delaunay_from_poincare",
-    "orbit_min_separation",
     "aligned_separation",
     "aligned_noncrossing_interval",
 ]
@@ -95,26 +81,6 @@ class OrbitConfig:
     def G_of(self, e):
         """Delaunay momentum G = L sqrt(1-e^2) at eccentricity e."""
         return self.L * math.sqrt(1.0 - e * e)
-
-
-@dataclass(frozen=True)
-class OsculatingElements:
-    """Instantaneous Keplerian elements (a, e, i, omega, Omega, l)."""
-
-    a: float
-    e: float
-    i: float
-    omega: float
-    Omega: float
-    l: float
-
-    def __post_init__(self):
-        if not (self.a > 0.0):
-            raise ValueError(f"semi-major axis must be positive, got {self.a}")
-        if not (0.0 <= self.e < 1.0):
-            raise ValueError(f"eccentricity must be in [0, 1), got {self.e}")
-        for name in ("i", "omega", "Omega", "l"):
-            object.__setattr__(self, name, float(wrap_angle(getattr(self, name))))
 
 
 @dataclass(frozen=True)
@@ -171,97 +137,6 @@ class ConversionFlags:
     h_indeterminate: bool = False
 
 
-@dataclass(frozen=True)
-class CartesianState:
-    """Inertial asteroid position plus its orbital-plane coordinates."""
-
-    x: float
-    y: float
-    z: float
-    xp: float
-    yp: float
-    E: float
-
-
-@dataclass(frozen=True)
-class PlanetState:
-    """Planet position on its prescribed ellipse (a_J = 1)."""
-
-    xJ: float
-    yJ: float
-    EJ: float
-    lJ: float
-
-
-# ---------------------------------------------------------------------------
-# Kepler equation
-# ---------------------------------------------------------------------------
-
-def solve_kepler(l, e, tol=1e-14, max_newton=50):
-    """Solve E - e sin E = l for the eccentric anomaly E.
-
-    Newton iteration seeded with E0 = l + e sin l, falling back to bisection
-    on the rare non-converged cases.  Accepts scalars or arrays; E is
-    continuous (and monotone) in l, with E - l staying on the same branch.
-
-    Args:
-        l: Mean anomaly in radians (any real value).
-        e: Eccentricity in [0, 1).
-        tol: Residual tolerance on |E - e sin E - l|.
-        max_newton: Newton iterations before switching to bisection.
-
-    Returns:
-        Eccentric anomaly with the same shape as ``l``.
-    """
-    if not (0.0 <= e < 1.0):
-        raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    l_arr = np.asarray(l, dtype=float)
-    if not np.all(np.isfinite(l_arr)):
-        raise ValueError("mean anomaly must be finite")
-    scalar = l_arr.ndim == 0
-    lw = wrap_angle(l_arr)
-    E = lw + e * np.sin(lw)
-    resid = E - e * np.sin(E) - lw
-    for _ in range(max_newton):
-        bad = np.abs(resid) > tol
-        if not np.any(bad):
-            break
-        E = np.where(bad, E - resid / (1.0 - e * np.cos(E)), E)
-        resid = E - e * np.sin(E) - lw
-    bad = np.abs(resid) > tol
-    if np.any(bad):
-        # Bisection on [lw - e, lw + e], which always brackets the root.
-        lo = np.where(bad, lw - e, E)
-        hi = np.where(bad, lw + e, E)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = mid - e * np.sin(mid) - lw
-            lo = np.where(fm < 0.0, mid, lo)
-            hi = np.where(fm < 0.0, hi, mid)
-        E = np.where(bad, 0.5 * (lo + hi), E)
-    E = E + (l_arr - lw)
-    return float(E) if scalar else E
-
-
-def planet_position(EJ, eJ):
-    """Planet state at eccentric anomaly EJ on its prescribed ellipse."""
-    if not (0.0 <= eJ < 1.0):
-        raise ValueError(f"eccentricity must be in [0, 1), got {eJ}")
-    xJ = math.cos(EJ) - eJ
-    yJ = math.sqrt(1.0 - eJ * eJ) * math.sin(EJ)
-    lJ = float(wrap_angle(EJ - eJ * math.sin(EJ)))
-    return PlanetState(xJ=xJ, yJ=yJ, EJ=float(wrap_angle(EJ)), lJ=lJ)
-
-
-def asteroid_plane_position(E, a, e):
-    """Orbital-plane coordinates (x', y') of the asteroid at anomaly E."""
-    if not (a > 0.0):
-        raise ValueError(f"semi-major axis must be positive, got {a}")
-    if not (0.0 <= e < 1.0):
-        raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    return a * (math.cos(E) - e), a * math.sqrt(1.0 - e * e) * math.sin(E)
-
-
 def rotation_matrix(omega, i, Omega):
     """3x2 matrix taking orbital-plane (x', y') to inertial (x, y, z)."""
     co, so = math.cos(omega), math.sin(omega)
@@ -276,67 +151,13 @@ def rotation_matrix(omega, i, Omega):
     )
 
 
-def rotate_to_inertial(xp, yp, omega, i, Omega):
-    """Rotate orbital-plane coordinates to the inertial frame."""
-    m = rotation_matrix(omega, i, Omega)
-    return (
-        m[0, 0] * xp + m[0, 1] * yp,
-        m[1, 0] * xp + m[1, 1] * yp,
-        m[2, 0] * xp + m[2, 1] * yp,
-    )
-
-
-def asteroid_position(elements: OsculatingElements) -> CartesianState:
-    """Full inertial state of the asteroid from osculating elements."""
-    E = solve_kepler(elements.l, elements.e)
-    xp, yp = asteroid_plane_position(E, elements.a, elements.e)
-    x, y, z = rotate_to_inertial(xp, yp, elements.omega, elements.i, elements.Omega)
-    return CartesianState(x=x, y=y, z=z, xp=xp, yp=yp, E=float(wrap_angle(E)))
-
-
-# ---------------------------------------------------------------------------
-# Delaunay / Poincare conversions
-# ---------------------------------------------------------------------------
-
-def delaunay_from_osculating(osc: OsculatingElements, mu=0.0) -> DelaunayElements:
-    L = math.sqrt((1.0 - mu) * osc.a)
-    G = L * math.sqrt(1.0 - osc.e**2)
-    H = G * math.cos(osc.i)
-    return DelaunayElements(L=L, G=G, H=H, l=osc.l, g=osc.omega, h=osc.Omega)
-
-
-def osculating_from_delaunay(d: DelaunayElements, mu=0.0) -> OsculatingElements:
-    a = d.L**2 / (1.0 - mu)
-    ratio = min(d.G / d.L, 1.0)
-    e = math.sqrt(max(0.0, 1.0 - ratio * ratio))
-    i = math.acos(max(-1.0, min(1.0, d.H / d.G)))
-    return OsculatingElements(a=a, e=e, i=i, omega=d.g, Omega=d.h, l=d.l)
-
-
-def poincare_from_delaunay(d: DelaunayElements) -> PoincareState:
-    """Forward map to Poincare variables (exact formulas, no regularization)."""
-    r2 = math.sqrt(max(0.0, 2.0 * (d.L - d.G)))
-    r3 = math.sqrt(max(0.0, 2.0 * (d.G - d.H)))
-    gh = d.g + d.h
-    return PoincareState(
-        p1=d.L,
-        p2=r2 * math.cos(gh),
-        p3=r3 * math.cos(d.h),
-        q1=float(wrap_angle(d.l + d.g + d.h)),
-        q2=-r2 * math.sin(gh),
-        q3=-r3 * math.sin(d.h),
-    )
-
-
-def delaunay_from_poincare(p: PoincareState, mu=0.0):
-    """Inverse map; returns (DelaunayElements, ConversionFlags).
+def delaunay_from_poincare(p: PoincareState):
+    """Map Poincare variables to Delaunay; returns (DelaunayElements, ConversionFlags).
 
     The momenta are always recovered exactly; on the singular sets e = 0 and
     i = 0 the angles g+h resp. h are indeterminate and are returned as 0,
-    flagged in ConversionFlags.  ``mu`` is accepted for symmetry with the
-    element conversions; the Delaunay tuple itself is mu-free.
+    flagged in ConversionFlags.  The map is mu-free.
     """
-    del mu
     L = p.p1
     G = L - 0.5 * (p.p2**2 + p.q2**2)
     H = G - 0.5 * (p.p3**2 + p.q3**2)
@@ -353,14 +174,6 @@ def delaunay_from_poincare(p: PoincareState, mu=0.0):
 # ---------------------------------------------------------------------------
 # inter-orbit separation (aligned coplanar geometry)
 # ---------------------------------------------------------------------------
-
-def _pair_distance_sq(a, e, eJ, E, EJ):
-    se = math.sqrt(1.0 - e * e)
-    sJ = math.sqrt(1.0 - eJ * eJ)
-    dx = a * (math.cos(E) - e) - (math.cos(EJ) - eJ)
-    dy = a * se * math.sin(E) - sJ * math.sin(EJ)
-    return dx * dx + dy * dy
-
 
 def _golden_min(f, lo, hi, iters=40):
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -379,57 +192,6 @@ def _golden_min(f, lo, hi, iters=40):
     return 0.5 * (lo + hi)
 
 
-def orbit_min_separation(a, e, eJ, coarse_n=720, refine_rounds=8):
-    """Minimum distance between the aligned asteroid and planet ellipses.
-
-    Dense coarse sampling of the (E, EJ) torus followed by local grid
-    refinement (shrinking 2-D windows around the running best sample) and a
-    final pair of golden-section passes.  Deterministic for a fixed
-    resolution.  A value of (numerically) zero means the curves intersect;
-    values below the configured threshold mark the configuration as
-    ORBIT_CROSSING in the hands of callers.
-
-    Args:
-        a: Asteroid semi-major axis (a_J = 1 units).
-        e: Asteroid eccentricity, in [0, 1).
-        eJ: Planet eccentricity, in [0, 1).
-        coarse_n: Coarse grid resolution per anomaly.
-        refine_rounds: Shrinking local-grid passes.
-
-    Returns:
-        The minimum inter-curve distance.
-    """
-    if not (a > 0.0):
-        raise ValueError(f"semi-major axis must be positive, got {a}")
-    if not (0.0 <= e < 1.0 and 0.0 <= eJ < 1.0):
-        raise ValueError("eccentricities must be in [0, 1)")
-    d2, i, j = kernels.min_sep_scan(a, e, eJ, coarse_n)
-    step = TWO_PI / coarse_n
-    E, EJ = i * step, j * step
-
-    se = math.sqrt(1.0 - e * e)
-    sJ = math.sqrt(1.0 - eJ * eJ)
-    window = step
-    # Local 17x17 grids shrinking 6x per round track narrow diagonal
-    # valleys (near-tangent or crossing geometry) that axis-alternating
-    # line searches stall on.
-    local = np.linspace(-1.0, 1.0, 17)
-    for _ in range(refine_rounds):
-        Ev = E + window * local
-        EJv = EJ + window * local
-        dx = (a * (np.cos(Ev) - e))[:, None] - (np.cos(EJv) - eJ)[None, :]
-        dy = (a * se * np.sin(Ev))[:, None] - (sJ * np.sin(EJv))[None, :]
-        d2_grid = dx * dx + dy * dy
-        k = int(np.argmin(d2_grid))
-        E = float(Ev[k // 17])
-        EJ = float(EJv[k % 17])
-        window /= 6.0
-    window *= 6.0
-    E = _golden_min(lambda s: _pair_distance_sq(a, e, eJ, s, EJ), E - window, E + window)
-    EJ = _golden_min(lambda s: _pair_distance_sq(a, e, eJ, E, s), EJ - window, EJ + window)
-    return math.sqrt(_pair_distance_sq(a, e, eJ, E, EJ))
-
-
 def aligned_separation(a, e, eJ, n_theta=512):
     """Exact minimum distance between the aligned ellipses (support form).
 
@@ -440,8 +202,7 @@ def aligned_separation(a, e, eJ, n_theta=512):
     1, sqrt(1-eJ^2)), so the difference is a smooth 1-D function of the
     direction angle, minimized by dense sampling plus golden refinement.
     Returns 0 when the curves cross (including the whole a = 1 line).
-    Two orders of magnitude cheaper than :func:`orbit_min_separation` and
-    agrees with it wherever the separation is positive.
+    The test suite checks it against a dense sampling of both anomalies.
     """
     if a == 1.0:
         return 0.0

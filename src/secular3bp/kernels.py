@@ -1,13 +1,7 @@
-"""Hot quadrature and scan kernels.
-
-Every kernel exists in two functionally identical flavours: a scalar-loop
-version compiled with numba's ``@njit`` and a vectorized pure-numpy
-fallback.  The active backend is chosen once at import time: numba is used
-when it imports cleanly unless the environment variable ``SECULAR3BP_NUMBA``
-is set to ``0``/``false``/``off``.  ``BACKEND`` records the choice.
+"""Hot quadrature kernels, vectorized with numpy.
 
 All kernels are pure functions of scalar arguments and use a fixed
-summation order (per-row partial sums), so results are reproducible and
+summation order (per-chunk partial sums), so results are reproducible and
 independent of any outer parallelism.
 
 Geometry conventions: the planet ellipse has semi-major axis 1 with
@@ -17,237 +11,59 @@ the asteroid orbital-plane ellipse is ``x' = a (cos E - e)``,
 eccentric anomalies with the Jacobian weight ``(1 - e cos E)(1 - eJ cos EJ)``.
 """
 
-import os
-
 import numpy as np
 
 __all__ = [
     "BACKEND",
-    "NUMBA_ENABLED",
     "quarter_sums",
     "bbar_mean",
     "rbar_rotated_mean",
     "vbar_mean",
-    "min_sep_scan",
 ]
+
+# Recorded as ``kernel_backend`` in the sweep metadata.
+BACKEND = "numpy"
 
 # Keep numpy temporaries below ~32 MB per array when chunking large grids.
 _CHUNK_ELEMS = 1 << 22
 
 
-# ---------------------------------------------------------------------------
-# scalar-loop implementations (compiled with numba when enabled)
-# ---------------------------------------------------------------------------
+def _ellipse_nodes(E, a, e):
+    """Orbital-plane position (x, y) and Kepler weight 1 - e cos E at anomalies E.
 
-def _planet_nodes(eJ, n2, full):
-    """Precomputed planet samples (xJ, yJ, wJ) at midpoint nodes."""
-    span = 2.0 * np.pi if full else np.pi
-    sJ = np.sqrt(1.0 - eJ * eJ)
-    xJ = np.empty(n2)
-    yJ = np.empty(n2)
-    wJ = np.empty(n2)
-    dEJ = span / n2
-    for j in range(n2):
-        EJ = (j + 0.5) * dEJ
-        cJ = np.cos(EJ)
-        xJ[j] = cJ - eJ
-        yJ[j] = sJ * np.sin(EJ)
-        wJ[j] = 1.0 - eJ * cJ
-    return xJ, yJ, wJ
+    With ``a = 1`` and ``e = eJ`` this is the planet's ellipse.
+    """
+    c = np.cos(E)
+    return a * (c - e), a * np.sqrt(1.0 - e * e) * np.sin(E), 1.0 - e * c
 
 
-def _quarter_sums_loops(a, e, eJ, n1, n2):
+def _midpoints(lo, hi, n, span):
+    """Midpoint anomalies lo..hi-1 of an n-node grid over [0, span)."""
+    return (np.arange(lo, hi) + 0.5) * (span / n)
+
+
+def _row_chunks(n1, n2, span):
+    """Asteroid anomalies of the n1 x n2 grid in chunks of at most _CHUNK_ELEMS nodes."""
+    step = max(1, _CHUNK_ELEMS // max(n2, 1))
+    for start in range(0, n1, step):
+        yield _midpoints(start, min(start + step, n1), n1, span)
+
+
+def quarter_sums(a, e, eJ, n1, n2):
     """Quarter-domain [0,pi]^2 midpoint sums for Rbar and the G-scaled A, C.
 
     Returns (rbar, a_mean, c_mean, min_factor) where
     Abar = -a_mean / G, Cbar = -c_mean / G and min_factor is the smallest
     sampled value of (r2^3 - r1^3) * y * yJ (non-negative in exact math).
     """
-    se = np.sqrt(1.0 - e * e)
-    xJ, yJ, wJ = _planet_nodes(eJ, n2, False)
-    dE = np.pi / n1
+    xJ, yJ, wJ = _ellipse_nodes(_midpoints(0, n2, n2, np.pi), 1.0, eJ)
     SR = 0.0
     SA = 0.0
     SC = 0.0
     min_factor = np.inf
-    for i in range(n1):
-        E = (i + 0.5) * dE
-        cE = np.cos(E)
-        x = a * (cE - e)
-        y = a * se * np.sin(E)
-        wi = 1.0 - e * cE
-        rowR = 0.0
-        rowA = 0.0
-        rowC = 0.0
-        for j in range(n2):
-            w = wi * wJ[j]
-            dx = x - xJ[j]
-            dym = y - yJ[j]
-            dyp = y + yJ[j]
-            r1 = np.sqrt(dx * dx + dym * dym)
-            r2 = np.sqrt(dx * dx + dyp * dyp)
-            r13 = r1 * r1 * r1
-            r23 = r2 * r2 * r2
-            inv = 1.0 / (r13 * r23)
-            fac = (r23 - r13) * y * yJ[j]
-            if fac < min_factor:
-                min_factor = fac
-            rowR += w * (r1 + r2) / (r1 * r2)
-            rowA += w * fac * inv
-            rowC += w * (r23 + r13) * inv * x * xJ[j]
-        SR += rowR
-        SA += rowA
-        SC += rowC
-    norm = 1.0 / (n1 * n2)
-    return 0.5 * SR * norm, 0.25 * SA * norm, 0.25 * SC * norm, min_factor
-
-
-def _bbar_mean_loops(a, e, eJ, n1, n2):
-    """Full-domain [0,2pi)^2 midpoint mean of w * (x*yJ + y*xJ) / r1^3."""
-    se = np.sqrt(1.0 - e * e)
-    xJ, yJ, wJ = _planet_nodes(eJ, n2, True)
-    dE = 2.0 * np.pi / n1
-    S = 0.0
-    for i in range(n1):
-        E = (i + 0.5) * dE
-        cE = np.cos(E)
-        x = a * (cE - e)
-        y = a * se * np.sin(E)
-        wi = 1.0 - e * cE
-        row = 0.0
-        for j in range(n2):
-            dx = x - xJ[j]
-            dy = y - yJ[j]
-            r1 = np.sqrt(dx * dx + dy * dy)
-            row += wi * wJ[j] * (x * yJ[j] + y * xJ[j]) / (r1 * r1 * r1)
-        S += row
-    return S / (n1 * n2)
-
-
-def _rbar_rotated_mean_loops(a, e, eJ, cg, sg, n1, n2):
-    """Full-domain mean of w / r1 with the asteroid ellipse rotated by g.
-
-    (cg, sg) = (cos g, sin g).  Also returns the smallest sampled r1^2 so
-    callers can detect near-singular geometry.
-    """
-    se = np.sqrt(1.0 - e * e)
-    xJ, yJ, wJ = _planet_nodes(eJ, n2, True)
-    dE = 2.0 * np.pi / n1
-    S = 0.0
-    r1sq_min = np.inf
-    for i in range(n1):
-        E = (i + 0.5) * dE
-        cE = np.cos(E)
-        xp = a * (cE - e)
-        yp = a * se * np.sin(E)
-        x = cg * xp - sg * yp
-        y = sg * xp + cg * yp
-        wi = 1.0 - e * cE
-        row = 0.0
-        for j in range(n2):
-            dx = x - xJ[j]
-            dy = y - yJ[j]
-            r1sq = dx * dx + dy * dy
-            if r1sq < r1sq_min:
-                r1sq_min = r1sq
-            row += wi * wJ[j] / np.sqrt(r1sq)
-        S += row
-    return S / (n1 * n2), r1sq_min
-
-
-def _vbar_mean_loops(a, e, eJ, m00, m01, m10, m11, m20, m21, n1, n2):
-    """Full-domain mean of w / r for a spatially oriented asteroid orbit.
-
-    The 3x2 matrix (m00..m21) maps orbital-plane coordinates (x', y') to
-    inertial (x, y, z).  Also returns the smallest sampled r^2.
-    """
-    se = np.sqrt(1.0 - e * e)
-    xJ, yJ, wJ = _planet_nodes(eJ, n2, True)
-    dE = 2.0 * np.pi / n1
-    S = 0.0
-    rsq_min = np.inf
-    for i in range(n1):
-        E = (i + 0.5) * dE
-        cE = np.cos(E)
-        xp = a * (cE - e)
-        yp = a * se * np.sin(E)
-        x = m00 * xp + m01 * yp
-        y = m10 * xp + m11 * yp
-        z = m20 * xp + m21 * yp
-        wi = 1.0 - e * cE
-        zsq = z * z
-        row = 0.0
-        for j in range(n2):
-            dx = x - xJ[j]
-            dy = y - yJ[j]
-            rsq = dx * dx + dy * dy + zsq
-            if rsq < rsq_min:
-                rsq_min = rsq
-            row += wi * wJ[j] / np.sqrt(rsq)
-        S += row
-    return S / (n1 * n2), rsq_min
-
-
-def _min_sep_scan_loops(a, e, eJ, n):
-    """Coarse n x n scan of the squared distance between the two ellipses.
-
-    Aligned coplanar geometry (g = 0, i = 0).  Returns (d2_min, i_min, j_min)
-    with the grid indices of the best sample for later local refinement.
-    """
-    se = np.sqrt(1.0 - e * e)
-    sJ = np.sqrt(1.0 - eJ * eJ)
-    dE = 2.0 * np.pi / n
-    xJ = np.empty(n)
-    yJ = np.empty(n)
-    for j in range(n):
-        EJ = j * dE
-        xJ[j] = np.cos(EJ) - eJ
-        yJ[j] = sJ * np.sin(EJ)
-    d2_min = np.inf
-    i_min = 0
-    j_min = 0
-    for i in range(n):
-        E = i * dE
-        x = a * (np.cos(E) - e)
-        y = a * se * np.sin(E)
-        for j in range(n):
-            dx = x - xJ[j]
-            dy = y - yJ[j]
-            d2 = dx * dx + dy * dy
-            if d2 < d2_min:
-                d2_min = d2
-                i_min = i
-                j_min = j
-    return d2_min, i_min, j_min
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy fallbacks
-# ---------------------------------------------------------------------------
-
-def _row_chunks(n1, n2):
-    step = max(1, _CHUNK_ELEMS // max(n2, 1))
-    for start in range(0, n1, step):
-        yield start, min(start + step, n1)
-
-
-def quarter_sums_numpy(a, e, eJ, n1, n2):
-    se = np.sqrt(1.0 - e * e)
-    EJ = (np.arange(n2) + 0.5) * (np.pi / n2)
-    cJ = np.cos(EJ)
-    xJ = cJ - eJ
-    yJ = np.sqrt(1.0 - eJ * eJ) * np.sin(EJ)
-    wJ = 1.0 - eJ * cJ
-    SR = 0.0
-    SA = 0.0
-    SC = 0.0
-    min_factor = np.inf
-    for lo, hi in _row_chunks(n1, n2):
-        E = (np.arange(lo, hi) + 0.5) * (np.pi / n1)
-        cE = np.cos(E)
-        x = a * (cE - e)
-        y = a * se * np.sin(E)
-        w = np.outer(1.0 - e * cE, wJ)
+    for E in _row_chunks(n1, n2, np.pi):
+        x, y, wi = _ellipse_nodes(E, a, e)
+        w = np.outer(wi, wJ)
         dx = x[:, None] - xJ[None, :]
         r1 = np.sqrt(dx**2 + (y[:, None] - yJ[None, :]) ** 2)
         r2 = np.sqrt(dx**2 + (y[:, None] + yJ[None, :]) ** 2)
@@ -263,20 +79,17 @@ def quarter_sums_numpy(a, e, eJ, n1, n2):
     return 0.5 * SR * norm, 0.25 * SA * norm, 0.25 * SC * norm, min_factor
 
 
-def bbar_mean_numpy(a, e, eJ, n1, n2):
-    se = np.sqrt(1.0 - e * e)
-    EJ = (np.arange(n2) + 0.5) * (2.0 * np.pi / n2)
-    cJ = np.cos(EJ)
-    xJ = cJ - eJ
-    yJ = np.sqrt(1.0 - eJ * eJ) * np.sin(EJ)
-    wJ = 1.0 - eJ * cJ
+# The benchmark harness checks that the production kernel is this object.
+quarter_sums_numpy = quarter_sums
+
+
+def bbar_mean(a, e, eJ, n1, n2):
+    """Full-domain [0,2pi)^2 midpoint mean of w * (x*yJ + y*xJ) / r1^3."""
+    xJ, yJ, wJ = _ellipse_nodes(_midpoints(0, n2, n2, 2.0 * np.pi), 1.0, eJ)
     S = 0.0
-    for lo, hi in _row_chunks(n1, n2):
-        E = (np.arange(lo, hi) + 0.5) * (2.0 * np.pi / n1)
-        cE = np.cos(E)
-        x = a * (cE - e)
-        y = a * se * np.sin(E)
-        w = np.outer(1.0 - e * cE, wJ)
+    for E in _row_chunks(n1, n2, 2.0 * np.pi):
+        x, y, wi = _ellipse_nodes(E, a, e)
+        w = np.outer(wi, wJ)
         r1 = np.sqrt(
             (x[:, None] - xJ[None, :]) ** 2 + (y[:, None] - yJ[None, :]) ** 2
         )
@@ -284,47 +97,41 @@ def bbar_mean_numpy(a, e, eJ, n1, n2):
     return S / (n1 * n2)
 
 
-def rbar_rotated_mean_numpy(a, e, eJ, cg, sg, n1, n2):
-    se = np.sqrt(1.0 - e * e)
-    EJ = (np.arange(n2) + 0.5) * (2.0 * np.pi / n2)
-    cJ = np.cos(EJ)
-    xJ = cJ - eJ
-    yJ = np.sqrt(1.0 - eJ * eJ) * np.sin(EJ)
-    wJ = 1.0 - eJ * cJ
+def rbar_rotated_mean(a, e, eJ, cg, sg, n1, n2):
+    """Full-domain mean of w / r1 with the asteroid ellipse rotated by g.
+
+    (cg, sg) = (cos g, sin g).  Also returns the smallest sampled r1^2 so
+    callers can detect near-singular geometry.
+    """
+    xJ, yJ, wJ = _ellipse_nodes(_midpoints(0, n2, n2, 2.0 * np.pi), 1.0, eJ)
     S = 0.0
     r1sq_min = np.inf
-    for lo, hi in _row_chunks(n1, n2):
-        E = (np.arange(lo, hi) + 0.5) * (2.0 * np.pi / n1)
-        cE = np.cos(E)
-        xp = a * (cE - e)
-        yp = a * se * np.sin(E)
+    for E in _row_chunks(n1, n2, 2.0 * np.pi):
+        xp, yp, wi = _ellipse_nodes(E, a, e)
         x = cg * xp - sg * yp
         y = sg * xp + cg * yp
-        w = np.outer(1.0 - e * cE, wJ)
+        w = np.outer(wi, wJ)
         r1sq = (x[:, None] - xJ[None, :]) ** 2 + (y[:, None] - yJ[None, :]) ** 2
         r1sq_min = min(r1sq_min, float(r1sq.min()))
         S += float(np.sum(w / np.sqrt(r1sq)))
     return S / (n1 * n2), r1sq_min
 
 
-def vbar_mean_numpy(a, e, eJ, m00, m01, m10, m11, m20, m21, n1, n2):
-    se = np.sqrt(1.0 - e * e)
-    EJ = (np.arange(n2) + 0.5) * (2.0 * np.pi / n2)
-    cJ = np.cos(EJ)
-    xJ = cJ - eJ
-    yJ = np.sqrt(1.0 - eJ * eJ) * np.sin(EJ)
-    wJ = 1.0 - eJ * cJ
+def vbar_mean(a, e, eJ, m00, m01, m10, m11, m20, m21, n1, n2):
+    """Full-domain mean of w / r for a spatially oriented asteroid orbit.
+
+    The 3x2 matrix (m00..m21) maps orbital-plane coordinates (x', y') to
+    inertial (x, y, z).  Also returns the smallest sampled r^2.
+    """
+    xJ, yJ, wJ = _ellipse_nodes(_midpoints(0, n2, n2, 2.0 * np.pi), 1.0, eJ)
     S = 0.0
     rsq_min = np.inf
-    for lo, hi in _row_chunks(n1, n2):
-        E = (np.arange(lo, hi) + 0.5) * (2.0 * np.pi / n1)
-        cE = np.cos(E)
-        xp = a * (cE - e)
-        yp = a * se * np.sin(E)
+    for E in _row_chunks(n1, n2, 2.0 * np.pi):
+        xp, yp, wi = _ellipse_nodes(E, a, e)
         x = m00 * xp + m01 * yp
         y = m10 * xp + m11 * yp
         z = m20 * xp + m21 * yp
-        w = np.outer(1.0 - e * cE, wJ)
+        w = np.outer(wi, wJ)
         rsq = (
             (x[:, None] - xJ[None, :]) ** 2
             + (y[:, None] - yJ[None, :]) ** 2
@@ -333,76 +140,3 @@ def vbar_mean_numpy(a, e, eJ, m00, m01, m10, m11, m20, m21, n1, n2):
         rsq_min = min(rsq_min, float(rsq.min()))
         S += float(np.sum(w / np.sqrt(rsq)))
     return S / (n1 * n2), rsq_min
-
-
-def min_sep_scan_numpy(a, e, eJ, n):
-    E = np.arange(n) * (2.0 * np.pi / n)
-    x = a * (np.cos(E) - e)
-    y = a * np.sqrt(1.0 - e * e) * np.sin(E)
-    xJ = np.cos(E) - eJ
-    yJ = np.sqrt(1.0 - eJ * eJ) * np.sin(E)
-    d2_min = np.inf
-    i_min = 0
-    j_min = 0
-    for lo, hi in _row_chunks(n, n):
-        d2 = (x[lo:hi, None] - xJ[None, :]) ** 2 + (y[lo:hi, None] - yJ[None, :]) ** 2
-        k = int(np.argmin(d2))
-        val = float(d2.flat[k])
-        if val < d2_min:
-            d2_min = val
-            i_min = lo + k // n
-            j_min = k % n
-    return d2_min, i_min, j_min
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def _numba_requested():
-    flag = os.environ.get("SECULAR3BP_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        NUMBA_ENABLED = True
-
-if NUMBA_ENABLED:
-    _jit = njit(cache=True, nogil=True)
-    # The node-precompute helper is called from inside the jitted kernels,
-    # so rebind it to its compiled form before they first compile.
-    _planet_nodes = _jit(_planet_nodes)
-    quarter_sums_numba = _jit(_quarter_sums_loops)
-    bbar_mean_numba = _jit(_bbar_mean_loops)
-    rbar_rotated_mean_numba = _jit(_rbar_rotated_mean_loops)
-    vbar_mean_numba = _jit(_vbar_mean_loops)
-    min_sep_scan_numba = _jit(_min_sep_scan_loops)
-
-    quarter_sums = quarter_sums_numba
-    bbar_mean = bbar_mean_numba
-    rbar_rotated_mean = rbar_rotated_mean_numba
-    vbar_mean = vbar_mean_numba
-    min_sep_scan = min_sep_scan_numba
-    BACKEND = "numba"
-else:
-    quarter_sums = quarter_sums_numpy
-    bbar_mean = bbar_mean_numpy
-    rbar_rotated_mean = rbar_rotated_mean_numpy
-    vbar_mean = vbar_mean_numpy
-    min_sep_scan = min_sep_scan_numpy
-    BACKEND = "numpy"
-
-
-def warmup():
-    """Trigger JIT compilation of all kernels (no-op on the numpy backend)."""
-    quarter_sums(0.3, 0.1, 0.2, 8, 8)
-    bbar_mean(0.3, 0.1, 0.2, 8, 8)
-    rbar_rotated_mean(0.3, 0.1, 0.2, 1.0, 0.0, 8, 8)
-    vbar_mean(0.3, 0.1, 0.2, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 8, 8)
-    min_sep_scan(0.3, 0.1, 0.2, 16)

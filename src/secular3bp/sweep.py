@@ -206,8 +206,6 @@ def run_sweep(a_range, eJ_range, mu=0.0, quad=None, jobs=1) -> SweepGrid:
     if jobs <= 1:
         cells = [_cell_worker(j) for j in jobs_list]
     else:
-        # Workers fork after warmup so compiled kernels are inherited.
-        kernels.warmup()
         import multiprocessing
 
         with multiprocessing.Pool(processes=jobs) as pool:

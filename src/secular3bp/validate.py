@@ -28,6 +28,7 @@ import numpy as np
 
 from .averaging import (
     QuadratureSpec,
+    _doubling,
     averaged_B,
     averaged_coefficients,
     direct_average_V3d,
@@ -135,6 +136,10 @@ def spatial_quadratic_oracle(cfg: OrbitConfig, e, quad: QuadratureSpec,
 
     Returns:
         dict with d2_p3, d2_q3 (match 2*Abar, 2*Cbar) and cross (matches 0).
+
+    Raises:
+        NonConvergedError: The base point does not converge within the
+            node cap.
     """
     L = cfg.L
     p2s = math.sqrt(max(0.0, 2.0 * (L - cfg.G_of(e))))
@@ -142,21 +147,11 @@ def spatial_quadratic_oracle(cfg: OrbitConfig, e, quad: QuadratureSpec,
     def state(p3, q3):
         return PoincareState(p1=L, p2=p2s, p3=p3, q1=0.0, q2=0.0, q3=q3)
 
-    # Converge the base point by explicit doubling through the public API.
-    n = quad.n_ast
-    v_prev, _ = direct_average_V3d(cfg, state(0.0, 0.0), quad, nodes=n)
-    while True:
-        n2 = 2 * n
-        if n2 > quad.max_n:
-            break
-        v_cur, _ = direct_average_V3d(cfg, state(0.0, 0.0), quad, nodes=n2)
-        n = n2
-        if abs(v_cur - v_prev) <= quad.tol * max(abs(v_cur), 1e-12):
-            v_prev = v_cur
-            break
-        v_prev = v_cur
-    nodes = n
-    v0 = v_prev
+    vals, _, (nodes, _) = _doubling(
+        lambda n, _: (direct_average_V3d(cfg, state(0.0, 0.0), quad, nodes=n)[0],),
+        quad, floors=(1e-12,),
+    )
+    v0 = float(vals[0])
 
     def vbar(p3, q3):
         val, _ = direct_average_V3d(cfg, state(p3, q3), quad, nodes=nodes)

@@ -1,12 +1,6 @@
 import pytest
 
-from secular3bp import kernels
 from secular3bp.averaging import QuadratureSpec
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
-from secular3bp import kernels
+from oracles import mean_anomaly_rbar
 from secular3bp.averaging import (
     AveragedCoefficients,
     QuadratureSpec,
@@ -14,11 +14,10 @@ from secular3bp.averaging import (
     averaged_R,
     averaged_coefficients,
     direct_average_V3d,
-    disturbing_V,
-    separation_pair,
 )
 from secular3bp.errors import NonConvergedError, OrbitCrossingError
 from secular3bp.geometry import OrbitConfig, PoincareState
+from secular3bp.validate import spatial_quadratic_oracle
 
 
 def brute_force_rbar(a, e, eJ, n=2048, g=0.0):
@@ -60,23 +59,6 @@ def unfolded_AC_oracle(a, e, eJ, mu, n=1024):
     return rbar, abar, cbar
 
 
-class TestDisturbingV:
-    def test_values(self):
-        assert disturbing_V(1, 0, 0, 0, 1) == pytest.approx(1 / math.sqrt(2))
-        assert disturbing_V(0, 0, 1, 0, 0) == 1.0
-        assert disturbing_V(0.3, 0.4, 0, -0.2, 0.1) == pytest.approx(
-            1 / math.sqrt(0.25 + 0.09))
-
-    def test_coincident_raises(self):
-        with pytest.raises(ValueError):
-            disturbing_V(0.5, 0.5, 0.0, 0.5, 0.5)
-
-    def test_separation_pair(self):
-        pair = separation_pair(1.0, 1.0, 0.0, 1.0)
-        assert pair.r1 == pytest.approx(1.0)
-        assert pair.r2 == pytest.approx(math.sqrt(1.0 + 4.0))
-
-
 class TestAveragedR:
     def test_small_a_limit(self, quad):
         # The outer average of 1/r_J over the planet's mean anomaly is
@@ -102,6 +84,8 @@ class TestAveragedR:
         cfg = OrbitConfig(a=0.35, e_J=0.4)
         rbar, _ = averaged_R(cfg, 0.22, 0.0, quad)
         assert rbar == pytest.approx(brute_force_rbar(0.35, 0.22, 0.4), rel=1e-11)
+        # Uniform mean anomalies, no Jacobian weight: checks the weight.
+        assert rbar == pytest.approx(mean_anomaly_rbar(0.35, 0.22, 0.4), rel=1e-11)
 
     def test_circular_planet_g_symmetry(self, quad):
         cfg = OrbitConfig(a=0.3, e_J=0.0)
@@ -114,6 +98,8 @@ class TestAveragedR:
         cfg = OrbitConfig(a=0.3, e_J=0.4)
         val, _ = averaged_R(cfg, 0.2, 1.1, quad)
         assert val == pytest.approx(brute_force_rbar(0.3, 0.2, 0.4, g=1.1),
+                                    rel=1e-11)
+        assert val == pytest.approx(mean_anomaly_rbar(0.3, 0.2, 0.4, g=1.1),
                                     rel=1e-11)
 
     def test_crossing_refused_aligned(self, quad):
@@ -233,32 +219,20 @@ class TestDirectAverage3D:
         cfg = OrbitConfig(a=0.4, e_J=0.3)
         e = 0.17
         abar, cbar, _ = averaged_AC(cfg, e, quad)
-        from secular3bp.validate import spatial_quadratic_oracle
-
         fd = spatial_quadratic_oracle(cfg, e, quad)
         assert fd["d2_p3"] == pytest.approx(2.0 * abar, rel=1e-6)
         assert fd["d2_q3"] == pytest.approx(2.0 * cbar, rel=1e-6)
         assert abs(fd["cross"]) < 1e-8
+
+    def test_oracle_refuses_unconverged_base(self):
+        # The node cap allows no doubling, so the base point cannot converge.
+        cfg = OrbitConfig(a=0.4, e_J=0.3)
+        capped = QuadratureSpec(n_ast=64, n_pl=64, max_n=64)
+        with pytest.raises(NonConvergedError):
+            spatial_quadratic_oracle(cfg, 0.17, capped)
 
     def test_inconsistent_p1_rejected(self, quad):
         cfg = OrbitConfig(a=0.4, e_J=0.3)
         state = PoincareState(p1=1.0, p2=0.1, p3=0.0, q1=0.0, q2=0.0, q3=0.0)
         with pytest.raises(ValueError):
             direct_average_V3d(cfg, state, quad)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba backend disabled")
-class TestBackendEquivalence:
-    CASES = [
-        ("quarter_sums", (0.4, 0.17, 0.3, 48, 48)),
-        ("bbar_mean", (0.4, 0.17, 0.3, 48, 48)),
-        ("rbar_rotated_mean", (0.4, 0.17, 0.3, math.cos(0.6), math.sin(0.6), 48, 48)),
-        ("vbar_mean", (0.4, 0.17, 0.3, 1.0, 0.0, 0.0, 0.99, 0.0, 0.1, 48, 48)),
-        ("min_sep_scan", (0.4, 0.17, 0.3, 96)),
-    ]
-
-    @pytest.mark.parametrize("name,args", CASES, ids=[c[0] for c in CASES])
-    def test_numba_matches_numpy(self, name, args):
-        got_nb = np.atleast_1d(np.asarray(getattr(kernels, name + "_numba")(*args)))
-        got_np = np.atleast_1d(np.asarray(getattr(kernels, name + "_numpy")(*args)))
-        assert np.allclose(got_nb, got_np, rtol=1e-13, atol=1e-15)

@@ -5,22 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import orbit_min_separation, poincare_from_delaunay, solve_kepler
+from secular3bp import kernels
 from secular3bp.geometry import (
     DelaunayElements,
     OrbitConfig,
-    OsculatingElements,
     aligned_noncrossing_interval,
     aligned_separation,
-    asteroid_plane_position,
-    asteroid_position,
-    delaunay_from_osculating,
     delaunay_from_poincare,
-    orbit_min_separation,
-    osculating_from_delaunay,
-    planet_position,
-    poincare_from_delaunay,
-    rotate_to_inertial,
-    solve_kepler,
+    rotation_matrix,
     wrap_angle,
 )
 
@@ -86,58 +79,59 @@ class TestSolveKepler:
         assert abs(E - e * math.sin(E) - l) < 1e-13
 
 
+def ellipse_node(E, a, e):
+    """One node (x, y, w) of the kernels' shared ellipse sampler."""
+    x, y, w = kernels._ellipse_nodes(np.array([E]), a, e)
+    return float(x[0]), float(y[0]), float(w[0])
+
+
 class TestPlanetPosition:
+    """The planet's ellipse is the kernels' node sampler with a = 1."""
+
     def test_periapsis(self):
-        p = planet_position(0.0, 0.2)
-        assert (p.xJ, p.yJ) == (0.8, 0.0)
+        xJ, yJ, wJ = ellipse_node(0.0, 1.0, 0.2)
+        assert (xJ, yJ, wJ) == (0.8, 0.0, 0.8)
 
     def test_apoapsis(self):
-        p = planet_position(math.pi, 0.2)
-        assert p.xJ == pytest.approx(-1.2, abs=1e-15)
-        assert p.yJ == pytest.approx(0.0, abs=1e-15)
+        xJ, yJ, _ = ellipse_node(math.pi, 1.0, 0.2)
+        assert xJ == pytest.approx(-1.2, abs=1e-15)
+        assert yJ == pytest.approx(0.0, abs=1e-15)
 
     def test_quarter(self):
-        p = planet_position(math.pi / 2.0, 0.5)
-        assert p.xJ == pytest.approx(-0.5, abs=1e-15)
-        assert p.yJ == pytest.approx(math.sqrt(0.75), abs=1e-15)
+        xJ, yJ, _ = ellipse_node(math.pi / 2.0, 1.0, 0.5)
+        assert xJ == pytest.approx(-0.5, abs=1e-15)
+        assert yJ == pytest.approx(math.sqrt(0.75), abs=1e-15)
 
     def test_focus_distance_identity(self):
+        # The Kepler weight w = 1 - eJ cos EJ is the distance to the focus.
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            EJ = rng.uniform(0.0, TWO_PI)
-            eJ = rng.uniform(0.0, 0.95)
-            p = planet_position(EJ, eJ)
-            r = math.hypot(p.xJ, p.yJ)
-            assert abs(r - (1.0 - eJ * math.cos(EJ))) < 1e-13
+        EJ = rng.uniform(0.0, TWO_PI, 200)
+        for eJ in rng.uniform(0.0, 0.95, 5):
+            xJ, yJ, wJ = kernels._ellipse_nodes(EJ, 1.0, eJ)
+            assert np.max(np.abs(np.hypot(xJ, yJ) - wJ)) < 1e-13
 
     def test_ellipse_equation(self):
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            EJ = rng.uniform(0.0, TWO_PI)
-            eJ = rng.uniform(0.0, 0.9)
-            p = planet_position(EJ, eJ)
-            lhs = (p.xJ + eJ) ** 2 + p.yJ**2 / (1.0 - eJ**2)
-            assert abs(lhs - 1.0) < 1e-12
+        EJ = rng.uniform(0.0, TWO_PI, 100)
+        for eJ in rng.uniform(0.0, 0.9, 5):
+            xJ, yJ, _ = kernels._ellipse_nodes(EJ, 1.0, eJ)
+            lhs = (xJ + eJ) ** 2 + yJ**2 / (1.0 - eJ**2)
+            assert np.max(np.abs(lhs - 1.0)) < 1e-12
 
 
 class TestAsteroidPlanePosition:
     def test_trivials(self):
-        assert asteroid_plane_position(0.0, 2.0, 0.5) == (1.0, 0.0)
-        xp, yp = asteroid_plane_position(math.pi / 2.0, 1.0, 0.0)
+        assert ellipse_node(0.0, 2.0, 0.5)[:2] == (1.0, 0.0)
+        xp, yp, _ = ellipse_node(math.pi / 2.0, 1.0, 0.0)
         assert xp == pytest.approx(0.0, abs=1e-15)
         assert yp == pytest.approx(1.0, abs=1e-15)
-        xp, yp = asteroid_plane_position(math.pi, 0.3, 0.1)
+        xp, yp, w = ellipse_node(math.pi, 0.3, 0.1)
         assert xp == pytest.approx(-0.33, abs=1e-15)
         assert yp == pytest.approx(0.0, abs=1e-15)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            asteroid_plane_position(0.0, -1.0, 0.1)
-        with pytest.raises(ValueError):
-            asteroid_plane_position(0.0, 1.0, 1.0)
+        assert w == pytest.approx(1.1, abs=1e-15)
 
 
-def rotation_oracle(xp, yp, omega, i, Omega):
+def rotation_oracle(omega, i, Omega):
     """Compose the three elementary rotations Rz(Omega) Rx(i) Rz(omega)."""
     def rz(t):
         return np.array([
@@ -153,43 +147,39 @@ def rotation_oracle(xp, yp, omega, i, Omega):
             [0.0, math.sin(t), math.cos(t)],
         ])
 
-    return rz(Omega) @ rx(i) @ rz(omega) @ np.array([xp, yp, 0.0])
+    return rz(Omega) @ rx(i) @ rz(omega)
 
 
 class TestRotation:
     def test_identity(self):
-        assert rotate_to_inertial(1.0, 0.0, 0.0, 0.0, 0.0) == (1.0, 0.0, 0.0)
+        assert np.array_equal(rotation_matrix(0.0, 0.0, 0.0),
+                              [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
     def test_periapsis_to_pole(self):
-        x, y, z = rotate_to_inertial(1.0, 0.0, math.pi / 2.0, math.pi / 2.0, 0.0)
-        assert x == pytest.approx(0.0, abs=1e-15)
-        assert y == pytest.approx(0.0, abs=1e-15)
-        assert z == pytest.approx(1.0, abs=1e-15)
+        periapsis = rotation_matrix(math.pi / 2.0, math.pi / 2.0, 0.0)[:, 0]
+        assert np.allclose(periapsis, [0.0, 0.0, 1.0], rtol=0.0, atol=1e-15)
 
     def test_matrix_product_oracle(self):
-        got = rotate_to_inertial(0.3, 0.4, 0.7, 0.2, 1.1)
-        want = rotation_oracle(0.3, 0.4, 0.7, 0.2, 1.1)
+        got = rotation_matrix(0.7, 0.2, 1.1)
+        want = rotation_oracle(0.7, 0.2, 1.1)[:, :2]
         assert np.allclose(got, want, rtol=0.0, atol=1e-15)
 
-    @given(
-        st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
-        st.floats(0.0, TWO_PI), st.floats(0.0, math.pi), st.floats(0.0, TWO_PI),
-    )
+    @given(st.floats(0.0, TWO_PI), st.floats(0.0, math.pi), st.floats(0.0, TWO_PI))
     @settings(max_examples=200, deadline=None)
-    def test_orthogonality(self, xp, yp, omega, i, Omega):
-        x, y, z = rotate_to_inertial(xp, yp, omega, i, Omega)
-        assert abs(x * x + y * y + z * z - (xp * xp + yp * yp)) < 1e-13
+    def test_orthogonality(self, omega, i, Omega):
+        m = rotation_matrix(omega, i, Omega)
+        assert np.allclose(m.T @ m, np.eye(2), rtol=0.0, atol=1e-14)
 
     def test_zero_inclination_collapse(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            xp, yp = rng.uniform(-1, 1, 2)
             omega, Omega = rng.uniform(0.0, TWO_PI, 2)
-            x, y, z = rotate_to_inertial(xp, yp, omega, 0.0, Omega)
-            assert z == 0.0
+            m = rotation_matrix(omega, 0.0, Omega)
+            assert np.all(m[2] == 0.0)
             t = omega + Omega
-            assert x == pytest.approx(math.cos(t) * xp - math.sin(t) * yp, abs=1e-14)
-            assert y == pytest.approx(math.sin(t) * xp + math.cos(t) * yp, abs=1e-14)
+            assert np.allclose(m[:2], [[math.cos(t), -math.sin(t)],
+                                       [math.sin(t), math.cos(t)]],
+                               rtol=0.0, atol=1e-14)
 
 
 class TestPoincare:
@@ -241,37 +231,6 @@ class TestPoincare:
         assert back.G == pytest.approx(0.9, abs=1e-15)
 
 
-class TestElementConversions:
-    def test_delaunay_round_trip(self):
-        osc = OsculatingElements(a=0.7, e=0.35, i=0.4, omega=1.2, Omega=2.5,
-                                 l=0.9)
-        for mu in (0.0, 0.3):
-            back = osculating_from_delaunay(delaunay_from_osculating(osc, mu), mu)
-            assert back.a == pytest.approx(osc.a, rel=1e-14)
-            assert back.e == pytest.approx(osc.e, abs=1e-14)
-            assert back.i == pytest.approx(osc.i, abs=1e-14)
-            assert (back.omega, back.Omega, back.l) == (osc.omega, osc.Omega, osc.l)
-
-    def test_asteroid_position_planar(self):
-        osc = OsculatingElements(a=0.5, e=0.2, i=0.0, omega=0.0, Omega=0.0,
-                                 l=1.3)
-        state = asteroid_position(osc)
-        assert state.z == 0.0
-        E = solve_kepler(1.3, 0.2)
-        xp, yp = asteroid_plane_position(E, 0.5, 0.2)
-        assert state.x == pytest.approx(xp, abs=1e-15)
-        assert state.y == pytest.approx(yp, abs=1e-15)
-
-    def test_asteroid_position_spatial_norm(self):
-        osc = OsculatingElements(a=0.5, e=0.2, i=0.7, omega=1.1, Omega=0.4,
-                                 l=2.2)
-        state = asteroid_position(osc)
-        r = math.sqrt(state.x**2 + state.y**2 + state.z**2)
-        assert r == pytest.approx(math.hypot(state.xp, state.yp), abs=1e-14)
-        # focus-distance identity in the orbital plane
-        assert r == pytest.approx(0.5 * (1 - 0.2 * math.cos(state.E)), abs=1e-13)
-
-
 class TestTypes:
     def test_orbit_config_validation(self):
         with pytest.raises(ValueError):
@@ -284,11 +243,11 @@ class TestTypes:
         assert cfg.L == pytest.approx(0.5)
 
     def test_angle_normalization(self):
-        osc = OsculatingElements(a=1.0, e=0.1, i=0.2, omega=-0.5,
-                                 Omega=7.0, l=2.0 * TWO_PI + 0.1)
-        assert 0.0 <= osc.omega < TWO_PI
-        assert 0.0 <= osc.Omega < TWO_PI
-        assert osc.l == pytest.approx(0.1, abs=1e-12)
+        d = DelaunayElements(L=1.0, G=0.9, H=0.5, l=2.0 * TWO_PI + 0.1,
+                             g=-0.5, h=7.0)
+        assert 0.0 <= d.g < TWO_PI
+        assert 0.0 <= d.h < TWO_PI
+        assert d.l == pytest.approx(0.1, abs=1e-12)
 
     def test_delaunay_validation(self):
         with pytest.raises(ValueError):
