@@ -12,7 +12,6 @@ from .averaging import (
     AveragedCoefficients,
     QuadratureSpec,
     SeparationGuard,
-    averaged_AC,
     averaged_B,
     averaged_R,
     averaged_coefficients,
@@ -20,8 +19,6 @@ from .averaging import (
 )
 from .equilibrium import (
     EquilibriumRecord,
-    PlanarState,
-    dRbar_de,
     find_equilibrium,
     planar_hessian,
 )
@@ -60,7 +57,6 @@ __all__ = [
     "NonConvergedError",
     "OrbitConfig",
     "OrbitCrossingError",
-    "PlanarState",
     "PoincareState",
     "QuadratureSpec",
     "ResonancePoint",
@@ -69,12 +65,10 @@ __all__ = [
     "StabilityRecord",
     "SweepGrid",
     "aligned_noncrossing_interval",
-    "averaged_AC",
     "averaged_B",
     "averaged_R",
     "averaged_coefficients",
     "classify_spatial",
-    "dRbar_de",
     "delaunay_from_poincare",
     "direct_average_V3d",
     "evaluate_cell",

@@ -46,7 +46,6 @@ __all__ = [
     "AveragedCoefficients",
     "SeparationGuard",
     "averaged_R",
-    "averaged_AC",
     "averaged_B",
     "averaged_coefficients",
     "direct_average_V3d",
@@ -104,7 +103,8 @@ class SeparationGuard:
     (:func:`aligned_separation`); between cached eccentricities a Lipschitz
     bound (the aligned curves move at most ~4a per unit of e) certifies
     safety without re-evaluating, keeping repeated guard checks cheap inside
-    derivative stencils and root refinement.
+    root refinement.  An array of eccentricities (the equilibrium scan) is
+    evaluated in one batch.
     """
 
     def __init__(self, cfg: OrbitConfig, threshold=DEFAULT_SEPARATION_THRESHOLD):
@@ -114,11 +114,16 @@ class SeparationGuard:
         self._lip = 4.0 * cfg.a
 
     def min_separation(self, e):
-        sep = self._cache.get(e)
-        if sep is None:
-            sep = aligned_separation(self.cfg.a, e, self.cfg.e_J)
-            self._cache[e] = sep
-        return sep
+        """Exact separation at e, a float or an array evaluated in one batch."""
+        es = np.asarray(e, dtype=float)
+        missing = [x for x in dict.fromkeys(es.reshape(-1).tolist())
+                   if x not in self._cache]
+        if missing:
+            seps = aligned_separation(self.cfg.a, np.array(missing), self.cfg.e_J)
+            self._cache.update(zip(missing, seps.tolist()))
+        if es.ndim == 0:
+            return self._cache[float(es)]
+        return np.array([self._cache[x] for x in es.tolist()])
 
     def separation_lower_bound(self, e):
         best = -math.inf
@@ -294,13 +299,6 @@ def averaged_coefficients(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None,
         )
     return AveragedCoefficients(Rbar=float(rbar), Abar=float(abar),
                                 Bbar=float(bbar), Cbar=float(cbar), err=err)
-
-
-def averaged_AC(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None):
-    """Averaged quadratic-form coefficients (Abar, Cbar) and their errors."""
-    coeffs = averaged_coefficients(cfg, e, quad, guard=guard, include_B=False)
-    return coeffs.Abar, coeffs.Cbar, {"Abar": coeffs.err["Abar"],
-                                      "Cbar": coeffs.err["Cbar"]}
 
 
 def averaged_B(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None):

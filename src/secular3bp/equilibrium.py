@@ -3,16 +3,17 @@
 Stable planar configurations sit at aligned periapses (q2 = 0, p2 > 0,
 i.e. g = 0) where dRbar/de vanishes.  Roots are located by scanning the
 derivative over the admissible (non-crossing) eccentricity range,
-bracketing sign changes, and refining with bracketed hybrid methods;
-open Newton iteration is never used because the derivative of a quadrature
-carries noise at the tolerance level.
+bracketing sign changes, and refining each with Brent's method; open
+Newton iteration is never used, so a root is never lost outside its
+bracket.
 
-Derivatives are finite differences of the quadrature (central, Richardson
-extrapolated).  Within one stencil every evaluation shares a single frozen
-node count, chosen by converging the centre point first: quadrature error
-is then a smooth function of the parameter and cancels in the differences,
-which is what makes 1e-11 root residuals attainable on top of 1e-10
-quadratures.
+Derivatives come from differentiating the quadrature under the integral
+sign (:func:`kernels.quarter_derivatives`).  The differentiated integrands
+stay analytic and periodic, so the midpoint rule converges geometrically
+for them as it does for Rbar, with no finite-difference step to choose.
+The scan and Brent share one frozen node count per cell, which keeps the
+scanned derivative a single analytic function of e; the residual and the
+planar Hessian are taken at the node count converged at the root itself.
 """
 
 import math
@@ -22,14 +23,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import kernels
-from .averaging import (
-    DEFAULT_SEPARATION_THRESHOLD,
-    QuadratureSpec,
-    SeparationGuard,
-    _doubling,
-    _quarter_eval,
-)
-from .errors import NonConvergedError, OrbitCrossingError
+from .averaging import _SCALE_FLOOR, QuadratureSpec, SeparationGuard, _doubling
+from .errors import NonConvergedError
 from .geometry import OrbitConfig, aligned_noncrossing_interval
 
 __all__ = [
@@ -37,9 +32,7 @@ __all__ = [
     "STATUS_NO_ROOT",
     "STATUS_MULTIPLE_ROOTS",
     "STATUS_CROSSING",
-    "PlanarState",
     "EquilibriumRecord",
-    "dRbar_de",
     "find_equilibrium",
     "planar_hessian",
     "classify_definiteness",
@@ -65,38 +58,9 @@ DEFAULT_E_BRACKET = (1e-4, 0.95)
 _SAFE_SEPARATION = 4e-3
 
 _ROOT_RESIDUAL_TOL = 1e-11
-_SCAN_STEP = 1e-4
-
-
-@dataclass(frozen=True)
-class PlanarState:
-    """Planar averaged phase point in both (e, g) and canonical (p2, q2) form."""
-
-    e: float
-    g: float
-    p2: float
-    q2: float
-
-    @classmethod
-    def from_polar(cls, e, g, L):
-        r = math.sqrt(max(0.0, 2.0 * L * (1.0 - math.sqrt(1.0 - e * e))))
-        return cls(e=e, g=float(np.mod(g, 2.0 * np.pi)),
-                   p2=r * math.cos(g), q2=-r * math.sin(g))
-
-    @classmethod
-    def from_canonical(cls, p2, q2, L):
-        G = L - 0.5 * (p2 * p2 + q2 * q2)
-        if G <= 0.0:
-            raise ValueError("p2^2 + q2^2 too large: G would be non-positive")
-        ratio = min(G / L, 1.0)
-        e = math.sqrt(max(0.0, 1.0 - ratio * ratio))
-        g = math.atan2(-q2, p2) if (p2, q2) != (0.0, 0.0) else 0.0
-        return cls(e=e, g=float(np.mod(g, 2.0 * np.pi)), p2=p2, q2=q2)
-
-    def consistent_with(self, L, tol=1e-12):
-        lhs = self.p2**2 + self.q2**2
-        rhs = 2.0 * L * (1.0 - math.sqrt(1.0 - self.e**2))
-        return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
+# The scan grid is inset this far from the bracket ends; moving the grid
+# changes which sign changes it sees, and with them borderline verdicts.
+_SCAN_INSET = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,98 +77,24 @@ class EquilibriumRecord:
     message: str = ""
 
 
-def _fixed_rotated(cfg, e, g, n1, n2, threshold):
-    """Rbar from the full-domain rotated kernel at a fixed node count."""
-    val, r1sq_min = kernels.rbar_rotated_mean(
-        cfg.a, e, cfg.e_J, math.cos(g), math.sin(g), n1, n2
-    )
-    if r1sq_min < threshold * threshold:
-        raise OrbitCrossingError(
-            f"sampled inter-orbit distance below {threshold:g} at "
-            f"a={cfg.a:g}, e={e:g}, g={g:g}, e_J={cfg.e_J:g}",
-            separation=math.sqrt(r1sq_min),
-        )
-    return val
+def _derivatives(cfg, e, quad, guard, second=False):
+    """Converged (R, R_e), plus (R_ee, R_gg) when ``second``, at g = 0.
 
-
-def _converge_quarter(cfg, e, quad, guard):
-    """Converged quarter-domain Rbar; returns (value, err, nodes)."""
-    guard.check(e)
-    vals, errs, (n1, _) = _doubling(
-        lambda n1, n2: _quarter_eval(cfg.a, e, cfg.e_J, n1, n2), quad
-    )
-    return float(vals[0]), float(errs[0]), n1
-
-
-def _derivative(cfg, e, quad, guard, h=None, nodes=None):
-    """dRbar/de at g = 0 by Richardson-extrapolated finite differences.
-
-    Returns (value, error estimate, nodes used).  The whole stencil is
-    evaluated at one node count: the centre's converged count, or ``nodes``
-    when given.  The step shrinks automatically when a stencil point lands
-    in the crossing-guarded region; one-sided differences are used at the
-    e = 0 boundary.
-    """
-    if h is None:
-        h = _SCAN_STEP
-    if nodes is None:
-        _, _, nodes = _converge_quarter(cfg, e, quad, guard)
-
-    def rb(ee):
-        guard.check(ee)
-        rbar, _, _ = _quarter_eval(cfg.a, ee, cfg.e_J, nodes, nodes)
-        return rbar
-
-    for attempt in range(7):
-        try:
-            if e - h < 0.0:
-                # Forward one-sided second-order stencil at the boundary.
-                f0 = rb(e)
-
-                def one_sided(step):
-                    return (-3.0 * f0 + 4.0 * rb(e + step) - rb(e + 2.0 * step)) / (
-                        2.0 * step
-                    )
-
-                d_h = one_sided(h)
-                d_h2 = one_sided(h / 2.0)
-            else:
-                d_h = (rb(e + h) - rb(e - h)) / (2.0 * h)
-                d_h2 = (rb(e + h / 2.0) - rb(e - h / 2.0)) / h
-        except OrbitCrossingError:
-            if attempt == 6:
-                raise OrbitCrossingError(
-                    f"no admissible finite-difference step at e={e:g} "
-                    f"(a={cfg.a:g}, e_J={cfg.e_J:g})"
-                )
-            h /= 4.0
-            continue
-        rich = (4.0 * d_h2 - d_h) / 3.0
-        err = abs(rich - d_h2) + 4.0 * np.finfo(float).eps / h
-        return rich, err, nodes
-    raise AssertionError("unreachable")
-
-
-def dRbar_de(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None, h=None):
-    """Derivative of the averaged disturbing function with respect to e at g=0.
-
-    Args:
-        cfg: Problem parameters.
-        e: Eccentricity in [0, 1).
-        quad: Quadrature control.
-        guard: Optional shared SeparationGuard.
-        h: Finite-difference step (default 1e-4; shrunk automatically near
-           the crossing boundary, one-sided at e = 0).
-
-    Returns:
-        (derivative, error estimate).
+    Returns (values, errors, nodes).  Node doubling stops once R agrees to
+    the relative tolerance and R_e, which vanishes at the roots, to the
+    same tolerance in absolute terms; the second derivatives are read at
+    that level (their floor of inf leaves the stopping test to R and R_e).
     """
     if not (0.0 <= e < 1.0):
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    if guard is None:
-        guard = SeparationGuard(cfg)
-    val, err, _ = _derivative(cfg, e, quad, guard, h=h)
-    return val, err
+    guard.check(e)
+    floors = (_SCALE_FLOOR, 1.0) + ((math.inf, math.inf) if second else ())
+    vals, errs, (nodes, _) = _doubling(
+        lambda n1, n2: kernels.quarter_derivatives(cfg.a, e, cfg.e_J, n1, n2,
+                                                   second=second),
+        quad, floors=floors,
+    )
+    return vals, errs, nodes
 
 
 def classify_definiteness(hessian, floor=1e-9):
@@ -225,7 +115,7 @@ def _required_separation(cfg):
     return _SAFE_SEPARATION * max(1.0, cfg.a)
 
 
-def _scan_grid(cfg, e_bracket, guard, n_scan, h):
+def _scan_grid(cfg, e_bracket, guard, n_scan):
     """Scan abscissae over the bracket with a per-point admissibility mask.
 
     A point is admissible when the exact aligned separation leaves both the
@@ -240,114 +130,74 @@ def _scan_grid(cfg, e_bracket, guard, n_scan, h):
         return None, None
     lo = max(lo, interval[0])
     hi = min(hi, interval[1])
-    if lo + 2.0 * h >= hi:
+    if lo + 2.0 * _SCAN_INSET >= hi:
         return None, None
-    grid = np.linspace(lo + h, hi - h, n_scan)
+    grid = np.linspace(lo + _SCAN_INSET, hi - _SCAN_INSET, n_scan)
     s_req = max(2.0 * guard.threshold, _required_separation(cfg))
-    mask = np.array([guard.min_separation(float(e)) >= s_req for e in grid])
+    mask = guard.min_separation(grid) >= s_req
     if not mask.any():
         return None, None
     return grid, mask
 
 
-def planar_hessian(cfg: OrbitConfig, e_star, quad: QuadratureSpec, guard=None,
-                   h_scale=1e-3, e_limit=None):
-    """Second derivatives of Rbar in canonical (p2, q2) at the aligned point.
+def planar_hessian(cfg: OrbitConfig, e_star, quad: QuadratureSpec, guard=None):
+    """Second derivatives of Rbar in canonical (p2, q2) at (e_star, g = 0).
 
-    Central differences with Richardson extrapolation around
-    (p2, q2) = (sqrt(2(L - G*)), 0); every stencil point is evaluated with
-    the full-domain rotated-configuration quadrature at one frozen node
-    count so that quadrature errors cancel in the differences.  The matrix
-    is symmetric by construction (the single cross estimate fills both
-    off-diagonal entries).
+    The chain rule through p2 = sqrt(2 (L - G)) cos g, q2 = -sqrt(2 (L - G))
+    sin g, with e' = de/dp2 and e'' = d2e/dp2^2 along q2 = 0, gives
+
+        hess_pp = R_ee e'^2 + R_e e''
+        hess_qq = R_e e' / p2 + R_gg / p2^2
+        hess_pq = 0
+
+    exactly (R is even in g, so R_eg vanishes at g = 0); it holds at any
+    e_star, not only at a root.  R_e, R_ee and R_gg are converged
+    quadratures at e_star (see :func:`kernels.quarter_derivatives`).
 
     The mass fraction enters the canonical chart only through the overall
-    scale L = sqrt((1-mu) a), so the differences are taken in the mu-free
-    chart and the exact factor (1-mu)^(-1/2) is applied afterwards; this
-    keeps the mu-scaling of the Hessian (and of the derived frequencies)
-    exact instead of burying it in finite-difference noise.
+    scale L = sqrt((1-mu) a), so the chain rule is applied in the mu-free
+    chart and the exact factor (1-mu)^(-1/2) afterwards.
 
     Args:
         cfg: Problem parameters.
-        e_star: Eccentricity of the expansion point (g = 0).
+        e_star: Eccentricity of the expansion point, in (0, 1); the chart
+            is singular at e = 0.
         quad: Quadrature control.
-        guard: Optional shared SeparationGuard (supplies the threshold).
-        h_scale: Step in canonical units of sqrt(2 L).
-        e_limit: Optional upper eccentricity bound; the p2 step shrinks so
-            stencil points stay below it.
+        guard: Optional shared SeparationGuard.
 
     Returns:
         2x2 numpy array [[d2/dp2^2, d2/dp2dq2], [d2/dp2dq2, d2/dq2^2]].
     """
+    if not (0.0 < e_star < 1.0):
+        raise ValueError(f"eccentricity must be in (0, 1), got {e_star}")
+    if guard is None:
+        guard = SeparationGuard(cfg)
+    (_, r_e, r_ee, r_gg), _, _ = _derivatives(cfg, e_star, quad, guard,
+                                              second=True)
     L = math.sqrt(cfg.a)  # mu-free chart; exact mu factor applied at the end
-    threshold = guard.threshold if guard is not None else DEFAULT_SEPARATION_THRESHOLD
-    Gs = L * math.sqrt(1.0 - e_star * e_star)
-    p2s = math.sqrt(max(0.0, 2.0 * (L - Gs)))
-
-    def f(p2, q2, nodes):
-        G = L - 0.5 * (p2 * p2 + q2 * q2)
-        if G <= 0.0:
-            raise ValueError("stencil left the canonical chart (G <= 0)")
-        ratio = min(G / L, 1.0)
-        e = math.sqrt(max(0.0, 1.0 - ratio * ratio))
-        g = math.atan2(-q2, p2) if (p2, q2) != (0.0, 0.0) else 0.0
-        return _fixed_rotated(cfg, e, g, nodes, nodes, threshold)
-
-    def e_of_p2(p2):
-        G = L - 0.5 * p2 * p2
-        ratio = min(abs(G) / L, 1.0)
-        return math.sqrt(max(0.0, 1.0 - ratio * ratio))
-
-    vals, _, (n_frozen, _) = _doubling(
-        lambda n1, n2: (_fixed_rotated(cfg, e_star, 0.0, n1, n2, threshold),),
-        quad,
-    )
-    f0 = float(vals[0])
-
-    h = h_scale * math.sqrt(2.0 * L)
-    if e_limit is not None:
-        for _ in range(8):
-            if e_of_p2(p2s + 2.0 * h) < e_limit:
-                break
-            h /= 2.0
-        else:
-            raise OrbitCrossingError(
-                f"no admissible canonical step at e={e_star:g} "
-                f"(a={cfg.a:g}, e_J={cfg.e_J:g})"
-            )
-
-    def second(direction):
-        def d2(step):
-            if direction == "p":
-                return (f(p2s + step, 0.0, n_frozen) - 2.0 * f0
-                        + f(p2s - step, 0.0, n_frozen)) / (step * step)
-            return (f(p2s, step, n_frozen) - 2.0 * f0
-                    + f(p2s, -step, n_frozen)) / (step * step)
-
-        return (4.0 * d2(h / 2.0) - d2(h)) / 3.0
-
-    d2pp = second("p")
-    d2qq = second("q")
-    cross = (
-        f(p2s + h, h, n_frozen)
-        - f(p2s + h, -h, n_frozen)
-        - f(p2s - h, h, n_frozen)
-        + f(p2s - h, -h, n_frozen)
-    ) / (4.0 * h * h)
+    b = math.sqrt(1.0 - e_star * e_star)
+    # p2 = e sqrt(2 L / (1 + b)) and its derivatives in closed form, free
+    # of the cancellation in L - G at small e.
+    p2 = e_star * math.sqrt(2.0 * L / (1.0 + b))
+    de = b * math.sqrt(2.0 / (L * (1.0 + b)))
+    d2e = -e_star * (b + 2.0) / (L * (1.0 + b) ** 2)
+    hess_pp = r_ee * de * de + r_e * d2e
+    hess_qq = r_e * de / p2 + r_gg / (p2 * p2)
     mu_factor = 1.0 / math.sqrt(1.0 - cfg.mu)
-    return mu_factor * np.array([[d2pp, cross], [cross, d2qq]])
+    return mu_factor * np.array([[hess_pp, 0.0], [0.0, hess_qq]])
 
 
 def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec, e_bracket=None,
                      guard=None, n_scan=21) -> EquilibriumRecord:
     """Locate planar equilibria: roots of dRbar/de = 0 at g = 0.
 
-    Scans the derivative on a dense eccentricity grid over the admissible
-    (non-crossing) sub-bracket, brackets sign changes, refines each with
-    Brent's method on a frozen-node derivative, and polishes on the fully
-    adaptive derivative until the residual drops below 1e-11.  Every root
-    gets a planar Hessian; the positive-definite one is reported as the
-    stable equilibrium.
+    Evaluates the analytic derivative on an eccentricity grid over the
+    admissible (non-crossing) sub-bracket in one batched kernel call,
+    brackets sign changes and refines each with Brent's method, all at one
+    frozen node count.  At each root the derivative is then converged
+    afresh; its magnitude there is the reported residual, which must be
+    below 1e-11.  Every root gets a planar Hessian; the positive-definite
+    one is reported as the stable equilibrium.
 
     Status semantics: FOUND for a single root with positive-definite
     Hessian; MULTIPLE_ROOTS when several roots exist (e_star then points at
@@ -363,6 +213,10 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec, e_bracket=None,
 
     Returns:
         EquilibriumRecord.
+
+    Raises:
+        NonConvergedError: A root's residual stays above 1e-11 at the node
+            count converged there, or a quadrature reaches the node cap.
     """
     if guard is None:
         guard = SeparationGuard(cfg)
@@ -372,8 +226,7 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec, e_bracket=None,
         raise ValueError(f"e_bracket must satisfy 0 < lo < hi < 1, "
                          f"got {e_bracket}")
 
-    h = _SCAN_STEP
-    scan, mask = _scan_grid(cfg, e_bracket, guard, n_scan, h)
+    scan, mask = _scan_grid(cfg, e_bracket, guard, n_scan)
     if scan is None:
         return EquilibriumRecord(
             cfg=cfg, e_star=math.nan, residual=math.nan, hessian=None,
@@ -385,19 +238,24 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec, e_bracket=None,
     # One frozen node count per cell keeps the scanned derivative an
     # analytic function of e (no adaptive-refinement jitter near roots);
     # probe at the best-separated admissible point.
-    e_probe = float(scan[mask][np.argmax([guard.min_separation(float(e))
-                                          for e in scan[mask]])])
-    _, _, n_frozen = _converge_quarter(cfg, e_probe, quad, guard)
+    admissible = scan[mask]
+    e_probe = float(admissible[np.argmax(guard.min_separation(admissible))])
+    _, _, n_frozen = _derivatives(cfg, e_probe, quad, guard)
+
+    # The mask keeps every scan point above the guard threshold.
+    values = np.full(scan.shape, math.nan)
+    values[mask] = kernels.quarter_derivatives(cfg.a, admissible, cfg.e_J,
+                                               n_frozen, n_frozen)[1]
+    # The kernel gives each e the same bytes batched or alone, so Brent can
+    # take its bracket ends from the scan.
+    scanned = dict(zip(scan.tolist(), values.tolist()))
 
     def phi(e):
+        if e in scanned:
+            return scanned[e]
         guard.check(e)
-        r_plus, _, _ = _quarter_eval(cfg.a, e + h, cfg.e_J, n_frozen, n_frozen)
-        r_minus, _, _ = _quarter_eval(cfg.a, e - h, cfg.e_J, n_frozen, n_frozen)
-        return (r_plus - r_minus) / (2.0 * h)
-
-    values = np.full(scan.shape, math.nan)
-    for idx in np.flatnonzero(mask):
-        values[idx] = phi(float(scan[idx]))
+        _, r_e = kernels.quarter_derivatives(cfg.a, e, cfg.e_J, n_frozen, n_frozen)
+        return float(r_e)
 
     brackets = [
         (float(scan[k]), float(scan[k + 1]))
@@ -412,17 +270,19 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec, e_bracket=None,
             message="dRbar/de has no sign change on the admissible bracket",
         )
 
-    e_hi_adm = float(scan[mask][-1])
-    roots = []
-    for (e1, e2) in brackets:
-        e_c = brentq(phi, e1, e2, xtol=1e-13, rtol=4 * np.finfo(float).eps)
-        e_c, resid = _polish_root(cfg, e_c, quad, guard, h)
-        roots.append((e_c, resid))
-
     records = []
-    for e_root, resid in roots:
-        hess = planar_hessian(cfg, e_root, quad, guard=guard,
-                              e_limit=e_hi_adm + h)
+    for (e1, e2) in brackets:
+        e_root = brentq(phi, e1, e2, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+        (_, r_e), _, _ = _derivatives(cfg, e_root, quad, guard)
+        resid = abs(float(r_e))
+        if not resid < _ROOT_RESIDUAL_TOL:
+            raise NonConvergedError(
+                f"|dRbar/de| = {resid:.3e} at the root e = {e_root:.15g} "
+                f"(a={cfg.a:g}, e_J={cfg.e_J:g}): the node count frozen at "
+                "the probe does not resolve the root",
+                last_error=resid,
+            )
+        hess = planar_hessian(cfg, e_root, quad, guard=guard)
         records.append((e_root, resid, hess, classify_definiteness(hess)))
 
     stable = [r for r in records if r[3] == POSITIVE_DEFINITE]
@@ -440,33 +300,4 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec, e_bracket=None,
     return EquilibriumRecord(
         cfg=cfg, e_star=e_star, residual=resid, hessian=hess,
         hessian_definite=definite, status=status, all_roots=all_roots,
-    )
-
-
-def _polish_root(cfg, e_c, quad, guard, h):
-    """Drive |dRbar/de| below the residual tolerance near a bracketed root."""
-    val, _, nodes = _derivative(cfg, e_c, quad, guard, h=h)
-    if abs(val) < _ROOT_RESIDUAL_TOL:
-        return e_c, abs(val)
-
-    # Secant iteration on the frozen-node Richardson derivative.  Brent
-    # already pinned the root to ~1e-13 of the scan-resolution function, so
-    # steps stay tiny; the clamp only guards against a degenerate slope.
-    lo_clamp, hi_clamp = e_c - 1e-4, e_c + 1e-4
-    x0, f0 = e_c, val
-    x1 = e_c + math.copysign(1e-7, -f0)
-    f1, _, _ = _derivative(cfg, x1, quad, guard, h=h, nodes=nodes)
-    for _ in range(25):
-        if f1 == f0:
-            break
-        x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-        x0, f0 = x1, f1
-        x1 = min(max(x2, lo_clamp), hi_clamp)
-        f1, _, _ = _derivative(cfg, x1, quad, guard, h=h, nodes=nodes)
-        if abs(f1) < _ROOT_RESIDUAL_TOL:
-            return x1, abs(f1)
-    raise NonConvergedError(
-        f"root polish stalled at |dRbar/de| = {abs(f1):.3e} "
-        f"(a={cfg.a:g}, e_J={cfg.e_J:g})",
-        last_error=abs(f1),
     )

@@ -202,7 +202,7 @@ def run_sweep(a_range, eJ_range, mu=0.0, quad=None, jobs=1) -> SweepGrid:
         for ev in grid.eJ_values()
     ]
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     if jobs <= 1:
         cells = [_cell_worker(j) for j in jobs_list]
     else:
@@ -210,7 +210,7 @@ def run_sweep(a_range, eJ_range, mu=0.0, quad=None, jobs=1) -> SweepGrid:
 
         with multiprocessing.Pool(processes=jobs) as pool:
             cells = pool.map(_cell_worker, jobs_list, chunksize=4)
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
 
     grid.cells = cells
     grid.metadata = {

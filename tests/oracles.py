@@ -8,20 +8,21 @@ None of this is on the package's CLI or pipeline path:
 * ``poincare_from_delaunay`` is the forward map that round-trips
   ``delaunay_from_poincare``;
 * ``orbit_min_separation`` samples both anomalies densely and checks the
-  support-function form ``aligned_separation``.
+  support-function form ``aligned_separation``;
+* ``rbar_fine`` and the finite-difference stencils below differentiate
+  fixed-node quadratures numerically, the reference for the derivatives
+  that ``kernels.quarter_derivatives`` takes under the integral sign;
+* ``PlanarState`` converts between the (e, g) and canonical (p2, q2)
+  forms of a planar phase point.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from secular3bp.geometry import (
-    TWO_PI,
-    DelaunayElements,
-    PoincareState,
-    _golden_min,
-    wrap_angle,
-)
+from secular3bp.averaging import QuadratureSpec, averaged_R
+from secular3bp.geometry import TWO_PI, DelaunayElements, PoincareState, wrap_angle
 
 
 def solve_kepler(l, e, tol=1e-14, max_newton=50):
@@ -104,6 +105,23 @@ def poincare_from_delaunay(d: DelaunayElements) -> PoincareState:
     )
 
 
+def _golden_min(f, lo, hi, iters=40):
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = hi - inv_phi * (hi - lo)
+    d = lo + inv_phi * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
+
+
 def _pair_distance_sq(a, e, eJ, E, EJ):
     se = math.sqrt(1.0 - e * e)
     sJ = math.sqrt(1.0 - eJ * eJ)
@@ -152,3 +170,74 @@ def orbit_min_separation(a, e, eJ, coarse_n=720, refine_rounds=8):
     E = _golden_min(lambda s: _pair_distance_sq(a, e, eJ, s, EJ), E - window, E + window)
     EJ = _golden_min(lambda s: _pair_distance_sq(a, e, eJ, E, s), EJ - window, EJ + window)
     return math.sqrt(_pair_distance_sq(a, e, eJ, E, EJ))
+
+
+def rbar_fine(cfg, e, g=0.0, nodes=512):
+    """Fixed-node Rbar evaluation used by the derivative oracles."""
+    val, _ = averaged_R(cfg, e, g, QuadratureSpec(), nodes=nodes)
+    return val
+
+
+def ninepoint_derivative_oracle(cfg, e, h=1e-3, nodes=512):
+    """Eighth-order 9-point central first derivative in e on a finer quadrature."""
+    weights = np.array([3.0, -32.0, 168.0, -672.0, 0.0,
+                        672.0, -168.0, 32.0, -3.0]) / 840.0
+    offsets = np.arange(-4, 5)
+    return sum(
+        w * rbar_fine(cfg, e + k * h, nodes=nodes)
+        for w, k in zip(weights, offsets) if w != 0.0
+    ) / h
+
+
+def one_sided_derivative_oracle(cfg, e, h=1e-4, nodes=512):
+    """Second-order forward difference in e, for e = 0 where e - h is outside."""
+    f0 = rbar_fine(cfg, e, nodes=nodes)
+    return (-3.0 * f0 + 4.0 * rbar_fine(cfg, e + h, nodes=nodes)
+            - rbar_fine(cfg, e + 2.0 * h, nodes=nodes)) / (2.0 * h)
+
+
+def richardson_first(f, x, h):
+    """Central first difference of f at x, Richardson-extrapolated (h, h/2)."""
+    def d1(step):
+        return (f(x + step) - f(x - step)) / (2.0 * step)
+    return (4.0 * d1(h / 2.0) - d1(h)) / 3.0
+
+
+def richardson_second(f, x, h):
+    """Central second difference of f at x, Richardson-extrapolated (h, h/2)."""
+    f0 = f(x)
+
+    def d2(step):
+        return (f(x + step) - 2.0 * f0 + f(x - step)) / (step * step)
+    return (4.0 * d2(h / 2.0) - d2(h)) / 3.0
+
+
+@dataclass(frozen=True)
+class PlanarState:
+    """Planar averaged phase point in both (e, g) and canonical (p2, q2) form."""
+
+    e: float
+    g: float
+    p2: float
+    q2: float
+
+    @classmethod
+    def from_polar(cls, e, g, L):
+        r = math.sqrt(max(0.0, 2.0 * L * (1.0 - math.sqrt(1.0 - e * e))))
+        return cls(e=e, g=float(np.mod(g, 2.0 * np.pi)),
+                   p2=r * math.cos(g), q2=-r * math.sin(g))
+
+    @classmethod
+    def from_canonical(cls, p2, q2, L):
+        G = L - 0.5 * (p2 * p2 + q2 * q2)
+        if G <= 0.0:
+            raise ValueError("p2^2 + q2^2 too large: G would be non-positive")
+        ratio = min(G / L, 1.0)
+        e = math.sqrt(max(0.0, 1.0 - ratio * ratio))
+        g = math.atan2(-q2, p2) if (p2, q2) != (0.0, 0.0) else 0.0
+        return cls(e=e, g=float(np.mod(g, 2.0 * np.pi)), p2=p2, q2=q2)
+
+    def consistent_with(self, L, tol=1e-12):
+        lhs = self.p2**2 + self.q2**2
+        rhs = 2.0 * L * (1.0 - math.sqrt(1.0 - self.e**2))
+        return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))

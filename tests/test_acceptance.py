@@ -11,7 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from secular3bp.averaging import QuadratureSpec, averaged_B, averaged_R
+from secular3bp.averaging import (
+    QuadratureSpec,
+    averaged_B,
+    averaged_coefficients,
+    averaged_R,
+)
 from secular3bp.geometry import OrbitConfig
 from secular3bp.stability import linearized_matrix, point_ratio, trace_resonance
 from secular3bp.sweep import run_sweep, sweep_csv_text
@@ -90,14 +95,13 @@ def test_cbar_negative_with_margin(inner_sweep, outer_sweep):
 
 def test_quadratic_form_oracle(default_quad):
     """FD Hessian of the 3-D average = diag(2 Abar, 2 Cbar) to 1e-6 rel."""
-    from secular3bp.averaging import averaged_AC
-
     points = sample_noncrossing_points(20, seed=424242)
     worst_rel = 0.0
     worst_cross = 0.0
     for (a, e, eJ) in points:
         cfg = OrbitConfig(a=a, e_J=eJ)
-        abar, cbar, _ = averaged_AC(cfg, e, default_quad)
+        coeffs = averaged_coefficients(cfg, e, default_quad, include_B=False)
+        abar, cbar = coeffs.Abar, coeffs.Cbar
         fd = spatial_quadratic_oracle(cfg, e, default_quad)
         worst_rel = max(worst_rel,
                         abs(fd["d2_p3"] - 2 * abar) / abs(2 * abar),

@@ -9,14 +9,13 @@ from secular3bp.averaging import (
     AveragedCoefficients,
     QuadratureSpec,
     SeparationGuard,
-    averaged_AC,
     averaged_B,
     averaged_R,
     averaged_coefficients,
     direct_average_V3d,
 )
 from secular3bp.errors import NonConvergedError, OrbitCrossingError
-from secular3bp.geometry import OrbitConfig, PoincareState
+from secular3bp.geometry import OrbitConfig, PoincareState, aligned_separation
 from secular3bp.validate import spatial_quadratic_oracle
 
 
@@ -124,27 +123,30 @@ class TestAveragedAC:
     def test_folding_equivalence(self, quad):
         for (a, e, eJ) in [(0.5, 0.1, 0.2), (0.25, 0.35, 0.55), (2.2, 0.25, 0.4)]:
             cfg = OrbitConfig(a=a, e_J=eJ)
-            abar, cbar, _ = averaged_AC(cfg, e, quad)
+            c = averaged_coefficients(cfg, e, quad, include_B=False)
             rbar, _ = averaged_R(cfg, e, 0.0, quad)
             ref_r, ref_a, ref_c = unfolded_AC_oracle(a, e, eJ, 0.0)
-            assert abar == pytest.approx(ref_a, rel=1e-10)
-            assert cbar == pytest.approx(ref_c, rel=1e-10)
+            assert c.Abar == pytest.approx(ref_a, rel=1e-10)
+            assert c.Cbar == pytest.approx(ref_c, rel=1e-10)
             assert rbar == pytest.approx(ref_r, rel=1e-10)
 
     def test_abar_negative(self, quad):
         for (a, e, eJ) in [(0.1, 0.05, 0.1), (0.5, 0.3, 0.4), (3.0, 0.2, 0.6)]:
-            abar, cbar, errs = averaged_AC(OrbitConfig(a=a, e_J=eJ), e, quad)
-            assert abar < 0.0
-            assert errs["Abar"] >= 0.0
+            c = averaged_coefficients(OrbitConfig(a=a, e_J=eJ), e, quad,
+                                      include_B=False)
+            assert c.Abar < 0.0
+            assert c.err["Abar"] >= 0.0
 
     def test_mu_scaling(self, quad):
         # G = sqrt((1-mu) a (1-e^2)) is the only mu dependence.
         a, e, eJ = 0.5, 0.1, 0.2
-        a0, c0, _ = averaged_AC(OrbitConfig(a=a, e_J=eJ, mu=0.0), e, quad)
-        a1, c1, _ = averaged_AC(OrbitConfig(a=a, e_J=eJ, mu=0.5), e, quad)
+        c0 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=0.0), e, quad,
+                                   include_B=False)
+        c1 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=0.5), e, quad,
+                                   include_B=False)
         factor = 1.0 / math.sqrt(1.0 - 0.5)
-        assert a1 / a0 == pytest.approx(factor, rel=1e-12)
-        assert c1 / c0 == pytest.approx(factor, rel=1e-12)
+        assert c1.Abar / c0.Abar == pytest.approx(factor, rel=1e-12)
+        assert c1.Cbar / c0.Cbar == pytest.approx(factor, rel=1e-12)
 
 
 class TestAveragedB:
@@ -201,6 +203,16 @@ class TestSeparationGuard:
         guard.check(0.3005)  # must pass without any new exact evaluation
         assert set(guard._cache) == {0.3}
 
+    def test_batch_seeds_cache(self):
+        cfg = OrbitConfig(a=0.4, e_J=0.3)
+        guard = SeparationGuard(cfg)
+        es = np.array([0.1, 0.2, 0.2, 0.45])
+        seps = guard.min_separation(es)
+        assert set(guard._cache) == {0.1, 0.2, 0.45}
+        # One batched evaluation gives each e the bytes of a scalar call.
+        assert seps.tolist() == [aligned_separation(0.4, float(e), 0.3) for e in es]
+        assert guard.min_separation(0.45) == seps[3]
+
 
 class TestDirectAverage3D:
     def test_base_point_equals_rbar(self, quad):
@@ -218,10 +230,10 @@ class TestDirectAverage3D:
         # (2 Abar, 2 Cbar); the cross term vanishes by symmetry.
         cfg = OrbitConfig(a=0.4, e_J=0.3)
         e = 0.17
-        abar, cbar, _ = averaged_AC(cfg, e, quad)
+        c = averaged_coefficients(cfg, e, quad, include_B=False)
         fd = spatial_quadratic_oracle(cfg, e, quad)
-        assert fd["d2_p3"] == pytest.approx(2.0 * abar, rel=1e-6)
-        assert fd["d2_q3"] == pytest.approx(2.0 * cbar, rel=1e-6)
+        assert fd["d2_p3"] == pytest.approx(2.0 * c.Abar, rel=1e-6)
+        assert fd["d2_q3"] == pytest.approx(2.0 * c.Cbar, rel=1e-6)
         assert abs(fd["cross"]) < 1e-8
 
     def test_oracle_refuses_unconverged_base(self):

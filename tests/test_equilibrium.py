@@ -3,41 +3,38 @@ import math
 import numpy as np
 import pytest
 
-from secular3bp.averaging import QuadratureSpec, averaged_R
+from oracles import (
+    PlanarState,
+    ninepoint_derivative_oracle,
+    one_sided_derivative_oracle,
+    rbar_fine,
+    richardson_first,
+    richardson_second,
+)
+from secular3bp import kernels
+from secular3bp.averaging import SeparationGuard
 from secular3bp.equilibrium import (
     POSITIVE_DEFINITE,
     STATUS_CROSSING,
     STATUS_FOUND,
     STATUS_NO_ROOT,
-    PlanarState,
-    dRbar_de,
+    _derivatives,
     find_equilibrium,
     planar_hessian,
 )
 from secular3bp.geometry import OrbitConfig
 
 
-def rbar_fine(cfg, e, g=0.0, nodes=512):
-    """Fixed-node Rbar evaluation used by the derivative oracles."""
-    val, _ = averaged_R(cfg, e, g, QuadratureSpec(), nodes=nodes)
-    return val
-
-
-def ninepoint_derivative_oracle(cfg, e, h=1e-3, nodes=512):
-    """Eighth-order 9-point central first derivative on a finer quadrature."""
-    weights = np.array([3.0, -32.0, 168.0, -672.0, 0.0,
-                        672.0, -168.0, 32.0, -3.0]) / 840.0
-    offsets = np.arange(-4, 5)
-    return sum(
-        w * rbar_fine(cfg, e + k * h, nodes=nodes)
-        for w, k in zip(weights, offsets) if w != 0.0
-    ) / h
+def analytic_derivatives(cfg, e, quad, second=False):
+    """Converged (R, R_e[, R_ee, R_gg]) and their doubling errors."""
+    vals, errs, _ = _derivatives(cfg, e, quad, SeparationGuard(cfg), second=second)
+    return vals, errs
 
 
 class TestDerivative:
     def test_against_ninepoint_oracle(self, quad):
         cfg = OrbitConfig(a=0.3, e_J=0.4)
-        got, err = dRbar_de(cfg, 0.2, quad)
+        (_, got), (_, err) = analytic_derivatives(cfg, 0.2, quad)
         want = ninepoint_derivative_oracle(cfg, 0.2)
         assert got == pytest.approx(want, abs=5e-9)
         assert err < 1e-6
@@ -46,7 +43,7 @@ class TestDerivative:
         # For e_J = 0 the averaged function is g-independent, so the
         # derivative can be cross-checked at a rotated configuration.
         cfg = OrbitConfig(a=0.3, e_J=0.0)
-        got, _ = dRbar_de(cfg, 0.2, quad)
+        (_, got), _ = analytic_derivatives(cfg, 0.2, quad)
         h = 1e-4
         rotated = (rbar_fine(cfg, 0.2 + h, g=math.pi / 2.0)
                    - rbar_fine(cfg, 0.2 - h, g=math.pi / 2.0)) / (2.0 * h)
@@ -54,17 +51,37 @@ class TestDerivative:
 
     def test_one_sided_at_zero(self, quad):
         cfg = OrbitConfig(a=0.3, e_J=0.4)
-        val, err = dRbar_de(cfg, 0.0, quad)
+        (_, val), (_, err) = analytic_derivatives(cfg, 0.0, quad)
         assert math.isfinite(val) and math.isfinite(err)
-        # cross-check with a one-sided oracle on the fine grid
-        h = 1e-4
-        f0 = rbar_fine(cfg, 0.0)
-        want = (-3 * f0 + 4 * rbar_fine(cfg, h) - rbar_fine(cfg, 2 * h)) / (2 * h)
-        assert val == pytest.approx(want, abs=1e-7)
+        assert val == pytest.approx(one_sided_derivative_oracle(cfg, 0.0), abs=1e-7)
 
     def test_domain_error(self, quad):
+        cfg = OrbitConfig(a=0.3, e_J=0.4)
         with pytest.raises(ValueError):
-            dRbar_de(OrbitConfig(a=0.3, e_J=0.4), 1.5, quad)
+            analytic_derivatives(cfg, 1.5, quad)
+        for e in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                planar_hessian(cfg, e, quad)
+
+    @pytest.mark.parametrize("a, eJ, e0", [(0.4, 0.3, 0.22), (2.5, 0.4, 0.18)])
+    def test_second_derivatives_against_richardson(self, quad, a, eJ, e0):
+        cfg = OrbitConfig(a=a, e_J=eJ)
+        (_, _, r_ee, r_gg), _ = analytic_derivatives(cfg, e0, quad, second=True)
+        want_ee = richardson_second(lambda e: rbar_fine(cfg, e), e0, 1e-3)
+        want_gg = richardson_second(lambda g: rbar_fine(cfg, e0, g=g), 0.0, 1e-3)
+        assert r_ee == pytest.approx(want_ee, rel=1e-6)
+        assert r_gg == pytest.approx(want_gg, rel=1e-6)
+
+    def test_batch_matches_single_calls(self):
+        # At n = 1024 every e spans several kernel chunks.
+        a, eJ, n = 0.4, 0.3, 1024
+        es = np.array([0.05, 0.12, 0.2, 0.31, 0.44])
+        assert n * n > kernels._DERIV_CHUNK_ELEMS
+        batch = kernels.quarter_derivatives(a, es, eJ, n, n, second=True)
+        single = [kernels.quarter_derivatives(a, float(e), eJ, n, n, second=True)
+                  for e in es]
+        for k in range(4):
+            assert np.array_equal(batch[k], [s[k] for s in single])
 
 
 def grid_scan_oracle(cfg, lo, hi, resolution=1e-4):
@@ -139,9 +156,8 @@ class TestPlanarHessian:
         cfg = OrbitConfig(a=0.4, e_J=0.3)
         rec = find_equilibrium(cfg, quad)
         hess = rec.hessian
-        assert hess[0, 1] == hess[1, 0]
-        scale = max(abs(hess[0, 0]), abs(hess[1, 1]))
-        assert abs(hess[0, 1]) < 1e-6 * scale
+        # R is even in g, so the cross term vanishes identically.
+        assert hess[0, 1] == 0.0 and hess[1, 0] == 0.0
         assert np.all(np.linalg.eigvalsh(hess) > 0.0)
 
     def test_chain_rule_consistency(self, quad):
@@ -161,20 +177,28 @@ class TestPlanarHessian:
 
         # Richardson-extrapolated e-space derivatives: h large enough to
         # dominate rounding, extrapolation killing the h^2 truncation.
-        h = 1e-3
-        f0 = rbar_fine(cfg, e0)
+        def rbar(e):
+            return rbar_fine(cfg, e)
 
-        def d1(step):
-            return (rbar_fine(cfg, e0 + step) - rbar_fine(cfg, e0 - step)) / (2 * step)
-
-        def d2(step):
-            return (rbar_fine(cfg, e0 + step) - 2 * f0
-                    + rbar_fine(cfg, e0 - step)) / step**2
-
-        r_e = (4 * d1(h / 2) - d1(h)) / 3
-        r_ee = (4 * d2(h / 2) - d2(h)) / 3
+        r_e = richardson_first(rbar, e0, 1e-3)
+        r_ee = richardson_second(rbar, e0, 1e-3)
         expected_pp = r_ee * de_dp2**2 + r_e * de2
         assert hess[0, 0] == pytest.approx(expected_pp, rel=1e-6)
+
+    def test_qq_against_canonical_differences(self, quad):
+        # d2Rbar/dq2^2 straight from the canonical chart: move q2 at fixed
+        # p2, map (p2, q2) back to (e, g) and difference Rbar.
+        cfg = OrbitConfig(a=0.4, e_J=0.3)
+        e0 = 0.22  # off the equilibrium, so the R_e term counts
+        L = cfg.L
+        p2 = PlanarState.from_polar(e0, 0.0, L).p2
+
+        def f(q2):
+            st = PlanarState.from_canonical(p2, q2, L)
+            return rbar_fine(cfg, st.e, g=st.g)
+
+        want = richardson_second(f, 0.0, 1e-3)
+        assert planar_hessian(cfg, e0, quad)[1, 1] == pytest.approx(want, rel=1e-6)
 
 
 class TestPlanarState:
