@@ -12,7 +12,6 @@ from .averaging import (
     AveragedCoefficients,
     QuadratureSpec,
     SeparationGuard,
-    averaged_B,
     averaged_R,
     averaged_coefficients,
     direct_average_V3d,
@@ -65,7 +64,6 @@ __all__ = [
     "StabilityRecord",
     "SweepGrid",
     "aligned_noncrossing_interval",
-    "averaged_B",
     "averaged_R",
     "averaged_coefficients",
     "classify_spatial",

@@ -20,13 +20,13 @@ the quarter domain [0, pi]^2:
 with r1, r2 the distances to the planet and to its mirror image,
 w = (1 - e cos E)(1 - eJ cos EJ), and G = sqrt((1-mu) a (1-e^2)).  The same
 symmetry makes the double average of the cross coefficient B vanish
-identically; ``averaged_B`` evaluates it over the full domain as a
-numerical invariant.  On the quarter domain (r2^3 - r1^3) y yJ >= 0
+identically; ``averaged_coefficients`` evaluates it over the full domain
+as a numerical invariant.  On the quarter domain (r2^3 - r1^3) y yJ >= 0
 pointwise, which forces Abar < 0; this is asserted per evaluation.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "AveragedCoefficients",
     "SeparationGuard",
     "averaged_R",
-    "averaged_B",
     "averaged_coefficients",
     "direct_average_V3d",
 ]
@@ -93,7 +92,6 @@ class AveragedCoefficients:
     Bbar: float
     Cbar: float
     err: dict
-    crossing_flag: bool = False
 
 
 class SeparationGuard:
@@ -107,9 +105,8 @@ class SeparationGuard:
     evaluated in one batch.
     """
 
-    def __init__(self, cfg: OrbitConfig, threshold=DEFAULT_SEPARATION_THRESHOLD):
+    def __init__(self, cfg: OrbitConfig):
         self.cfg = cfg
-        self.threshold = threshold
         self._cache = {}
         self._lip = 4.0 * cfg.a
 
@@ -133,22 +130,16 @@ class SeparationGuard:
 
     def check(self, e):
         """Raise OrbitCrossingError if the configuration is within threshold."""
-        if self.separation_lower_bound(e) >= self.threshold:
+        if self.separation_lower_bound(e) >= DEFAULT_SEPARATION_THRESHOLD:
             return
         sep = self.min_separation(e)
-        if sep < self.threshold:
+        if sep < DEFAULT_SEPARATION_THRESHOLD:
             raise OrbitCrossingError(
-                f"orbits closer than {self.threshold:g} at "
+                f"orbits closer than {DEFAULT_SEPARATION_THRESHOLD:g} at "
                 f"a={self.cfg.a:g}, e={e:g}, e_J={self.cfg.e_J:g} "
                 f"(separation {sep:.3e})",
                 separation=sep,
             )
-
-
-def _ensure_guard(cfg, guard):
-    if guard is None:
-        return SeparationGuard(cfg)
-    return guard
 
 
 def _doubling(eval_at, quad: QuadratureSpec, floors=None):
@@ -158,6 +149,8 @@ def _doubling(eval_at, quad: QuadratureSpec, floors=None):
     converged when its level-to-level change is at most
     tol * max(|value_i|, floors_i); a floor of ~1 turns the test absolute
     at ``tol``, which is what identically-zero quantities (Bbar) need.
+    At the node cap, NonConvergedError carries the largest component of the
+    last level-to-level change (nan when the cap allows no doubling).
     """
     n1, n2 = quad.n_ast, quad.n_pl
     prev = np.asarray(eval_at(n1, n2), dtype=float)
@@ -165,12 +158,14 @@ def _doubling(eval_at, quad: QuadratureSpec, floors=None):
         floors = np.full(prev.shape, _SCALE_FLOOR)
     else:
         floors = np.asarray(floors, dtype=float)
+    last_error = math.nan
     while True:
         n1n, n2n = 2 * n1, 2 * n2
         if max(n1n, n2n) > quad.max_n:
             raise NonConvergedError(
-                f"quadrature not converged at node cap {quad.max_n}",
-                last_error=float(np.max(np.abs(prev))),
+                f"quadrature not converged at node cap {quad.max_n} "
+                f"(last change between levels {last_error:.3e})",
+                last_error=last_error,
                 nodes=max(n1, n2),
             )
         cur = np.asarray(eval_at(n1n, n2n), dtype=float)
@@ -179,6 +174,7 @@ def _doubling(eval_at, quad: QuadratureSpec, floors=None):
         if np.all(err <= quad.tol * np.maximum(np.abs(cur), floors)):
             return cur, err, (n1, n2)
         prev = cur
+        last_error = float(np.max(err))
 
 
 def _quarter_eval(a, e, eJ, n1, n2):
@@ -191,8 +187,7 @@ def _quarter_eval(a, e, eJ, n1, n2):
     return rbar, a_mean, c_mean
 
 
-def averaged_R(cfg: OrbitConfig, e, g, quad: QuadratureSpec, guard=None,
-               nodes=None):
+def averaged_R(cfg: OrbitConfig, e, g, quad: QuadratureSpec):
     """Doubly averaged disturbing function Rbar at eccentricity e, angle g.
 
     The planar secular Hamiltonian is -mu * Rbar.  For g = 0 the folded
@@ -205,8 +200,6 @@ def averaged_R(cfg: OrbitConfig, e, g, quad: QuadratureSpec, guard=None,
         e: Asteroid eccentricity in [0, 1).
         g: Argument-of-periapsis angle of the asteroid, radians.
         quad: Quadrature control.
-        guard: Optional shared SeparationGuard (g = 0 path only).
-        nodes: Fixed node count; bypasses doubling (err reported as nan).
 
     Returns:
         (Rbar, err) with err the node-doubling convergence estimate.
@@ -218,12 +211,8 @@ def averaged_R(cfg: OrbitConfig, e, g, quad: QuadratureSpec, guard=None,
     if not (0.0 <= e < 1.0):
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
     g = float(np.mod(g, 2.0 * np.pi))
-    threshold = guard.threshold if guard is not None else DEFAULT_SEPARATION_THRESHOLD
     if g == 0.0:
-        _ensure_guard(cfg, guard).check(e)
-        if nodes is not None:
-            rbar, _, _ = _quarter_eval(cfg.a, e, cfg.e_J, nodes, nodes)
-            return rbar, math.nan
+        SeparationGuard(cfg).check(e)
         vals, errs, _ = _doubling(
             lambda n1, n2: _quarter_eval(cfg.a, e, cfg.e_J, n1, n2), quad
         )
@@ -233,27 +222,27 @@ def averaged_R(cfg: OrbitConfig, e, g, quad: QuadratureSpec, guard=None,
 
     def eval_rot(n1, n2):
         rbar, r1sq_min = kernels.rbar_rotated_mean(cfg.a, e, cfg.e_J, cg, sg, n1, n2)
-        if r1sq_min < threshold * threshold:
+        if r1sq_min < DEFAULT_SEPARATION_THRESHOLD * DEFAULT_SEPARATION_THRESHOLD:
             raise OrbitCrossingError(
-                f"sampled inter-orbit distance below {threshold:g} at "
+                f"sampled inter-orbit distance below "
+                f"{DEFAULT_SEPARATION_THRESHOLD:g} at "
                 f"a={cfg.a:g}, e={e:g}, g={g:g}, e_J={cfg.e_J:g}",
                 separation=math.sqrt(r1sq_min),
             )
         return (rbar,)
 
-    if nodes is not None:
-        return eval_rot(nodes, nodes)[0], math.nan
     vals, errs, _ = _doubling(eval_rot, quad)
     return float(vals[0]), float(errs[0])
 
 
 def averaged_coefficients(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None,
-                          include_B=True, nodes=None) -> AveragedCoefficients:
+                          include_B=True) -> AveragedCoefficients:
     """All averaged coefficients at the aligned configuration (g = 0, i = 0).
 
     Rbar, Abar, Cbar come from one quarter-domain evaluation; Bbar (whose
     exact value is 0 by symmetry) is evaluated over the full domain at the
-    same resolution when ``include_B`` is set.
+    same resolution when ``include_B`` is set.  Bbar is a numerical
+    invariant: callers assert that it sits below the quadrature tolerance.
 
     Raises:
         OrbitCrossingError / NonConvergedError as in :func:`averaged_R`.
@@ -263,7 +252,9 @@ def averaged_coefficients(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None,
     """
     if not (0.0 <= e < 1.0):
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    _ensure_guard(cfg, guard).check(e)
+    if guard is None:
+        guard = SeparationGuard(cfg)
+    guard.check(e)
     G = cfg.G_of(e)
 
     def eval_all(n1, n2):
@@ -277,11 +268,7 @@ def averaged_coefficients(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None,
     # natural O(1) scale of the disturbing function.
     floors = (_SCALE_FLOOR, _SCALE_FLOOR, _SCALE_FLOOR, 1.0) if include_B \
         else (_SCALE_FLOOR, _SCALE_FLOOR, _SCALE_FLOOR)
-    if nodes is not None:
-        vals = np.asarray(eval_all(nodes, nodes), dtype=float)
-        errs = np.full(vals.shape, math.nan)
-    else:
-        vals, errs, _ = _doubling(eval_all, quad, floors=floors)
+    vals, errs, _ = _doubling(eval_all, quad, floors=floors)
     rbar, a_mean, c_mean = vals[0], vals[1], vals[2]
     abar = -a_mean / G
     cbar = -c_mean / G
@@ -301,25 +288,8 @@ def averaged_coefficients(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None,
                                 Bbar=float(bbar), Cbar=float(cbar), err=err)
 
 
-def averaged_B(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None):
-    """Full-domain double average of the cross coefficient B (0 by symmetry).
-
-    Returned as a numerical invariant: the value must sit below the
-    quadrature tolerance, and this is asserted by callers rather than here.
-    """
-    if not (0.0 <= e < 1.0):
-        raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    _ensure_guard(cfg, guard).check(e)
-    G = cfg.G_of(e)
-    vals, errs, _ = _doubling(
-        lambda n1, n2: (kernels.bbar_mean(cfg.a, e, cfg.e_J, n1, n2),), quad,
-        floors=(1.0,),
-    )
-    return float(-vals[0] / (4.0 * G)), float(errs[0] / (4.0 * G))
-
-
 def direct_average_V3d(cfg: OrbitConfig, state: PoincareState,
-                       quad: QuadratureSpec, guard=None, nodes=None):
+                       quad: QuadratureSpec, nodes=None):
     """Directly averaged 3-D disturbing function at a Poincare phase point.
 
     Evaluates the full spatial geometry (no small-inclination expansion):
@@ -334,7 +304,6 @@ def direct_average_V3d(cfg: OrbitConfig, state: PoincareState,
         cfg: Problem parameters; state.p1 must equal sqrt((1-mu) a).
         state: Poincare phase point.
         quad: Quadrature control.
-        guard: Optional SeparationGuard supplying the crossing threshold.
         nodes: Fixed node count; bypasses doubling (err reported as nan).
 
     Returns:
@@ -352,7 +321,6 @@ def direct_average_V3d(cfg: OrbitConfig, state: PoincareState,
         raise ValueError(f"implied eccentricity {e} outside [0, 1)")
     inc = math.acos(max(-1.0, min(1.0, d.H / d.G)))
     m = rotation_matrix(d.g, inc, d.h)
-    threshold = guard.threshold if guard is not None else DEFAULT_SEPARATION_THRESHOLD
 
     def eval_v(n1, n2):
         vbar, rsq_min = kernels.vbar_mean(
@@ -360,9 +328,9 @@ def direct_average_V3d(cfg: OrbitConfig, state: PoincareState,
             m[0, 0], m[0, 1], m[1, 0], m[1, 1], m[2, 0], m[2, 1],
             n1, n2,
         )
-        if rsq_min < threshold * threshold:
+        if rsq_min < DEFAULT_SEPARATION_THRESHOLD * DEFAULT_SEPARATION_THRESHOLD:
             raise OrbitCrossingError(
-                f"sampled 3-D separation below {threshold:g} at "
+                f"sampled 3-D separation below {DEFAULT_SEPARATION_THRESHOLD:g} at "
                 f"a={cfg.a:g}, e={e:g}, e_J={cfg.e_J:g}",
                 separation=math.sqrt(rsq_min),
             )
@@ -372,8 +340,3 @@ def direct_average_V3d(cfg: OrbitConfig, state: PoincareState,
         return eval_v(nodes, nodes)[0], math.nan
     vals, errs, _ = _doubling(eval_v, quad)
     return float(vals[0]), float(errs[0])
-
-
-def refine_tolerance(quad: QuadratureSpec, factor=10.0) -> QuadratureSpec:
-    """A copy of ``quad`` with the tolerance tightened by ``factor``."""
-    return replace(quad, tol=quad.tol / factor)

@@ -17,10 +17,9 @@ import sys
 
 from ._version import __version__
 from .averaging import QuadratureSpec
+from .equilibrium import STATUS_FOUND, STATUS_MULTIPLE_ROOTS, STATUS_ORBIT_CROSSING
 from .errors import NonConvergedError, OrbitCrossingError, Secular3bpError
 from .sweep import (
-    STATUS_FOUND,
-    STATUS_MULTIPLE_ROOTS,
     evaluate_cell,
     resonance_csv_text,
     run_sweep,
@@ -190,7 +189,7 @@ def cmd_point(args):
         with open(os.path.join(out, "point.json"), "w") as fh:
             json.dump(_cell_json(cell), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    if cell.status == "ORBIT_CROSSING":
+    if cell.status == STATUS_ORBIT_CROSSING:
         return EXIT_CROSSING
     if cell.status in (STATUS_FOUND, STATUS_MULTIPLE_ROOTS):
         if cell.stability is not None and \

@@ -13,7 +13,7 @@ stay analytic and periodic, so the midpoint rule converges geometrically
 for them as it does for Rbar, with no finite-difference step to choose.
 The scan and Brent share one frozen node count per cell, which keeps the
 scanned derivative a single analytic function of e; the residual and the
-planar Hessian are taken at the node count converged at the root itself.
+planar Hessian come from one quadrature converged at the root itself.
 """
 
 import math
@@ -23,7 +23,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import kernels
-from .averaging import _SCALE_FLOOR, QuadratureSpec, SeparationGuard, _doubling
+from .averaging import (
+    _SCALE_FLOOR,
+    DEFAULT_SEPARATION_THRESHOLD,
+    QuadratureSpec,
+    SeparationGuard,
+    _doubling,
+)
 from .errors import NonConvergedError
 from .geometry import OrbitConfig, aligned_noncrossing_interval
 
@@ -31,7 +37,7 @@ __all__ = [
     "STATUS_FOUND",
     "STATUS_NO_ROOT",
     "STATUS_MULTIPLE_ROOTS",
-    "STATUS_CROSSING",
+    "STATUS_ORBIT_CROSSING",
     "EquilibriumRecord",
     "find_equilibrium",
     "planar_hessian",
@@ -41,16 +47,20 @@ __all__ = [
 STATUS_FOUND = "FOUND"
 STATUS_NO_ROOT = "NO_ROOT"
 STATUS_MULTIPLE_ROOTS = "MULTIPLE_ROOTS"
-STATUS_CROSSING = "CROSSING"
+STATUS_ORBIT_CROSSING = "ORBIT_CROSSING"
 
 POSITIVE_DEFINITE = "POSITIVE_DEFINITE"
 NEGATIVE_DEFINITE = "NEGATIVE_DEFINITE"
 INDEFINITE = "INDEFINITE"
 DEGENERATE = "DEGENERATE"
 
-# Default eccentricity bracket; excludes the e = 0 coordinate singularity
+# Eccentricity search bracket; excludes the e = 0 coordinate singularity
 # of the canonical chart and extreme eccentricities.
 DEFAULT_E_BRACKET = (1e-4, 0.95)
+# Derivative scan points over the admissible part of the bracket.
+_N_SCAN = 21
+# Eigenvalues within this fraction of the largest (at least 1) count as 0.
+_DEFINITE_FLOOR = 1e-9
 
 # Inter-orbit separation (scaled by max(1, a)) needed for the quadrature to
 # converge within the node cap; crossing-bounded bracket sides are inset so
@@ -97,11 +107,11 @@ def _derivatives(cfg, e, quad, guard, second=False):
     return vals, errs, nodes
 
 
-def classify_definiteness(hessian, floor=1e-9):
+def classify_definiteness(hessian):
     """Classify a symmetric 2x2 matrix by its eigenvalue signs."""
     eigs = np.linalg.eigvalsh(hessian)
     scale = max(1.0, float(np.max(np.abs(eigs))))
-    if np.any(np.abs(eigs) <= floor * scale):
+    if np.any(np.abs(eigs) <= _DEFINITE_FLOOR * scale):
         return DEGENERATE
     if np.all(eigs > 0.0):
         return POSITIVE_DEFINITE
@@ -115,7 +125,7 @@ def _required_separation(cfg):
     return _SAFE_SEPARATION * max(1.0, cfg.a)
 
 
-def _scan_grid(cfg, e_bracket, guard, n_scan):
+def _scan_grid(cfg, guard):
     """Scan abscissae over the bracket with a per-point admissibility mask.
 
     A point is admissible when the exact aligned separation leaves both the
@@ -124,7 +134,7 @@ def _scan_grid(cfg, e_bracket, guard, n_scan):
     near-crossing band can sit at either end (or both ends) of the
     eccentricity range.
     """
-    lo, hi = e_bracket
+    lo, hi = DEFAULT_E_BRACKET
     interval = aligned_noncrossing_interval(cfg.a, cfg.e_J)
     if interval is None:
         return None, None
@@ -132,12 +142,30 @@ def _scan_grid(cfg, e_bracket, guard, n_scan):
     hi = min(hi, interval[1])
     if lo + 2.0 * _SCAN_INSET >= hi:
         return None, None
-    grid = np.linspace(lo + _SCAN_INSET, hi - _SCAN_INSET, n_scan)
-    s_req = max(2.0 * guard.threshold, _required_separation(cfg))
+    grid = np.linspace(lo + _SCAN_INSET, hi - _SCAN_INSET, _N_SCAN)
+    s_req = max(2.0 * DEFAULT_SEPARATION_THRESHOLD, _required_separation(cfg))
     mask = guard.min_separation(grid) >= s_req
     if not mask.any():
         return None, None
     return grid, mask
+
+
+def _chain_rule_hessian(cfg, e_star, r_e, r_ee, r_gg):
+    """Planar Hessian in (p2, q2) from e- and g-derivatives at (e_star, 0).
+
+    See :func:`planar_hessian` for the formulas.
+    """
+    L = math.sqrt(cfg.a)  # mu-free chart; exact mu factor applied at the end
+    b = math.sqrt(1.0 - e_star * e_star)
+    # p2 = e sqrt(2 L / (1 + b)) and its derivatives in closed form, free
+    # of the cancellation in L - G at small e.
+    p2 = e_star * math.sqrt(2.0 * L / (1.0 + b))
+    de = b * math.sqrt(2.0 / (L * (1.0 + b)))
+    d2e = -e_star * (b + 2.0) / (L * (1.0 + b) ** 2)
+    hess_pp = r_ee * de * de + r_e * d2e
+    hess_qq = r_e * de / p2 + r_gg / (p2 * p2)
+    mu_factor = 1.0 / math.sqrt(1.0 - cfg.mu)
+    return mu_factor * np.array([[hess_pp, 0.0], [0.0, hess_qq]])
 
 
 def planar_hessian(cfg: OrbitConfig, e_star, quad: QuadratureSpec, guard=None):
@@ -174,42 +202,31 @@ def planar_hessian(cfg: OrbitConfig, e_star, quad: QuadratureSpec, guard=None):
         guard = SeparationGuard(cfg)
     (_, r_e, r_ee, r_gg), _, _ = _derivatives(cfg, e_star, quad, guard,
                                               second=True)
-    L = math.sqrt(cfg.a)  # mu-free chart; exact mu factor applied at the end
-    b = math.sqrt(1.0 - e_star * e_star)
-    # p2 = e sqrt(2 L / (1 + b)) and its derivatives in closed form, free
-    # of the cancellation in L - G at small e.
-    p2 = e_star * math.sqrt(2.0 * L / (1.0 + b))
-    de = b * math.sqrt(2.0 / (L * (1.0 + b)))
-    d2e = -e_star * (b + 2.0) / (L * (1.0 + b) ** 2)
-    hess_pp = r_ee * de * de + r_e * d2e
-    hess_qq = r_e * de / p2 + r_gg / (p2 * p2)
-    mu_factor = 1.0 / math.sqrt(1.0 - cfg.mu)
-    return mu_factor * np.array([[hess_pp, 0.0], [0.0, hess_qq]])
+    return _chain_rule_hessian(cfg, e_star, r_e, r_ee, r_gg)
 
 
-def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec, e_bracket=None,
-                     guard=None, n_scan=21) -> EquilibriumRecord:
+def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
+                     guard=None) -> EquilibriumRecord:
     """Locate planar equilibria: roots of dRbar/de = 0 at g = 0.
 
     Evaluates the analytic derivative on an eccentricity grid over the
-    admissible (non-crossing) sub-bracket in one batched kernel call,
-    brackets sign changes and refines each with Brent's method, all at one
-    frozen node count.  At each root the derivative is then converged
-    afresh; its magnitude there is the reported residual, which must be
-    below 1e-11.  Every root gets a planar Hessian; the positive-definite
-    one is reported as the stable equilibrium.
+    admissible (non-crossing) part of ``DEFAULT_E_BRACKET`` in one batched
+    kernel call, brackets sign changes and refines each with Brent's method,
+    all at one frozen node count.  At each root the first and second derivatives
+    are then converged afresh in one quadrature: the magnitude of the first
+    is the reported residual, which must be below 1e-11, and all of them
+    give the root's planar Hessian.  The positive-definite root is reported
+    as the stable equilibrium.
 
     Status semantics: FOUND for a single root with positive-definite
     Hessian; MULTIPLE_ROOTS when several roots exist (e_star then points at
     the stable one); NO_ROOT when no sign change (or no stable root) is
-    found; CROSSING when the entire bracket is inadmissible.
+    found; ORBIT_CROSSING when the entire bracket is inadmissible.
 
     Args:
         cfg: Problem parameters.
         quad: Quadrature control.
-        e_bracket: Eccentricity search interval, default (1e-4, 0.95).
         guard: Optional shared SeparationGuard.
-        n_scan: Number of derivative scan points.
 
     Returns:
         EquilibriumRecord.
@@ -220,17 +237,12 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec, e_bracket=None,
     """
     if guard is None:
         guard = SeparationGuard(cfg)
-    if e_bracket is None:
-        e_bracket = DEFAULT_E_BRACKET
-    if not (0.0 < e_bracket[0] < e_bracket[1] < 1.0):
-        raise ValueError(f"e_bracket must satisfy 0 < lo < hi < 1, "
-                         f"got {e_bracket}")
 
-    scan, mask = _scan_grid(cfg, e_bracket, guard, n_scan)
+    scan, mask = _scan_grid(cfg, guard)
     if scan is None:
         return EquilibriumRecord(
             cfg=cfg, e_star=math.nan, residual=math.nan, hessian=None,
-            hessian_definite=DEGENERATE, status=STATUS_CROSSING,
+            hessian_definite=DEGENERATE, status=STATUS_ORBIT_CROSSING,
             message="entire eccentricity bracket crosses (or nearly crosses) "
                     "the planet orbit",
         )
@@ -273,7 +285,8 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec, e_bracket=None,
     records = []
     for (e1, e2) in brackets:
         e_root = brentq(phi, e1, e2, xtol=1e-15, rtol=4 * np.finfo(float).eps)
-        (_, r_e), _, _ = _derivatives(cfg, e_root, quad, guard)
+        (_, r_e, r_ee, r_gg), _, _ = _derivatives(cfg, e_root, quad, guard,
+                                                  second=True)
         resid = abs(float(r_e))
         if not resid < _ROOT_RESIDUAL_TOL:
             raise NonConvergedError(
@@ -282,7 +295,7 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec, e_bracket=None,
                 "the probe does not resolve the root",
                 last_error=resid,
             )
-        hess = planar_hessian(cfg, e_root, quad, guard=guard)
+        hess = _chain_rule_hessian(cfg, e_root, r_e, r_ee, r_gg)
         records.append((e_root, resid, hess, classify_definiteness(hess)))
 
     stable = [r for r in records if r[3] == POSITIVE_DEFINITE]

@@ -42,6 +42,9 @@ TWO_PI = 2.0 * math.pi
 # by rounding in round-trip conversions.
 _VALIDATION_SLACK = 1e-9
 
+# Dense direction samples of aligned_separation before grid refinement.
+_N_THETA = 512
+
 
 def wrap_angle(x):
     """Reduce an angle (scalar or array) to [0, 2*pi)."""
@@ -175,7 +178,7 @@ def delaunay_from_poincare(p: PoincareState):
 # inter-orbit separation (aligned coplanar geometry)
 # ---------------------------------------------------------------------------
 
-def aligned_separation(a, e, eJ, n_theta=512):
+def aligned_separation(a, e, eJ):
     """Exact minimum distance between the aligned ellipses (support form).
 
     For nested convex curves the boundary distance equals the minimum over
@@ -206,7 +209,7 @@ def aligned_separation(a, e, eJ, n_theta=512):
     # Both support functions depend on theta through cos(theta) and
     # sin^2(theta), so [0, pi] covers all directions, and samples just
     # outside it mirror samples inside.
-    theta = np.linspace(0.0, math.pi, n_theta)
+    theta = np.linspace(0.0, math.pi, _N_THETA)
     gaps = support_gap(theta)
     rows = np.arange(ev.shape[0])
     best = theta[np.argmin(gaps, axis=1)][:, None]

@@ -189,20 +189,10 @@ def rbar_rotated_mean(a, e, eJ, cg, sg, n1, n2):
     """Full-domain mean of w / r1 with the asteroid ellipse rotated by g.
 
     (cg, sg) = (cos g, sin g).  Also returns the smallest sampled r1^2 so
-    callers can detect near-singular geometry.
+    callers can detect near-singular geometry.  This is :func:`vbar_mean`
+    with the planar rotation by g as its orientation matrix.
     """
-    xJ, yJ, wJ = _ellipse_nodes(_midpoints(0, n2, n2, 2.0 * np.pi), 1.0, eJ)
-    S = 0.0
-    r1sq_min = np.inf
-    for E in _row_chunks(n1, n2, 2.0 * np.pi):
-        xp, yp, wi = _ellipse_nodes(E, a, e)
-        x = cg * xp - sg * yp
-        y = sg * xp + cg * yp
-        w = np.outer(wi, wJ)
-        r1sq = (x[:, None] - xJ[None, :]) ** 2 + (y[:, None] - yJ[None, :]) ** 2
-        r1sq_min = min(r1sq_min, float(r1sq.min()))
-        S += float(np.sum(w / np.sqrt(r1sq)))
-    return S / (n1 * n2), r1sq_min
+    return vbar_mean(a, e, eJ, cg, -sg, sg, cg, 0.0, 0.0, n1, n2)
 
 
 def vbar_mean(a, e, eJ, m00, m01, m10, m11, m20, m21, n1, n2):

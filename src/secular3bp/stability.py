@@ -17,16 +17,11 @@ traced over the (a, e_J) parameter plane.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averaging import (
-    QuadratureSpec,
-    SeparationGuard,
-    averaged_coefficients,
-    refine_tolerance,
-)
+from .averaging import QuadratureSpec, SeparationGuard, averaged_coefficients
 from .equilibrium import (
     POSITIVE_DEFINITE,
     STATUS_FOUND,
@@ -57,6 +52,10 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 # A sign is certified only when |coefficient| > MARGIN_FACTOR * error.
 MARGIN_FACTOR = 3.0
+
+# trace_resonance bisects each edge down to this width in the varying
+# parameter.
+_PARAM_TOL = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,18 +91,18 @@ def _effective_error(value, err):
     return max(err, floor)
 
 
-def sign_verdict(abar, cbar, err_a, err_c, margin=MARGIN_FACTOR):
+def sign_verdict(abar, cbar, err_a, err_c):
     """Classify stability from coefficient signs with error margins."""
     err_a = _effective_error(abar, err_a)
     err_c = _effective_error(cbar, err_c)
-    if abar < -margin * err_a and cbar < -margin * err_c:
+    if abar < -MARGIN_FACTOR * err_a and cbar < -MARGIN_FACTOR * err_c:
         return LINEARLY_STABLE
-    if abar > margin * err_a or cbar > margin * err_c:
+    if abar > MARGIN_FACTOR * err_a or cbar > MARGIN_FACTOR * err_c:
         return UNSTABLE
     return INCONCLUSIVE
 
 
-def frequencies(cfg: OrbitConfig, eq: EquilibriumRecord, Abar, Cbar):
+def frequencies(eq: EquilibriumRecord, Abar, Cbar):
     """Linearized frequencies at a stable equilibrium, divided by mu.
 
     omega_plane = sqrt(det Hess Rbar) in canonical (p2, q2);
@@ -112,7 +111,6 @@ def frequencies(cfg: OrbitConfig, eq: EquilibriumRecord, Abar, Cbar):
     Raises:
         DegenerateError: If det Hess <= 0 or Abar * Cbar <= 0.
     """
-    del cfg
     if eq.hessian is None:
         raise DegenerateError("equilibrium record carries no planar Hessian")
     det = float(np.linalg.det(eq.hessian))
@@ -126,18 +124,19 @@ def frequencies(cfg: OrbitConfig, eq: EquilibriumRecord, Abar, Cbar):
     return omega_plane, omega_z, omega_z / omega_plane
 
 
-def linearized_matrix(hessian, Abar, Cbar, mu=1.0):
-    """4x4 linearization of the averaged system at an equilibrium.
+def linearized_matrix(hessian, Abar, Cbar):
+    """4x4 linearization of the averaged system at an equilibrium, per mu.
 
     State ordering (p2, q2, p3, q3) for the Hamiltonian
-    H = -mu (Rbar + Abar p3^2 + Cbar q3^2); the planar and spatial blocks
-    decouple exactly at the equilibrium.  The spectrum of the returned
-    matrix is {+-i mu omega_plane, +-i mu omega_z}.
+    H = -mu (Rbar + Abar p3^2 + Cbar q3^2), divided by mu like the reported
+    frequencies; the planar and spatial blocks decouple exactly at the
+    equilibrium.  The spectrum of the returned matrix is
+    {+-i omega_plane, +-i omega_z}; multiply by mu for physical rates.
     """
     S = np.zeros((4, 4))
-    S[:2, :2] = -mu * np.asarray(hessian)
-    S[2, 2] = -mu * 2.0 * Abar
-    S[3, 3] = -mu * 2.0 * Cbar
+    S[:2, :2] = -np.asarray(hessian)
+    S[2, 2] = -2.0 * Abar
+    S[3, 3] = -2.0 * Cbar
     T = np.array([
         [0.0, -1.0, 0.0, 0.0],
         [1.0, 0.0, 0.0, 0.0],
@@ -176,7 +175,8 @@ def classify_spatial(cfg: OrbitConfig, eq: EquilibriumRecord,
     verdict = sign_verdict(coeffs.Abar, coeffs.Cbar,
                            coeffs.err["Abar"], coeffs.err["Cbar"])
     if verdict == INCONCLUSIVE:
-        coeffs = averaged_coefficients(cfg, eq.e_star, refine_tolerance(quad),
+        coeffs = averaged_coefficients(cfg, eq.e_star,
+                                       replace(quad, tol=quad.tol / 10.0),
                                        guard=guard)
         verdict = sign_verdict(coeffs.Abar, coeffs.Cbar,
                                coeffs.err["Abar"], coeffs.err["Cbar"])
@@ -184,8 +184,7 @@ def classify_spatial(cfg: OrbitConfig, eq: EquilibriumRecord,
     omega_plane = omega_z = ratio = math.nan
     if verdict == LINEARLY_STABLE and eq.hessian_definite == POSITIVE_DEFINITE:
         try:
-            omega_plane, omega_z, ratio = frequencies(cfg, eq, coeffs.Abar,
-                                                      coeffs.Cbar)
+            omega_plane, omega_z, ratio = frequencies(eq, coeffs.Abar, coeffs.Cbar)
         except DegenerateError:
             pass
     return StabilityRecord(
@@ -216,12 +215,13 @@ def point_ratio(a, e_J, mu, quad: QuadratureSpec):
     return rec.ratio
 
 
-def trace_resonance(grid, k=2.0, evaluate_ratio=None, param_tol=1e-4):
+def trace_resonance(grid, k=2.0, evaluate_ratio=None):
     """Locate the ratio = k level set on a swept parameter grid.
 
     Scans grid edges for sign changes of (ratio - k) between adjacent cells
     that both carry finite ratios, then bisects each edge in parameter space
-    (re-running the full pipeline at interior points) down to ``param_tol``.
+    (re-running the full pipeline at interior points) down to a width of
+    1e-4 in the varying parameter.
     An empty list is a valid outcome.
 
     Args:
@@ -232,7 +232,6 @@ def trace_resonance(grid, k=2.0, evaluate_ratio=None, param_tol=1e-4):
         evaluate_ratio: Override for the midpoint evaluations, called as
             ``evaluate_ratio(a, e_J) -> float | None``; defaults to the full
             pipeline with the grid's mu and quadrature settings.
-        param_tol: Bisection tolerance in the varying parameter.
 
     Returns:
         List of ResonancePoint, ordered row-major by originating edge.
@@ -250,7 +249,7 @@ def trace_resonance(grid, k=2.0, evaluate_ratio=None, param_tol=1e-4):
 
     def bisect(fixed, lo, hi, r_lo, r_hi, vary_a):
         f_lo = r_lo - k
-        while hi - lo > param_tol:
+        while hi - lo > _PARAM_TOL:
             mid = 0.5 * (lo + hi)
             r_mid = evaluate_ratio(mid, fixed) if vary_a else evaluate_ratio(fixed, mid)
             if r_mid is None:

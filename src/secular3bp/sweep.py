@@ -20,10 +20,9 @@ from . import kernels
 from ._version import __version__ as _pkg_version
 from .averaging import DEFAULT_SEPARATION_THRESHOLD, QuadratureSpec, SeparationGuard
 from .equilibrium import (
-    STATUS_CROSSING,
     STATUS_FOUND,
     STATUS_MULTIPLE_ROOTS,
-    STATUS_NO_ROOT,
+    STATUS_ORBIT_CROSSING,
     find_equilibrium,
 )
 from .errors import NonConvergedError, OrbitCrossingError
@@ -50,9 +49,7 @@ CSV_COLUMNS = (
 
 CSV_SCHEMA_VERSION = "1"
 
-STATUS_ORBIT_CROSSING = "ORBIT_CROSSING"
 STATUS_NON_CONVERGED = "NON_CONVERGED"
-STATUS_INCONCLUSIVE = "INCONCLUSIVE"
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,14 +142,11 @@ def evaluate_cell(a, e_J, mu, quad: QuadratureSpec) -> CellResult:
     try:
         guard = SeparationGuard(cfg)
         eq = find_equilibrium(cfg, quad, guard=guard)
-        if eq.status == STATUS_CROSSING:
-            return CellResult(a=a, e_J=e_J, status=STATUS_ORBIT_CROSSING,
-                              equilibrium=eq, message=eq.message)
-        if eq.status == STATUS_NO_ROOT:
-            return CellResult(a=a, e_J=e_J, status=STATUS_NO_ROOT,
+        if eq.status not in (STATUS_FOUND, STATUS_MULTIPLE_ROOTS):
+            return CellResult(a=a, e_J=e_J, status=eq.status,
                               equilibrium=eq, message=eq.message)
         stab = classify_spatial(cfg, eq, quad, guard=guard)
-        status = STATUS_INCONCLUSIVE if stab.spatial_verdict == INCONCLUSIVE \
+        status = INCONCLUSIVE if stab.spatial_verdict == INCONCLUSIVE \
             else eq.status
         return CellResult(a=a, e_J=e_J, status=status, equilibrium=eq,
                           stability=stab)

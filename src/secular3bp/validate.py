@@ -29,7 +29,6 @@ import numpy as np
 from .averaging import (
     QuadratureSpec,
     _doubling,
-    averaged_B,
     averaged_coefficients,
     direct_average_V3d,
 )
@@ -53,9 +52,21 @@ __all__ = [
 
 DEFAULT_SEED = 20260809
 
+# Sampled regimes: inner (a < 1) and outer (a > 1) semi-major axes and
+# the planet eccentricity.
+_INNER_A = (0.05, 0.55)
+_OUTER_A = (1.8, 4.0)
+_EJ_RANGE = (0.05, 0.85)
+
 # Keep random samples comfortably inside the admissible wedge so every
 # check runs on smooth, well-converged quadratures.
 _ECC_MARGIN_SEP = 8e-3
+
+# Finite-difference step of spatial_quadratic_oracle, in units of sqrt(2 L).
+_H_SCALE = 1e-3
+
+# Second mass fraction of the mu-scaling check.
+_MU_ALT = 0.4
 
 
 @dataclass(frozen=True)
@@ -72,8 +83,7 @@ class CheckResult:
                 f"worst={self.worst:.3e}  {self.detail}")
 
 
-def sample_noncrossing_points(n, seed=DEFAULT_SEED, inner=(0.05, 0.55),
-                              outer=(1.8, 4.0), eJ_range=(0.05, 0.85)):
+def sample_noncrossing_points(n, seed=DEFAULT_SEED):
     """Deterministic random (a, e, eJ) triples away from orbit crossings.
 
     Alternates between the inner (a < 1) and outer (a > 1) regimes and
@@ -84,10 +94,10 @@ def sample_noncrossing_points(n, seed=DEFAULT_SEED, inner=(0.05, 0.55),
     points = []
     use_inner = True
     while len(points) < n:
-        lo_a, hi_a = inner if use_inner else outer
+        lo_a, hi_a = _INNER_A if use_inner else _OUTER_A
         use_inner = not use_inner
         a = float(rng.uniform(lo_a, hi_a))
-        eJ = float(rng.uniform(*eJ_range))
+        eJ = float(rng.uniform(*_EJ_RANGE))
         interval = aligned_noncrossing_interval(a, eJ)
         if interval is None:
             continue
@@ -126,8 +136,7 @@ def unfolded_reference(a, e, eJ, mu, n):
     return rbar, abar, cbar
 
 
-def spatial_quadratic_oracle(cfg: OrbitConfig, e, quad: QuadratureSpec,
-                             h_scale=1e-3):
+def spatial_quadratic_oracle(cfg: OrbitConfig, e, quad: QuadratureSpec):
     """FD second derivatives of the direct 3-D average in (p3, q3) at 0.
 
     Central differences with Richardson extrapolation over steps h and h/2,
@@ -157,7 +166,7 @@ def spatial_quadratic_oracle(cfg: OrbitConfig, e, quad: QuadratureSpec,
         val, _ = direct_average_V3d(cfg, state(p3, q3), quad, nodes=nodes)
         return val
 
-    h = h_scale * math.sqrt(2.0 * L)
+    h = _H_SCALE * math.sqrt(2.0 * L)
 
     def second(axis):
         def d2(step):
@@ -175,8 +184,7 @@ def spatial_quadratic_oracle(cfg: OrbitConfig, e, quad: QuadratureSpec,
 def _check_bbar(points, quad, tol):
     worst = 0.0
     for (a, e, eJ) in points:
-        cfg = OrbitConfig(a=a, e_J=eJ)
-        bbar, _ = averaged_B(cfg, e, quad)
+        bbar = averaged_coefficients(OrbitConfig(a=a, e_J=eJ), e, quad).Bbar
         worst = max(worst, abs(bbar))
     return CheckResult("bbar-vanishes", tol, worst, worst < tol,
                        f"{len(points)} points")
@@ -223,18 +231,18 @@ def _check_spatial_hessian(points, quad, rel_tol, cross_tol, inject=None):
                        f"{len(points)} points")
 
 
-def _check_mu_scaling(points, quad, tol, mu_alt=0.4):
+def _check_mu_scaling(points, quad, tol):
     worst = 0.0
-    expected = (1.0 - mu_alt) ** -0.5
+    expected = (1.0 - _MU_ALT) ** -0.5
     for (a, e, eJ) in points:
         c0 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=0.0), e, quad,
                                    include_B=False)
-        c1 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=mu_alt), e, quad,
+        c1 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=_MU_ALT), e, quad,
                                    include_B=False)
         for v0, v1 in ((c0.Abar, c1.Abar), (c0.Cbar, c1.Cbar)):
             worst = max(worst, abs(v1 / v0 - expected) / expected)
     return CheckResult("mu-scaling", tol, worst, worst < tol,
-                       f"mu={mu_alt}, {len(points)} points")
+                       f"mu={_MU_ALT}, {len(points)} points")
 
 
 def _check_spectrum(points, quad, tol):
@@ -252,9 +260,8 @@ def _check_spectrum(points, quad, tol):
         if not math.isfinite(rec.ratio):
             continue
         used += 1
-        om_p, om_z, _ = frequencies(cfg, eq, rec.Abar, rec.Cbar)
-        eigs = np.linalg.eigvals(linearized_matrix(eq.hessian, rec.Abar,
-                                                   rec.Cbar, mu=1.0))
+        om_p, om_z, _ = frequencies(eq, rec.Abar, rec.Cbar)
+        eigs = np.linalg.eigvals(linearized_matrix(eq.hessian, rec.Abar, rec.Cbar))
         scale = max(om_p, om_z)
         worst = max(worst, float(np.max(np.abs(eigs.real))) / scale)
         got = np.sort(np.abs(eigs.imag))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from secular3bp.averaging import QuadratureSpec, averaged_R
+from secular3bp import kernels
 from secular3bp.geometry import TWO_PI, DelaunayElements, PoincareState, wrap_angle
 
 
@@ -173,9 +173,16 @@ def orbit_min_separation(a, e, eJ, coarse_n=720, refine_rounds=8):
 
 
 def rbar_fine(cfg, e, g=0.0, nodes=512):
-    """Fixed-node Rbar evaluation used by the derivative oracles."""
-    val, _ = averaged_R(cfg, e, g, QuadratureSpec(), nodes=nodes)
-    return val
+    """Fixed-node Rbar evaluation used by the derivative oracles.
+
+    The folded quarter-domain kernel at g = 0, the rotated full-domain one
+    otherwise, with the arguments ``averaged_R`` passes them.
+    """
+    g = float(np.mod(g, 2.0 * np.pi))
+    if g == 0.0:
+        return kernels.quarter_sums(cfg.a, e, cfg.e_J, nodes, nodes)[0]
+    return kernels.rbar_rotated_mean(cfg.a, e, cfg.e_J, math.cos(g), math.sin(g),
+                                     nodes, nodes)[0]
 
 
 def ninepoint_derivative_oracle(cfg, e, h=1e-3, nodes=512):

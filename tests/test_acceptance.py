@@ -13,7 +13,6 @@ import pytest
 
 from secular3bp.averaging import (
     QuadratureSpec,
-    averaged_B,
     averaged_coefficients,
     averaged_R,
 )
@@ -51,7 +50,7 @@ def test_bbar_vanishes(default_quad):
     points = sample_noncrossing_points(50, seed=20260809)
     worst = 0.0
     for (a, e, eJ) in points:
-        bbar, _ = averaged_B(OrbitConfig(a=a, e_J=eJ), e, default_quad)
+        bbar = averaged_coefficients(OrbitConfig(a=a, e_J=eJ), e, default_quad).Bbar
         worst = max(worst, abs(bbar))
     _report("Bbar-vanishes", worst < 1e-9,
             f"worst |Bbar| = {worst:.3e} over {len(points)} triples (tol 1e-9)")
@@ -154,8 +153,7 @@ def test_linearization_spectrum(inner_sweep, outer_sweep):
             if not math.isfinite(st.ratio):
                 continue
             n_checked += 1
-            M = linearized_matrix(cell.equilibrium.hessian, st.Abar, st.Cbar,
-                                  mu=1.0)
+            M = linearized_matrix(cell.equilibrium.hessian, st.Abar, st.Cbar)
             eigs = np.linalg.eigvals(M)
             scale = max(st.omega_plane, st.omega_z)
             worst = max(worst, float(np.max(np.abs(eigs.real))) / scale)
@@ -177,8 +175,7 @@ def test_resonance_tracing(default_quad, inner_sweep, outer_sweep):
     a_vals = np.linspace(0.2, 0.8, 13)
     eJ_vals = np.linspace(0.2, 0.8, 13)
     planted = synthetic_grid(lambda a, e: a + e, a_vals, eJ_vals)
-    pts = trace_resonance(planted, k=1.0, evaluate_ratio=lambda a, e: a + e,
-                          param_tol=1e-6)
+    pts = trace_resonance(planted, k=1.0, evaluate_ratio=lambda a, e: a + e)
     planted_ok = len(pts) > 0 and all(abs(p.a + p.e_J - 1.0) <= 1e-4
                                       for p in pts)
 
@@ -191,8 +188,7 @@ def test_resonance_tracing(default_quad, inner_sweep, outer_sweep):
     curve_points = []
     for grid, k in ((inner_sweep, 2.0), (outer_sweep, 0.5),
                     (focus_inner, 2.0), (focus_outer, 0.5)):
-        for p in trace_resonance(grid, k=k, evaluate_ratio=None,
-                                 param_tol=1e-4):
+        for p in trace_resonance(grid, k=k):
             curve_points.append((p, k))
 
     worst = 0.0

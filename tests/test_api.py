@@ -1,4 +1,5 @@
 import importlib
+import pathlib
 import pkgutil
 
 import secular3bp
@@ -19,3 +20,24 @@ def test_public_names_resolve():
     # The sweep metadata and the benchmark harness read these two.
     assert kernels.BACKEND == "numpy"
     assert kernels.quarter_sums_numpy is kernels.quarter_sums
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    # perfbench/run.py --trace 1 wraps these module attributes and times
+    # these kernels; a deleted name would break it only at benchmark time.
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    layers = importlib.import_module("layers")
+    tracing = importlib.import_module("tracing")
+    pkg = {name: importlib.import_module(f"secular3bp.{name}")
+           for name in ("kernels", "averaging", "equilibrium", "stability", "sweep")}
+    tracer = tracing.Tracer()
+    try:
+        layers.instrument(tracer, pkg)
+        patched = tracer.patched()
+        assert patched
+        assert all(getattr(m, attr) is not original for m, attr, original in patched)
+    finally:
+        tracer.restore()
+    assert all(getattr(m, attr) is original for m, attr, original in patched)
+    assert all(callable(getattr(kernels, name)) for name in layers.KERNELS)

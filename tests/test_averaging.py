@@ -5,11 +5,11 @@ import pytest
 from scipy.special import ellipk
 
 from oracles import mean_anomaly_rbar
+from secular3bp import kernels
 from secular3bp.averaging import (
     AveragedCoefficients,
     QuadratureSpec,
     SeparationGuard,
-    averaged_B,
     averaged_R,
     averaged_coefficients,
     direct_average_V3d,
@@ -152,14 +152,14 @@ class TestAveragedAC:
 class TestAveragedB:
     def test_doubly_circular(self, quad):
         cfg = OrbitConfig(a=0.3, e_J=0.0)
-        bbar, _ = averaged_B(cfg, 0.0, quad)
+        bbar = averaged_coefficients(cfg, 0.0, quad).Bbar
         assert abs(bbar) < 1e-12
 
     def test_generic_points(self, quad):
         for (a, e, eJ) in [(2.5, 0.4, 0.6), (0.4, 0.3, 0.5), (0.15, 0.6, 0.2)]:
-            bbar, err = averaged_B(OrbitConfig(a=a, e_J=eJ), e, quad)
-            assert abs(bbar) < 1e-10
-            assert err < 1e-10
+            c = averaged_coefficients(OrbitConfig(a=a, e_J=eJ), e, quad)
+            assert abs(c.Bbar) < 1e-10
+            assert c.err["Bbar"] < 1e-10
 
     def test_coefficients_bundle(self, quad):
         cfg = OrbitConfig(a=0.4, e_J=0.3)
@@ -167,7 +167,6 @@ class TestAveragedB:
         assert isinstance(coeffs, AveragedCoefficients)
         assert coeffs.Abar < 0.0
         assert abs(coeffs.Bbar) < 1e-10
-        assert not coeffs.crossing_flag
         assert set(coeffs.err) == {"Rbar", "Abar", "Bbar", "Cbar"}
 
 
@@ -177,6 +176,23 @@ class TestDoublingControl:
         rbar, err = averaged_R(cfg, 0.1, 0.0, quad)
         fine = brute_force_rbar(0.5, 0.1, 0.2, n=4096)
         assert abs(rbar - fine) <= max(err, 1e-12) + 1e-12
+
+    def test_last_error_is_level_change(self):
+        # The cap stops the doubling at n = 128: last_error is the largest
+        # change between the n = 64 and n = 128 levels, not a level's value.
+        a, eJ, e = 0.9, 0.3, 0.25
+        cfg = OrbitConfig(a=a, e_J=eJ)
+        with pytest.raises(NonConvergedError) as info:
+            averaged_coefficients(cfg, e, QuadratureSpec(max_n=128))
+        lo, hi = (np.array(kernels.quarter_sums(a, e, eJ, n, n)[:3]
+                           + (kernels.bbar_mean(a, e, eJ, n, n),))
+                  for n in (64, 128))
+        assert info.value.last_error == float(np.max(np.abs(hi - lo)))
+        assert f"{info.value.last_error:.3e}" in str(info.value)
+        # No doubling at all: there is no change to report.
+        with pytest.raises(NonConvergedError) as info:
+            averaged_coefficients(cfg, e, QuadratureSpec(64, 64, max_n=64))
+        assert math.isnan(info.value.last_error)
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(ValueError):

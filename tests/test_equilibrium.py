@@ -15,9 +15,9 @@ from secular3bp import kernels
 from secular3bp.averaging import SeparationGuard
 from secular3bp.equilibrium import (
     POSITIVE_DEFINITE,
-    STATUS_CROSSING,
     STATUS_FOUND,
     STATUS_NO_ROOT,
+    STATUS_ORBIT_CROSSING,
     _derivatives,
     find_equilibrium,
     planar_hessian,
@@ -83,6 +83,17 @@ class TestDerivative:
         for k in range(4):
             assert np.array_equal(batch[k], [s[k] for s in single])
 
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_second_leaves_first_rows_unchanged(self, n):
+        # find_equilibrium takes the residual from a second=True call; its
+        # R and R_e must be the bytes a second=False call gives.
+        a, eJ = 0.4, 0.3
+        for e in (0.22, np.array([0.05, 0.22, 0.44])):
+            first = kernels.quarter_derivatives(a, e, eJ, n, n)
+            both = kernels.quarter_derivatives(a, e, eJ, n, n, second=True)
+            for k in range(2):
+                assert both[k].tobytes() == first[k].tobytes()
+
 
 def grid_scan_oracle(cfg, lo, hi, resolution=1e-4):
     """Dense scan of Rbar(e): returns the interior local-minimum abscissa."""
@@ -123,7 +134,7 @@ class TestFindEquilibrium:
 
     def test_crossing_bracket(self, quad):
         rec = find_equilibrium(OrbitConfig(a=1.0, e_J=0.3), quad)
-        assert rec.status == STATUS_CROSSING
+        assert rec.status == STATUS_ORBIT_CROSSING
 
     def test_near_boundary_cell_survives(self, quad):
         # Low-e scan points sit within the crossing guard here (periapsis
@@ -159,6 +170,14 @@ class TestPlanarHessian:
         # R is even in g, so the cross term vanishes identically.
         assert hess[0, 1] == 0.0 and hess[1, 0] == 0.0
         assert np.all(np.linalg.eigvalsh(hess) > 0.0)
+
+    def test_root_hessian_is_planar_hessian(self, quad):
+        # The search builds the root's Hessian from the quadrature that
+        # gives the residual; it must equal a planar_hessian call there.
+        for (a, eJ) in [(0.4, 0.3), (2.5, 0.3)]:
+            cfg = OrbitConfig(a=a, e_J=eJ)
+            rec = find_equilibrium(cfg, quad)
+            assert np.array_equal(rec.hessian, planar_hessian(cfg, rec.e_star, quad))
 
     def test_chain_rule_consistency(self, quad):
         # d2Rbar/dp2^2 must match the chain-rule transform of the e-space

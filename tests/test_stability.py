@@ -48,24 +48,24 @@ class TestFrequencies:
         # the generating function is 2 alpha I, so sqrt(det) = 2 alpha.
         alpha = 0.3
         eq = _FakeEq(np.diag([2 * alpha, 2 * alpha]))
-        om_p, _, _ = frequencies(None, eq, -1.0, -1.0)
+        om_p, _, _ = frequencies(eq, -1.0, -1.0)
         assert om_p == pytest.approx(2 * alpha, rel=1e-15)
 
     def test_equal_coefficients(self):
         c = 0.4
         eq = _FakeEq(np.diag([1.0, 1.0]))
-        _, om_z, _ = frequencies(None, eq, -c, -c)
+        _, om_z, _ = frequencies(eq, -c, -c)
         assert om_z == pytest.approx(2 * c, rel=1e-15)
 
     def test_degenerate_product(self):
         eq = _FakeEq(np.diag([1.0, 1.0]))
         with pytest.raises(DegenerateError):
-            frequencies(None, eq, -0.1, 0.2)
+            frequencies(eq, -0.1, 0.2)
 
     def test_degenerate_hessian(self):
         eq = _FakeEq(np.diag([1.0, -1.0]))
         with pytest.raises(DegenerateError):
-            frequencies(None, eq, -0.1, -0.2)
+            frequencies(eq, -0.1, -0.2)
 
 
 class TestClassify:
@@ -102,19 +102,13 @@ class TestLinearizedMatrix:
         cfg = OrbitConfig(a=0.4, e_J=0.3)
         eq = find_equilibrium(cfg, quad)
         rec = classify_spatial(cfg, eq, quad)
-        om_p, om_z, _ = frequencies(cfg, eq, rec.Abar, rec.Cbar)
-        M = linearized_matrix(eq.hessian, rec.Abar, rec.Cbar, mu=1.0)
+        om_p, om_z, _ = frequencies(eq, rec.Abar, rec.Cbar)
+        M = linearized_matrix(eq.hessian, rec.Abar, rec.Cbar)
         eigs = np.linalg.eigvals(M)
         assert np.max(np.abs(eigs.real)) < 1e-8 * max(om_p, om_z)
         got = np.sort(np.abs(eigs.imag))
         want = np.sort([om_p, om_p, om_z, om_z])
         assert np.allclose(got, want, rtol=1e-8)
-
-    def test_mu_scales_spectrum(self):
-        hess = np.diag([0.3, 0.4])
-        M1 = linearized_matrix(hess, -0.2, -0.5, mu=1.0)
-        M2 = linearized_matrix(hess, -0.2, -0.5, mu=0.01)
-        assert np.allclose(M2, 0.01 * M1)
 
 
 def synthetic_grid(ratio_fn, a_vals, eJ_vals):
@@ -147,8 +141,7 @@ class TestTraceResonance:
         eJ_vals = np.linspace(0.2, 0.8, 13)
         grid = synthetic_grid(lambda a, e: a + e, a_vals, eJ_vals)
         points = trace_resonance(grid, k=1.0,
-                                 evaluate_ratio=lambda a, e: a + e,
-                                 param_tol=1e-6)
+                                 evaluate_ratio=lambda a, e: a + e)
         assert len(points) > 0
         for p in points:
             assert abs(p.a + p.e_J - 1.0) <= 1e-4
