@@ -22,7 +22,8 @@ w = (1 - e cos E)(1 - eJ cos EJ), and G = sqrt((1-mu) a (1-e^2)).  The same
 symmetry makes the double average of the cross coefficient B vanish
 identically; ``averaged_coefficients`` evaluates it over the full domain
 as a numerical invariant.  On the quarter domain (r2^3 - r1^3) y yJ >= 0
-pointwise, which forces Abar < 0; this is asserted per evaluation.
+pointwise, which forces Abar < 0.  With y, yJ > 0 at every midpoint this
+is the sign of 1/r1^3 - 1/r2^3, asserted at every node of each evaluation.
 """
 
 import math
@@ -181,7 +182,7 @@ def _quarter_eval(a, e, eJ, n1, n2):
     rbar, a_mean, c_mean, min_factor = kernels.quarter_sums(a, e, eJ, n1, n2)
     if min_factor < 0.0:
         raise RuntimeError(
-            "internal error: the Abar kernel factor (r2^3 - r1^3) y yJ "
+            "internal error: the Abar kernel factor 1/r1^3 - 1/r2^3 "
             f"went negative ({min_factor:.3e}) on the quarter grid"
         )
     return rbar, a_mean, c_mean

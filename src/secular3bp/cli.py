@@ -198,9 +198,10 @@ def cmd_point(args):
     return EXIT_NUMERICAL
 
 
-def cmd_sweep(args):
+def _grid_inputs(args, mode):
+    """The checked (a_range, ej_range, mu) of a sweep or resonance run."""
     if args.a_range is None or args.ej_range is None:
-        raise InputError("sweep mode requires --a-range and --ej-range")
+        raise InputError(f"{mode} mode requires --a-range and --ej-range")
     a_range = _parse_range(args.a_range, "a-range")
     ej_range = _parse_range(args.ej_range, "ej-range")
     mu = _resolve(args, "mu", float)
@@ -208,6 +209,13 @@ def cmd_sweep(args):
         raise InputError("--ej-range must stay inside [0, 1)")
     if a_range[0] <= 0.0:
         raise InputError("--a-range must be positive")
+    if not (0.0 <= mu < 1.0):
+        raise InputError(f"--mu must be in [0, 1), got {mu}")
+    return a_range, ej_range, mu
+
+
+def cmd_sweep(args):
+    a_range, ej_range, mu = _grid_inputs(args, "sweep")
     quad = _quad_from(args)
     jobs = _resolve(args, "jobs", int)
     out = _resolve(args, "out", str)
@@ -239,11 +247,7 @@ def cmd_validate(args):
 
 
 def cmd_resonance(args):
-    if args.a_range is None or args.ej_range is None:
-        raise InputError("resonance mode requires --a-range and --ej-range")
-    a_range = _parse_range(args.a_range, "a-range")
-    ej_range = _parse_range(args.ej_range, "ej-range")
-    mu = _resolve(args, "mu", float)
+    a_range, ej_range, mu = _grid_inputs(args, "resonance")
     quad = _quad_from(args)
     jobs = _resolve(args, "jobs", int)
     k = _resolve(args, "k", float)

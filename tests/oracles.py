@@ -13,7 +13,11 @@ None of this is on the package's CLI or pipeline path:
   fixed-node quadratures numerically, the reference for the derivatives
   that ``kernels.quarter_derivatives`` takes under the integral sign;
 * ``PlanarState`` converts between the (e, g) and canonical (p2, q2)
-  forms of a planar phase point.
+  forms of a planar phase point;
+* ``quarter_sums_reference``, ``bbar_mean_reference`` and
+  ``vbar_mean_reference`` evaluate the coefficient integrands node by node
+  over whole 2-D grids in the forms the formulas are written in, the
+  reference for the row-reduced kernels in ``kernels``.
 """
 
 import math
@@ -248,3 +252,54 @@ class PlanarState:
         lhs = self.p2**2 + self.q2**2
         rhs = 2.0 * L * (1.0 - math.sqrt(1.0 - self.e**2))
         return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
+
+
+def quarter_sums_reference(a, e, eJ, n1, n2):
+    """``kernels.quarter_sums`` from whole-grid temporaries.
+
+    Its min_factor is the smallest sampled (r2^3 - r1^3) y yJ, the Abar
+    integrand factor itself.
+    """
+    xJ, yJ, wJ = kernels._ellipse_nodes(kernels._midpoints(0, n2, n2, np.pi), 1.0, eJ)
+    x, y, wi = kernels._ellipse_nodes(kernels._midpoints(0, n1, n1, np.pi), a, e)
+    w = np.outer(wi, wJ)
+    dx = x[:, None] - xJ[None, :]
+    r1 = np.sqrt(dx**2 + (y[:, None] - yJ[None, :]) ** 2)
+    r2 = np.sqrt(dx**2 + (y[:, None] + yJ[None, :]) ** 2)
+    r13 = r1**3
+    r23 = r2**3
+    inv = 1.0 / (r13 * r23)
+    fac = (r23 - r13) * np.outer(y, yJ)
+    SR = float(np.sum(w * (r1 + r2) / (r1 * r2)))
+    SA = float(np.sum(w * fac * inv))
+    SC = float(np.sum(w * (r23 + r13) * inv * np.outer(x, xJ)))
+    norm = 1.0 / (n1 * n2)
+    return 0.5 * SR * norm, 0.25 * SA * norm, 0.25 * SC * norm, float(fac.min())
+
+
+def bbar_mean_reference(a, e, eJ, n1, n2):
+    """``kernels.bbar_mean`` from whole-grid temporaries."""
+    xJ, yJ, wJ = kernels._ellipse_nodes(
+        kernels._midpoints(0, n2, n2, 2.0 * np.pi), 1.0, eJ)
+    x, y, wi = kernels._ellipse_nodes(kernels._midpoints(0, n1, n1, 2.0 * np.pi), a, e)
+    w = np.outer(wi, wJ)
+    r1 = np.sqrt((x[:, None] - xJ[None, :]) ** 2 + (y[:, None] - yJ[None, :]) ** 2)
+    return float(np.sum(w * (np.outer(x, yJ) + np.outer(y, xJ)) / r1**3)) / (n1 * n2)
+
+
+def vbar_mean_reference(a, e, eJ, m00, m01, m10, m11, m20, m21, n1, n2):
+    """``kernels.vbar_mean`` from whole-grid temporaries."""
+    xJ, yJ, wJ = kernels._ellipse_nodes(
+        kernels._midpoints(0, n2, n2, 2.0 * np.pi), 1.0, eJ)
+    xp, yp, wi = kernels._ellipse_nodes(
+        kernels._midpoints(0, n1, n1, 2.0 * np.pi), a, e)
+    x = m00 * xp + m01 * yp
+    y = m10 * xp + m11 * yp
+    z = m20 * xp + m21 * yp
+    w = np.outer(wi, wJ)
+    rsq = (
+        (x[:, None] - xJ[None, :]) ** 2
+        + (y[:, None] - yJ[None, :]) ** 2
+        + (z**2)[:, None]
+    )
+    return float(np.sum(w / np.sqrt(rsq))) / (n1 * n2), float(rsq.min())

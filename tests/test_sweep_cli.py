@@ -162,6 +162,24 @@ class TestResonanceCommand:
         assert text == "a,e_J,ratio\n"
 
 
+class TestGridInputChecks:
+    @pytest.mark.parametrize("argv", [
+        ["resonance", "--a-range", "0.2:0.3:2", "--ej-range", "0.1:1.5:2"],
+        ["resonance", "--a-range=-0.5:0.5:2", "--ej-range", "0.2:0.3:2"],
+        ["sweep", "--a-range", "0.2:0.3:2", "--ej-range", "0.2:0.3:2",
+         "--mu", "1.5"],
+        ["resonance", "--a-range", "0.2:0.3:2", "--ej-range", "0.2:0.3:2",
+         "--mu", "1.5"],
+    ])
+    def test_bad_window_or_mu_exit_two(self, argv, tmp_path, capsys):
+        # Both grid commands check their window and mu before any work, so
+        # a bad value is an input error and no CSV is written.
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
