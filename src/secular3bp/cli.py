@@ -59,6 +59,8 @@ def _parse_range(text, name):
         raise InputError(f"--{name} must be MIN:MAX:N, got {text!r}")
     if n < 1:
         raise InputError(f"--{name}: N must be >= 1")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError(f"--{name}: MIN and MAX must be finite")
     if not (lo <= hi):
         raise InputError(f"--{name}: need MIN <= MAX")
     return lo, hi, n
@@ -96,8 +98,8 @@ def _resolve(args, key, cast):
 def _quad_from(args):
     tol = _resolve(args, "tol", float)
     max_nodes = _resolve(args, "max_nodes", int)
-    if tol <= 0:
-        raise InputError(f"--tol must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InputError(f"--tol must be positive and finite, got {tol}")
     if max_nodes < 64:
         raise InputError(f"--max-nodes must be >= 64, got {max_nodes}")
     return QuadratureSpec(tol=tol, max_n=max_nodes)
@@ -252,8 +254,8 @@ def cmd_resonance(args):
     jobs = _resolve(args, "jobs", int)
     k = _resolve(args, "k", float)
     out = _resolve(args, "out", str)
-    if k <= 0:
-        raise InputError(f"--k must be positive, got {k}")
+    if not (k > 0 and math.isfinite(k)):
+        raise InputError(f"--k must be positive and finite, got {k}")
     grid = run_sweep(a_range, ej_range, mu=mu, quad=quad, jobs=jobs)
     points = trace_resonance(grid, k=k)
     os.makedirs(out, exist_ok=True)

@@ -13,13 +13,17 @@ mu sqrt(det Hess(Rbar)), and for -mu (Abar p3^2 + Cbar q3^2) the
 out-of-plane frequency is 2 mu sqrt(Abar Cbar).  Both are reported divided
 by mu, making the ratio omega_z / omega_plane a mu-free diagnostic whose
 level sets (ratio = 2 and ratio = 1/2) are the candidate resonance curves
-traced over the (a, e_J) parameter plane.
+traced over the (a, e_J) parameter plane.  Each grid edge that brackets a
+level set is solved by Brent's method on ratio - k, so a curve point costs
+a few pipeline runs and lies within _PARAM_TOL / 2 of the level set along
+its edge.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .averaging import QuadratureSpec, SeparationGuard, averaged_coefficients
 from .equilibrium import (
@@ -53,8 +57,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # A sign is certified only when |coefficient| > MARGIN_FACTOR * error.
 MARGIN_FACTOR = 3.0
 
-# trace_resonance bisects each edge down to this width in the varying
-# parameter.
+# trace_resonance solves each edge to a final bracket narrower than this
+# in the varying parameter, and returns an end of that bracket: every curve
+# point lies within _PARAM_TOL / 2 of the level set along its edge.
 _PARAM_TOL = 1e-4
 
 
@@ -215,13 +220,43 @@ def point_ratio(a, e_J, mu, quad: QuadratureSpec):
     return rec.ratio
 
 
+class _EdgeFailed(Exception):
+    """The pipeline failed at a point inside a traced edge."""
+
+
+def _solve_edge(ratio_at, k, lo, hi, r_lo, r_hi):
+    """(x, ratio) on one edge with ratio(x) = k, or None if a run fails.
+
+    Brent's method starts from the edge ends, whose ratios the sweep has
+    already computed, and returns a point it has evaluated, so every
+    pipeline run it makes is inside the edge.
+    """
+    memo = {lo: r_lo, hi: r_hi}
+
+    def f(x):
+        if x not in memo:
+            r = ratio_at(x)
+            if r is None:
+                raise _EdgeFailed
+            memo[x] = r
+        return memo[x] - k
+
+    try:
+        x = brentq(f, lo, hi, xtol=_PARAM_TOL / 2)
+    except _EdgeFailed:
+        return None
+    return x, float(memo[x])
+
+
 def trace_resonance(grid, k=2.0, evaluate_ratio=None):
     """Locate the ratio = k level set on a swept parameter grid.
 
     Scans grid edges for sign changes of (ratio - k) between adjacent cells
-    that both carry finite ratios, then bisects each edge in parameter space
-    (re-running the full pipeline at interior points) down to a width of
-    1e-4 in the varying parameter.
+    that both carry finite ratios, then solves ratio = k along each such
+    edge by Brent's method (re-running the full pipeline at interior
+    points).  Each returned point is one the solve evaluated, within
+    _PARAM_TOL / 2 = 5e-5 of the level set in the varying parameter; a
+    failed run anywhere inside an edge drops that edge's point.
     An empty list is a valid outcome.
 
     Args:
@@ -229,16 +264,16 @@ def trace_resonance(grid, k=2.0, evaluate_ratio=None):
             ``eJ_values()``, ``ratio_array()``, ``mu`` and ``quad``).
         k: Target frequency ratio (trace both 2 and 1/2 to cover either
             branch of a "2:1" commensurability).
-        evaluate_ratio: Override for the midpoint evaluations, called as
+        evaluate_ratio: Override for the interior evaluations, called as
             ``evaluate_ratio(a, e_J) -> float | None``; defaults to the full
             pipeline with the grid's mu and quadrature settings.
 
     Returns:
         List of ResonancePoint, ordered row-major by originating edge.
     """
-    a_vals = grid.a_values()
-    eJ_vals = grid.eJ_values()
-    ratios = grid.ratio_array()
+    a_vals = grid.a_values().tolist()
+    eJ_vals = grid.eJ_values().tolist()
+    ratios = grid.ratio_array().tolist()
     if evaluate_ratio is None:
         mu, quad = grid.mu, grid.quad
 
@@ -246,47 +281,27 @@ def trace_resonance(grid, k=2.0, evaluate_ratio=None):
             return point_ratio(a, e_J, mu, quad)
 
     points = []
-
-    def bisect(fixed, lo, hi, r_lo, r_hi, vary_a):
-        f_lo = r_lo - k
-        while hi - lo > _PARAM_TOL:
-            mid = 0.5 * (lo + hi)
-            r_mid = evaluate_ratio(mid, fixed) if vary_a else evaluate_ratio(fixed, mid)
-            if r_mid is None:
-                return None
-            f_mid = r_mid - k
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if (f_mid < 0.0) == (f_lo < 0.0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        mid = 0.5 * (lo + hi)
-        r_mid = evaluate_ratio(mid, fixed) if vary_a else evaluate_ratio(fixed, mid)
-        if r_mid is None:
-            return None
-        return mid, r_mid
-
-    for i in range(len(a_vals)):
-        for j in range(len(eJ_vals)):
-            r0 = ratios[i, j]
-            if not np.isfinite(r0):
+    for i, a in enumerate(a_vals):
+        for j, e_J in enumerate(eJ_vals):
+            r0 = ratios[i][j]
+            if not math.isfinite(r0):
                 continue
             # Edge to the next a (same e_J).
-            if i + 1 < len(a_vals) and np.isfinite(ratios[i + 1, j]):
-                r1 = ratios[i + 1, j]
+            if i + 1 < len(a_vals) and math.isfinite(ratios[i + 1][j]):
+                r1 = ratios[i + 1][j]
                 if (r0 - k) * (r1 - k) < 0.0:
-                    hit = bisect(eJ_vals[j], a_vals[i], a_vals[i + 1], r0, r1, True)
+                    hit = _solve_edge(lambda x: evaluate_ratio(x, e_J), k,
+                                      a, a_vals[i + 1], r0, r1)
                     if hit is not None:
-                        points.append(ResonancePoint(a=hit[0], e_J=float(eJ_vals[j]),
+                        points.append(ResonancePoint(a=hit[0], e_J=e_J,
                                                      ratio=hit[1]))
             # Edge to the next e_J (same a).
-            if j + 1 < len(eJ_vals) and np.isfinite(ratios[i, j + 1]):
-                r1 = ratios[i, j + 1]
+            if j + 1 < len(eJ_vals) and math.isfinite(ratios[i][j + 1]):
+                r1 = ratios[i][j + 1]
                 if (r0 - k) * (r1 - k) < 0.0:
-                    hit = bisect(a_vals[i], eJ_vals[j], eJ_vals[j + 1], r0, r1, False)
+                    hit = _solve_edge(lambda x: evaluate_ratio(a, x), k,
+                                      e_J, eJ_vals[j + 1], r0, r1)
                     if hit is not None:
-                        points.append(ResonancePoint(a=float(a_vals[i]), e_J=hit[0],
+                        points.append(ResonancePoint(a=a, e_J=hit[0],
                                                      ratio=hit[1]))
     return points

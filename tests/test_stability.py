@@ -17,7 +17,7 @@ from secular3bp.stability import (
     sign_verdict,
     trace_resonance,
 )
-from secular3bp.sweep import CellResult, SweepGrid, evaluate_cell
+from secular3bp.sweep import CellResult, SweepGrid, evaluate_cell, run_sweep
 
 
 class TestSignVerdict:
@@ -135,6 +135,12 @@ def synthetic_grid(ratio_fn, a_vals, eJ_vals):
     return grid
 
 
+def curved_field(a, e):
+    """exp(a) + e_J^2: it crosses 2 where a = ln(2 - e_J^2), which gives a
+    closed-form root along either kind of grid edge."""
+    return math.exp(a) + e * e
+
+
 class TestTraceResonance:
     def test_planted_linear_field(self):
         a_vals = np.linspace(0.2, 0.8, 13)
@@ -145,6 +151,33 @@ class TestTraceResonance:
         assert len(points) > 0
         for p in points:
             assert abs(p.a + p.e_J - 1.0) <= 1e-4
+            assert_float_fields(p)
+
+    def test_curved_field_budget_and_accuracy(self):
+        a_vals = np.linspace(0.2, 0.8, 13)
+        eJ_vals = np.linspace(0.2, 0.8, 13)
+        grid = synthetic_grid(curved_field, a_vals, eJ_vals)
+        calls = []
+
+        def evaluate(a, e):
+            calls.append((a, e))
+            return curved_field(a, e)
+
+        points = trace_resonance(grid, k=2.0, evaluate_ratio=evaluate)
+        assert len(points) > 0
+        # The sweep already holds the edge ends, so only interior points
+        # cost a run; a bisection to 1e-4 would need 10 per point here.
+        assert len(calls) <= 4 * len(points)
+        a_grid, eJ_grid = set(a_vals.tolist()), set(eJ_vals.tolist())
+        for p in points:
+            assert_float_fields(p)
+            # The reported ratio is the one evaluated at the reported point.
+            assert p.ratio == curved_field(p.a, p.e_J)
+            on_a_edge = p.e_J in eJ_grid and \
+                abs(p.a - math.log(2.0 - p.e_J ** 2)) <= 5e-5
+            on_eJ_edge = p.a in a_grid and math.exp(p.a) < 2.0 and \
+                abs(p.e_J - math.sqrt(2.0 - math.exp(p.a))) <= 5e-5
+            assert on_a_edge or on_eJ_edge
 
     def test_everywhere_below_k(self):
         a_vals = np.linspace(0.2, 0.8, 5)
@@ -159,3 +192,43 @@ class TestTraceResonance:
         grid = synthetic_grid(lambda a, e: a + e, a_vals, eJ_vals)
         assert trace_resonance(grid, k=1.0,
                                evaluate_ratio=lambda a, e: None) == []
+
+    def test_failure_after_first_interior_call_drops_edge(self):
+        a_vals = np.linspace(0.2, 0.8, 5)
+        eJ_vals = np.linspace(0.2, 0.8, 5)
+        grid = synthetic_grid(curved_field, a_vals, eJ_vals)
+        calls = []
+
+        def evaluate(a, e):
+            calls.append((a, e))
+            return curved_field(a, e)
+
+        clean = trace_resonance(grid, k=2.0, evaluate_ratio=evaluate)
+        # The first two runs lie on the first traced edge: they share its
+        # fixed coordinate.
+        (a0, e0), (a1, e1) = calls[:2]
+        assert a0 == a1 or e0 == e1
+        assert len(clean) > 1
+
+        n_calls = 0
+
+        def fail_second(a, e):
+            nonlocal n_calls
+            n_calls += 1
+            return None if n_calls == 2 else curved_field(a, e)
+
+        # The first edge succeeds once, then fails: only its point drops.
+        assert trace_resonance(grid, k=2.0, evaluate_ratio=fail_second) == clean[1:]
+
+    def test_focus_window_points_are_floats(self, quad):
+        grid = run_sweep((0.45, 0.65, 5), (0.84, 0.90, 4), quad=quad)
+        points = trace_resonance(grid, k=2.0)
+        assert len(points) > 0
+        for p in points:
+            assert_float_fields(p)
+            assert abs(p.ratio - 2.0) < 1e-3
+
+
+def assert_float_fields(point):
+    for name in ("a", "e_J", "ratio"):
+        assert type(getattr(point, name)) is float, name

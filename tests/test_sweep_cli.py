@@ -170,10 +170,21 @@ class TestGridInputChecks:
          "--mu", "1.5"],
         ["resonance", "--a-range", "0.2:0.3:2", "--ej-range", "0.2:0.3:2",
          "--mu", "1.5"],
+        ["sweep", "--a-range", "0.4:inf:2", "--ej-range", "0.2:0.3:2"],
+        ["resonance", "--a-range", "0.4:inf:2", "--ej-range", "0.2:0.3:2"],
+        ["resonance", "--a-range", "0.4:0.5:2", "--ej-range", "0.2:0.3:2",
+         "--k", "nan"],
+        ["resonance", "--a-range", "0.4:0.5:2", "--ej-range", "0.2:0.3:2",
+         "--k", "inf"],
+        ["sweep", "--a-range", "0.4:0.5:2", "--ej-range", "0.2:0.3:2",
+         "--tol", "nan"],
+        ["sweep", "--a-range", "0.4:0.5:2", "--ej-range", "0.2:0.3:2",
+         "--tol", "inf"],
     ])
     def test_bad_window_or_mu_exit_two(self, argv, tmp_path, capsys):
-        # Both grid commands check their window and mu before any work, so
-        # a bad value is an input error and no CSV is written.
+        # Both grid commands check their window, mu, tol and k before any
+        # work, so a bad or non-finite value is an input error and no CSV
+        # is written.
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
