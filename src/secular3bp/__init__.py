@@ -12,7 +12,6 @@ from .averaging import (
     AveragedCoefficients,
     QuadratureSpec,
     SeparationGuard,
-    averaged_R,
     averaged_coefficients,
     direct_average_V3d,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "StabilityRecord",
     "SweepGrid",
     "aligned_noncrossing_interval",
-    "averaged_R",
     "averaged_coefficients",
     "classify_spatial",
     "delaunay_from_poincare",

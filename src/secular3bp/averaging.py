@@ -46,7 +46,6 @@ __all__ = [
     "QuadratureSpec",
     "AveragedCoefficients",
     "SeparationGuard",
-    "averaged_R",
     "averaged_coefficients",
     "direct_average_V3d",
 ]
@@ -54,6 +53,9 @@ __all__ = [
 # Below this inter-orbit distance a configuration is treated as crossing:
 # the integrands scale like 1/r^3 and quadrature ceases to be trustworthy.
 DEFAULT_SEPARATION_THRESHOLD = 1e-3
+
+# Node count per anomaly at the first level of every doubling.
+N_START = 64
 
 # Tiny floor that keeps the relative convergence test well-defined for
 # exactly-zero values.
@@ -64,24 +66,19 @@ _SCALE_FLOOR = 1e-300
 class QuadratureSpec:
     """Tensor-grid quadrature control.
 
-    n_ast/n_pl are the initial node counts in the asteroid and planet
-    anomalies; both are doubled together until two consecutive levels agree
-    to relative tolerance ``tol`` (reported as the convergence estimate) or
-    either count would exceed ``max_n``.
+    Both anomalies start at N_START nodes and are doubled together until two
+    consecutive levels agree to relative tolerance ``tol`` (reported as the
+    convergence estimate) or the count would exceed ``max_n``.
     """
 
-    n_ast: int = 64
-    n_pl: int = 64
     tol: float = 1e-10
     max_n: int = 4096
 
     def __post_init__(self):
-        if self.n_ast < 8 or self.n_pl < 8:
-            raise ValueError("need at least 8 quadrature nodes per anomaly")
         if not (self.tol > 0.0):
             raise ValueError(f"tolerance must be positive, got {self.tol}")
-        if self.max_n < max(self.n_ast, self.n_pl):
-            raise ValueError("max_n must be at least the initial node count")
+        if self.max_n < N_START:
+            raise ValueError(f"max_n must be at least N_START = {N_START}")
 
 
 @dataclass(frozen=True)
@@ -146,94 +143,46 @@ class SeparationGuard:
 def _doubling(eval_at, quad: QuadratureSpec, floors=None):
     """Run node doubling until consecutive levels agree; returns level data.
 
-    ``eval_at(n1, n2)`` must return a tuple of floats.  Component i is
-    converged when its level-to-level change is at most
+    ``eval_at(n)`` must return a tuple of floats from n nodes per anomaly.
+    Component i is converged when its level-to-level change is at most
     tol * max(|value_i|, floors_i); a floor of ~1 turns the test absolute
     at ``tol``, which is what identically-zero quantities (Bbar) need.
-    At the node cap, NonConvergedError carries the largest component of the
-    last level-to-level change (nan when the cap allows no doubling).
+    Returns (values, errors, n) at the first converged level.  At the node
+    cap, NonConvergedError carries the largest component of the last
+    level-to-level change (nan when the cap allows no doubling).
     """
-    n1, n2 = quad.n_ast, quad.n_pl
-    prev = np.asarray(eval_at(n1, n2), dtype=float)
+    n = N_START
+    prev = np.asarray(eval_at(n), dtype=float)
     if floors is None:
         floors = np.full(prev.shape, _SCALE_FLOOR)
     else:
         floors = np.asarray(floors, dtype=float)
     last_error = math.nan
     while True:
-        n1n, n2n = 2 * n1, 2 * n2
-        if max(n1n, n2n) > quad.max_n:
+        if 2 * n > quad.max_n:
             raise NonConvergedError(
                 f"quadrature not converged at node cap {quad.max_n} "
                 f"(last change between levels {last_error:.3e})",
                 last_error=last_error,
-                nodes=max(n1, n2),
+                nodes=n,
             )
-        cur = np.asarray(eval_at(n1n, n2n), dtype=float)
+        n *= 2
+        cur = np.asarray(eval_at(n), dtype=float)
         err = np.abs(cur - prev)
-        n1, n2 = n1n, n2n
         if np.all(err <= quad.tol * np.maximum(np.abs(cur), floors)):
-            return cur, err, (n1, n2)
+            return cur, err, n
         prev = cur
         last_error = float(np.max(err))
 
 
-def _quarter_eval(a, e, eJ, n1, n2):
-    rbar, a_mean, c_mean, min_factor = kernels.quarter_sums(a, e, eJ, n1, n2)
+def _quarter_eval(a, e, eJ, n):
+    rbar, a_mean, c_mean, min_factor = kernels.quarter_sums(a, e, eJ, n, n)
     if min_factor < 0.0:
         raise RuntimeError(
             "internal error: the Abar kernel factor 1/r1^3 - 1/r2^3 "
             f"went negative ({min_factor:.3e}) on the quarter grid"
         )
     return rbar, a_mean, c_mean
-
-
-def averaged_R(cfg: OrbitConfig, e, g, quad: QuadratureSpec):
-    """Doubly averaged disturbing function Rbar at eccentricity e, angle g.
-
-    The planar secular Hamiltonian is -mu * Rbar.  For g = 0 the folded
-    quarter-domain form is used (after an exact separation check); for
-    general g the full-domain average of the rotated configuration is
-    evaluated, guarded by the smallest sampled inter-orbit distance.
-
-    Args:
-        cfg: Problem parameters.
-        e: Asteroid eccentricity in [0, 1).
-        g: Argument-of-periapsis angle of the asteroid, radians.
-        quad: Quadrature control.
-
-    Returns:
-        (Rbar, err) with err the node-doubling convergence estimate.
-
-    Raises:
-        OrbitCrossingError: Orbits closer than the separation threshold.
-        NonConvergedError: Node cap reached before the tolerance.
-    """
-    if not (0.0 <= e < 1.0):
-        raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    g = float(np.mod(g, 2.0 * np.pi))
-    if g == 0.0:
-        SeparationGuard(cfg).check(e)
-        vals, errs, _ = _doubling(
-            lambda n1, n2: _quarter_eval(cfg.a, e, cfg.e_J, n1, n2), quad
-        )
-        return float(vals[0]), float(errs[0])
-
-    cg, sg = math.cos(g), math.sin(g)
-
-    def eval_rot(n1, n2):
-        rbar, r1sq_min = kernels.rbar_rotated_mean(cfg.a, e, cfg.e_J, cg, sg, n1, n2)
-        if r1sq_min < DEFAULT_SEPARATION_THRESHOLD * DEFAULT_SEPARATION_THRESHOLD:
-            raise OrbitCrossingError(
-                f"sampled inter-orbit distance below "
-                f"{DEFAULT_SEPARATION_THRESHOLD:g} at "
-                f"a={cfg.a:g}, e={e:g}, g={g:g}, e_J={cfg.e_J:g}",
-                separation=math.sqrt(r1sq_min),
-            )
-        return (rbar,)
-
-    vals, errs, _ = _doubling(eval_rot, quad)
-    return float(vals[0]), float(errs[0])
 
 
 def averaged_coefficients(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None,
@@ -246,7 +195,8 @@ def averaged_coefficients(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None,
     invariant: callers assert that it sits below the quadrature tolerance.
 
     Raises:
-        OrbitCrossingError / NonConvergedError as in :func:`averaged_R`.
+        OrbitCrossingError: Orbits closer than the separation threshold.
+        NonConvergedError: Node cap reached before the tolerance.
         RuntimeError: If the computed Abar fails to be negative, which the
             pointwise-positive quarter-domain kernel makes impossible short
             of an internal defect (diagnostic, never silently corrected).
@@ -258,10 +208,10 @@ def averaged_coefficients(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None,
     guard.check(e)
     G = cfg.G_of(e)
 
-    def eval_all(n1, n2):
-        rbar, a_mean, c_mean = _quarter_eval(cfg.a, e, cfg.e_J, n1, n2)
+    def eval_all(n):
+        rbar, a_mean, c_mean = _quarter_eval(cfg.a, e, cfg.e_J, n)
         if include_B:
-            b_mean = kernels.bbar_mean(cfg.a, e, cfg.e_J, n1, n2)
+            b_mean = kernels.bbar_mean(cfg.a, e, cfg.e_J, n, n)
             return rbar, a_mean, c_mean, b_mean
         return rbar, a_mean, c_mean
 
@@ -289,8 +239,7 @@ def averaged_coefficients(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None,
                                 Bbar=float(bbar), Cbar=float(cbar), err=err)
 
 
-def direct_average_V3d(cfg: OrbitConfig, state: PoincareState,
-                       quad: QuadratureSpec, nodes=None):
+def direct_average_V3d(cfg: OrbitConfig, state: PoincareState, n):
     """Directly averaged 3-D disturbing function at a Poincare phase point.
 
     Evaluates the full spatial geometry (no small-inclination expansion):
@@ -304,11 +253,10 @@ def direct_average_V3d(cfg: OrbitConfig, state: PoincareState,
     Args:
         cfg: Problem parameters; state.p1 must equal sqrt((1-mu) a).
         state: Poincare phase point.
-        quad: Quadrature control.
-        nodes: Fixed node count; bypasses doubling (err reported as nan).
+        n: Node count per anomaly (no doubling; the caller converges it).
 
     Returns:
-        (Vbar, err).
+        Vbar at n nodes per anomaly.
     """
     L = cfg.L
     if abs(state.p1 - L) > 1e-9 * L:
@@ -322,22 +270,15 @@ def direct_average_V3d(cfg: OrbitConfig, state: PoincareState,
         raise ValueError(f"implied eccentricity {e} outside [0, 1)")
     inc = math.acos(max(-1.0, min(1.0, d.H / d.G)))
     m = rotation_matrix(d.g, inc, d.h)
-
-    def eval_v(n1, n2):
-        vbar, rsq_min = kernels.vbar_mean(
-            cfg.a, e, cfg.e_J,
-            m[0, 0], m[0, 1], m[1, 0], m[1, 1], m[2, 0], m[2, 1],
-            n1, n2,
+    vbar, rsq_min = kernels.vbar_mean(
+        cfg.a, e, cfg.e_J,
+        m[0, 0], m[0, 1], m[1, 0], m[1, 1], m[2, 0], m[2, 1],
+        n, n,
+    )
+    if rsq_min < DEFAULT_SEPARATION_THRESHOLD * DEFAULT_SEPARATION_THRESHOLD:
+        raise OrbitCrossingError(
+            f"sampled 3-D separation below {DEFAULT_SEPARATION_THRESHOLD:g} at "
+            f"a={cfg.a:g}, e={e:g}, e_J={cfg.e_J:g}",
+            separation=math.sqrt(rsq_min),
         )
-        if rsq_min < DEFAULT_SEPARATION_THRESHOLD * DEFAULT_SEPARATION_THRESHOLD:
-            raise OrbitCrossingError(
-                f"sampled 3-D separation below {DEFAULT_SEPARATION_THRESHOLD:g} at "
-                f"a={cfg.a:g}, e={e:g}, e_J={cfg.e_J:g}",
-                separation=math.sqrt(rsq_min),
-            )
-        return (vbar,)
-
-    if nodes is not None:
-        return eval_v(nodes, nodes)[0], math.nan
-    vals, errs, _ = _doubling(eval_v, quad)
-    return float(vals[0]), float(errs[0])
+    return vbar

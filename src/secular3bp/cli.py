@@ -16,7 +16,7 @@ import os
 import sys
 
 from ._version import __version__
-from .averaging import QuadratureSpec
+from .averaging import N_START, QuadratureSpec
 from .equilibrium import STATUS_FOUND, STATUS_MULTIPLE_ROOTS, STATUS_ORBIT_CROSSING
 from .errors import NonConvergedError, OrbitCrossingError, Secular3bpError
 from .sweep import (
@@ -37,8 +37,8 @@ EXIT_CROSSING = 4
 
 _DEFAULTS = {
     "mu": 0.0,
-    "tol": 1e-10,
-    "max_nodes": 4096,
+    "tol": QuadratureSpec.tol,
+    "max_nodes": QuadratureSpec.max_n,
     "jobs": 1,
     "k": 2.0,
     "out": ".",
@@ -100,8 +100,8 @@ def _quad_from(args):
     max_nodes = _resolve(args, "max_nodes", int)
     if not (tol > 0 and math.isfinite(tol)):
         raise InputError(f"--tol must be positive and finite, got {tol}")
-    if max_nodes < 64:
-        raise InputError(f"--max-nodes must be >= 64, got {max_nodes}")
+    if max_nodes < N_START:
+        raise InputError(f"--max-nodes must be >= {N_START}, got {max_nodes}")
     return QuadratureSpec(tol=tol, max_n=max_nodes)
 
 
@@ -118,7 +118,6 @@ def _validate_params(a, ej, mu):
 
 def _cell_json(cell):
     eq, st = cell.equilibrium, cell.stability
-    coeffs = st.coefficients if st is not None else None
     doc = {
         "a": cell.a,
         "e_J": cell.e_J,
@@ -136,10 +135,9 @@ def _cell_json(cell):
         doc["verdict"] = st.spatial_verdict
         doc["Abar"] = st.Abar
         doc["Cbar"] = st.Cbar
-        if coeffs is not None:
-            doc["Rbar"] = coeffs.Rbar
-            doc["Bbar"] = coeffs.Bbar
-            doc["err"] = coeffs.err
+        doc["Rbar"] = st.coefficients.Rbar
+        doc["Bbar"] = st.coefficients.Bbar
+        doc["err"] = st.coefficients.err
         if math.isfinite(st.ratio):
             doc["omega_plane_over_mu"] = st.omega_plane
             doc["omega_z_over_mu"] = st.omega_z
@@ -149,7 +147,6 @@ def _cell_json(cell):
 
 def _print_point_table(cell):
     eq, st = cell.equilibrium, cell.stability
-    coeffs = st.coefficients if st is not None else None
     rows = [("status", cell.status)]
     if eq is not None and math.isfinite(getattr(eq, "e_star", math.nan)):
         rows.append(("e_star", f"{eq.e_star:.12f}"))
@@ -158,12 +155,12 @@ def _print_point_table(cell):
         rows.append(("hess (pp, qq, pq)",
                      f"{eq.hessian[0, 0]:.9f}, {eq.hessian[1, 1]:.9f}, "
                      f"{eq.hessian[0, 1]:.2e}"))
-    if coeffs is not None:
+    if st is not None:
+        coeffs = st.coefficients
         rows.append(("Rbar", f"{coeffs.Rbar:.12f} (err {coeffs.err['Rbar']:.1e})"))
         rows.append(("Abar", f"{coeffs.Abar:.12f} (err {coeffs.err['Abar']:.1e})"))
         rows.append(("Bbar", f"{coeffs.Bbar:.3e} (err {coeffs.err['Bbar']:.1e})"))
         rows.append(("Cbar", f"{coeffs.Cbar:.12f} (err {coeffs.err['Cbar']:.1e})"))
-    if st is not None:
         rows.append(("spatial verdict", st.spatial_verdict))
         if math.isfinite(st.ratio):
             rows.append(("omega_plane / mu", f"{st.omega_plane:.9f}"))
@@ -279,9 +276,11 @@ def build_parser():
         p.add_argument("--mu", type=float, default=None,
                        help="planet mass fraction (default 0)")
         p.add_argument("--tol", type=float, default=None,
-                       help="quadrature relative tolerance (default 1e-10)")
+                       help="quadrature relative tolerance "
+                            f"(default {QuadratureSpec.tol:g})")
         p.add_argument("--max-nodes", type=int, default=None, dest="max_nodes",
-                       help="quadrature node cap per anomaly (default 4096)")
+                       help="quadrature node cap per anomaly "
+                            f"(default {QuadratureSpec.max_n})")
         p.add_argument("--config", type=str, default=None,
                        help="flat key = value config file")
         p.add_argument("--out", type=str, default=None,

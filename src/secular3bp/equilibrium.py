@@ -99,9 +99,9 @@ def _derivatives(cfg, e, quad, guard, second=False):
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
     guard.check(e)
     floors = (_SCALE_FLOOR, 1.0) + ((math.inf, math.inf) if second else ())
-    vals, errs, (nodes, _) = _doubling(
-        lambda n1, n2: kernels.quarter_derivatives(cfg.a, e, cfg.e_J, n1, n2,
-                                                   second=second),
+    vals, errs, nodes = _doubling(
+        lambda n: kernels.quarter_derivatives(cfg.a, e, cfg.e_J, n, n,
+                                              second=second),
         quad, floors=floors,
     )
     return vals, errs, nodes

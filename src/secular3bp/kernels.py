@@ -32,7 +32,7 @@ BACKEND = "numpy"
 # arrays of 512 KiB each, reused from chunk to chunk, so the working set
 # stays in a 2 MiB L2 cache; at n = 1024 this measured four to five times
 # faster per node than 4M-node chunks of fresh temporaries.
-_DERIV_CHUNK_ELEMS = 1 << 16
+_CHUNK_NODES = 1 << 16
 
 
 def _ellipse_nodes(E, a, e):
@@ -50,12 +50,12 @@ def _midpoints(lo, hi, n, span):
 
 
 def _row_blocks(rows, n2, count):
-    """Chunks of whole grid rows, at most _DERIV_CHUNK_ELEMS nodes (one row at least).
+    """Chunks of whole grid rows, at most _CHUNK_NODES nodes (one row at least).
 
     Yields the row range (lo, hi) and ``count`` scratch node arrays of
     shape (hi - lo, n2), the same memory for every chunk.
     """
-    step = max(1, _DERIV_CHUNK_ELEMS // max(n2, 1))
+    step = max(1, _CHUNK_NODES // max(n2, 1))
     buffers = np.empty((count, min(step, rows), n2))
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)

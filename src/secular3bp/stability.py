@@ -25,7 +25,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .averaging import QuadratureSpec, SeparationGuard, averaged_coefficients
+from .averaging import (
+    AveragedCoefficients,
+    QuadratureSpec,
+    SeparationGuard,
+    averaged_coefficients,
+)
 from .equilibrium import (
     POSITIVE_DEFINITE,
     STATUS_FOUND,
@@ -79,7 +84,7 @@ class StabilityRecord:
     omega_plane: float
     omega_z: float
     ratio: float
-    coefficients: object = None  # full AveragedCoefficients, for reporting
+    coefficients: AveragedCoefficients  # the full bundle, for reporting
 
 
 @dataclass(frozen=True)

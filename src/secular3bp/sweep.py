@@ -18,7 +18,12 @@ import numpy as np
 
 from . import kernels
 from ._version import __version__ as _pkg_version
-from .averaging import DEFAULT_SEPARATION_THRESHOLD, QuadratureSpec, SeparationGuard
+from .averaging import (
+    DEFAULT_SEPARATION_THRESHOLD,
+    N_START,
+    QuadratureSpec,
+    SeparationGuard,
+)
 from .equilibrium import (
     STATUS_FOUND,
     STATUS_MULTIPLE_ROOTS,
@@ -215,7 +220,7 @@ def run_sweep(a_range, eJ_range, mu=0.0, quad=None, jobs=1) -> SweepGrid:
         "a_min": grid.a_min, "a_max": grid.a_max, "n_a": grid.n_a,
         "eJ_min": grid.eJ_min, "eJ_max": grid.eJ_max, "n_eJ": grid.n_eJ,
         "mu": grid.mu,
-        "quad_n_ast": quad.n_ast, "quad_n_pl": quad.n_pl,
+        "quad_n_ast": N_START, "quad_n_pl": N_START,
         "quad_tol": quad.tol, "quad_max_n": quad.max_n,
         "separation_threshold": DEFAULT_SEPARATION_THRESHOLD,
         "cell_order": "row-major (a outer, e_J inner)",

@@ -156,15 +156,14 @@ def spatial_quadratic_oracle(cfg: OrbitConfig, e, quad: QuadratureSpec):
     def state(p3, q3):
         return PoincareState(p1=L, p2=p2s, p3=p3, q1=0.0, q2=0.0, q3=q3)
 
-    vals, _, (nodes, _) = _doubling(
-        lambda n, _: (direct_average_V3d(cfg, state(0.0, 0.0), quad, nodes=n)[0],),
+    vals, _, nodes = _doubling(
+        lambda n: (direct_average_V3d(cfg, state(0.0, 0.0), n),),
         quad, floors=(1e-12,),
     )
     v0 = float(vals[0])
 
     def vbar(p3, q3):
-        val, _ = direct_average_V3d(cfg, state(p3, q3), quad, nodes=nodes)
-        return val
+        return direct_average_V3d(cfg, state(p3, q3), nodes)
 
     h = _H_SCALE * math.sqrt(2.0 * L)
 

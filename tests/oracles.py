@@ -177,10 +177,11 @@ def orbit_min_separation(a, e, eJ, coarse_n=720, refine_rounds=8):
 
 
 def rbar_fine(cfg, e, g=0.0, nodes=512):
-    """Fixed-node Rbar evaluation used by the derivative oracles.
+    """Fixed-node Rbar at eccentricity e and periapsis angle g.
 
     The folded quarter-domain kernel at g = 0, the rotated full-domain one
-    otherwise, with the arguments ``averaged_R`` passes them.
+    (``kernels.rbar_rotated_mean``) otherwise; used by the derivative
+    oracles and the g != 0 checks of Rbar.
     """
     g = float(np.mod(g, 2.0 * np.pi))
     if g == 0.0:

@@ -11,11 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from secular3bp.averaging import (
-    QuadratureSpec,
-    averaged_coefficients,
-    averaged_R,
-)
+from secular3bp.averaging import QuadratureSpec, averaged_coefficients
 from secular3bp.geometry import OrbitConfig
 from secular3bp.stability import linearized_matrix, point_ratio, trace_resonance
 from secular3bp.sweep import run_sweep, sweep_csv_text
@@ -131,7 +127,9 @@ def test_planar_hessian_positive_definite(inner_sweep, outer_sweep):
 
 def test_small_a_limit(default_quad):
     """Rbar(a=1e-3, e=0.2, e_J=0.3) = 1 +- 1e-5 (outer-orbit average is 1)."""
-    rbar, err = averaged_R(OrbitConfig(a=1e-3, e_J=0.3), 0.2, 0.0, default_quad)
+    c = averaged_coefficients(OrbitConfig(a=1e-3, e_J=0.3), 0.2, default_quad,
+                              include_B=False)
+    rbar, err = c.Rbar, c.err["Rbar"]
     ok = abs(rbar - 1.0) < 1e-5
     _report("small-a-limit", ok, f"Rbar = {rbar:.10f}, |Rbar - 1| = "
                                  f"{abs(rbar - 1):.3e} (tol 1e-5), err {err:.1e}")

@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
-from oracles import mean_anomaly_rbar
+from oracles import mean_anomaly_rbar, rbar_fine
 from secular3bp import kernels
 from secular3bp.averaging import (
     AveragedCoefficients,
     QuadratureSpec,
     SeparationGuard,
-    averaged_R,
     averaged_coefficients,
     direct_average_V3d,
 )
 from secular3bp.errors import NonConvergedError, OrbitCrossingError
 from secular3bp.geometry import OrbitConfig, PoincareState, aligned_separation
-from secular3bp.validate import spatial_quadratic_oracle
+from secular3bp.validate import spatial_quadratic_oracle, unfolded_reference
 
 
 def brute_force_rbar(a, e, eJ, n=2048, g=0.0):
@@ -41,21 +40,10 @@ def brute_force_rbar(a, e, eJ, n=2048, g=0.0):
     return total / (n * n)
 
 
-def unfolded_AC_oracle(a, e, eJ, mu, n=1024):
-    """Full-domain averages of the raw (unfolded) A and C coefficients."""
-    E = (np.arange(n) + 0.5) * 2.0 * np.pi / n
-    EJ = (np.arange(n) + 0.5) * 2.0 * np.pi / n
-    x = a * (np.cos(E) - e)
-    y = a * math.sqrt(1.0 - e * e) * np.sin(E)
-    xJ = np.cos(EJ) - eJ
-    yJ = math.sqrt(1.0 - eJ * eJ) * np.sin(EJ)
-    w = np.outer(1.0 - e * np.cos(E), 1.0 - eJ * np.cos(EJ))
-    r1 = np.sqrt((x[:, None] - xJ[None, :]) ** 2 + (y[:, None] - yJ[None, :]) ** 2)
-    G = math.sqrt((1.0 - mu) * a * (1.0 - e * e))
-    abar = float(np.mean(-0.5 * w * np.outer(y, yJ) / (r1**3 * G)))
-    cbar = float(np.mean(-0.5 * w * np.outer(x, xJ) / (r1**3 * G)))
-    rbar = float(np.mean(w / r1))
-    return rbar, abar, cbar
+def averaged_rbar(cfg, e, quad):
+    """(Rbar, err) at g = 0 from the pipeline's coefficient quadrature."""
+    c = averaged_coefficients(cfg, e, quad, include_B=False)
+    return c.Rbar, c.err["Rbar"]
 
 
 class TestAveragedR:
@@ -63,7 +51,7 @@ class TestAveragedR:
         # The outer average of 1/r_J over the planet's mean anomaly is
         # exactly 1/a_J = 1; the a^2 correction is ~3e-7 at a = 1e-3.
         cfg = OrbitConfig(a=1e-3, e_J=0.3)
-        rbar, err = averaged_R(cfg, 0.2, 0.0, quad)
+        rbar, err = averaged_rbar(cfg, 0.2, quad)
         assert rbar == pytest.approx(1.0, abs=1e-5)
         assert err < 1e-9
 
@@ -73,7 +61,7 @@ class TestAveragedR:
         # integral of the first kind (parameter convention).
         a = 0.1
         cfg = OrbitConfig(a=a, e_J=0.0)
-        rbar, _ = averaged_R(cfg, 0.0, 0.0, quad)
+        rbar, _ = averaged_rbar(cfg, 0.0, quad)
         oracle = brute_force_rbar(a, 0.0, 0.0, n=2048)
         closed = 2.0 / (math.pi * (1.0 + a)) * ellipk(4.0 * a / (1.0 + a) ** 2)
         assert rbar == pytest.approx(oracle, abs=1e-12)
@@ -81,21 +69,22 @@ class TestAveragedR:
 
     def test_brute_force_eccentric(self, quad):
         cfg = OrbitConfig(a=0.35, e_J=0.4)
-        rbar, _ = averaged_R(cfg, 0.22, 0.0, quad)
+        rbar, _ = averaged_rbar(cfg, 0.22, quad)
         assert rbar == pytest.approx(brute_force_rbar(0.35, 0.22, 0.4), rel=1e-11)
         # Uniform mean anomalies, no Jacobian weight: checks the weight.
         assert rbar == pytest.approx(mean_anomaly_rbar(0.35, 0.22, 0.4), rel=1e-11)
 
     def test_circular_planet_g_symmetry(self, quad):
+        # The rotated full-domain kernel at g != 0 against the folded
+        # quarter-domain quadrature at g = 0.
         cfg = OrbitConfig(a=0.3, e_J=0.0)
-        base, _ = averaged_R(cfg, 0.25, 0.0, quad)
+        base, _ = averaged_rbar(cfg, 0.25, quad)
         for g in (0.7, math.pi / 2.0, 2.5):
-            val, _ = averaged_R(cfg, 0.25, g, quad)
-            assert val == pytest.approx(base, rel=1e-9)
+            assert rbar_fine(cfg, 0.25, g) == pytest.approx(base, rel=1e-9)
 
-    def test_general_g_against_brute_force(self, quad):
+    def test_general_g_against_brute_force(self):
         cfg = OrbitConfig(a=0.3, e_J=0.4)
-        val, _ = averaged_R(cfg, 0.2, 1.1, quad)
+        val = rbar_fine(cfg, 0.2, 1.1)
         assert val == pytest.approx(brute_force_rbar(0.3, 0.2, 0.4, g=1.1),
                                     rel=1e-11)
         assert val == pytest.approx(mean_anomaly_rbar(0.3, 0.2, 0.4, g=1.1),
@@ -103,11 +92,7 @@ class TestAveragedR:
 
     def test_crossing_refused_aligned(self, quad):
         with pytest.raises(OrbitCrossingError):
-            averaged_R(OrbitConfig(a=1.0, e_J=0.3), 0.3, 0.0, quad)
-
-    def test_crossing_refused_rotated(self, quad):
-        with pytest.raises(OrbitCrossingError):
-            averaged_R(OrbitConfig(a=1.0, e_J=0.3), 0.3, 0.5, quad)
+            averaged_rbar(OrbitConfig(a=1.0, e_J=0.3), 0.3, quad)
 
     def test_near_crossing_not_converged(self):
         # Separation ~4e-3: above the crossing threshold but too close for
@@ -116,7 +101,7 @@ class TestAveragedR:
         cfg = OrbitConfig(a=0.72, e_J=0.3)
         e = 0.80  # apoapsis gap = 1.3 - 0.72 * 1.80 = 0.004
         with pytest.raises(NonConvergedError):
-            averaged_R(cfg, e, 0.0, quad)
+            averaged_rbar(cfg, e, quad)
 
 
 class TestAveragedAC:
@@ -124,11 +109,10 @@ class TestAveragedAC:
         for (a, e, eJ) in [(0.5, 0.1, 0.2), (0.25, 0.35, 0.55), (2.2, 0.25, 0.4)]:
             cfg = OrbitConfig(a=a, e_J=eJ)
             c = averaged_coefficients(cfg, e, quad, include_B=False)
-            rbar, _ = averaged_R(cfg, e, 0.0, quad)
-            ref_r, ref_a, ref_c = unfolded_AC_oracle(a, e, eJ, 0.0)
+            ref_r, ref_a, ref_c = unfolded_reference(a, e, eJ, 0.0, 1024)
             assert c.Abar == pytest.approx(ref_a, rel=1e-10)
             assert c.Cbar == pytest.approx(ref_c, rel=1e-10)
-            assert rbar == pytest.approx(ref_r, rel=1e-10)
+            assert c.Rbar == pytest.approx(ref_r, rel=1e-10)
 
     def test_abar_negative(self, quad):
         for (a, e, eJ) in [(0.1, 0.05, 0.1), (0.5, 0.3, 0.4), (3.0, 0.2, 0.6)]:
@@ -173,7 +157,7 @@ class TestAveragedB:
 class TestDoublingControl:
     def test_reported_error_is_conservative(self, quad):
         cfg = OrbitConfig(a=0.5, e_J=0.2)
-        rbar, err = averaged_R(cfg, 0.1, 0.0, quad)
+        rbar, err = averaged_rbar(cfg, 0.1, quad)
         fine = brute_force_rbar(0.5, 0.1, 0.2, n=4096)
         assert abs(rbar - fine) <= max(err, 1e-12) + 1e-12
 
@@ -189,18 +173,18 @@ class TestDoublingControl:
                   for n in (64, 128))
         assert info.value.last_error == float(np.max(np.abs(hi - lo)))
         assert f"{info.value.last_error:.3e}" in str(info.value)
+        assert info.value.nodes == 128
         # No doubling at all: there is no change to report.
         with pytest.raises(NonConvergedError) as info:
-            averaged_coefficients(cfg, e, QuadratureSpec(64, 64, max_n=64))
+            averaged_coefficients(cfg, e, QuadratureSpec(max_n=64))
         assert math.isnan(info.value.last_error)
+        assert info.value.nodes == 64
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(ValueError):
-            QuadratureSpec(n_ast=4)
+            QuadratureSpec(max_n=32)
         with pytest.raises(ValueError):
             QuadratureSpec(tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(n_ast=256, max_n=128)
 
 
 class TestSeparationGuard:
@@ -237,9 +221,8 @@ class TestDirectAverage3D:
         L = cfg.L
         p2 = math.sqrt(2.0 * (L - cfg.G_of(e)))
         state = PoincareState(p1=L, p2=p2, p3=0.0, q1=0.0, q2=0.0, q3=0.0)
-        v3d, _ = direct_average_V3d(cfg, state, quad)
-        rbar, _ = averaged_R(cfg, e, 0.0, quad)
-        assert v3d == pytest.approx(rbar, rel=1e-10)
+        rbar, _ = averaged_rbar(cfg, e, quad)
+        assert direct_average_V3d(cfg, state, 512) == pytest.approx(rbar, rel=1e-10)
 
     def test_fd_hessian_matches_coefficients(self, quad):
         # Second derivatives in (p3, q3) of the 3-D average reproduce
@@ -255,12 +238,12 @@ class TestDirectAverage3D:
     def test_oracle_refuses_unconverged_base(self):
         # The node cap allows no doubling, so the base point cannot converge.
         cfg = OrbitConfig(a=0.4, e_J=0.3)
-        capped = QuadratureSpec(n_ast=64, n_pl=64, max_n=64)
+        capped = QuadratureSpec(max_n=64)
         with pytest.raises(NonConvergedError):
             spatial_quadratic_oracle(cfg, 0.17, capped)
 
-    def test_inconsistent_p1_rejected(self, quad):
+    def test_inconsistent_p1_rejected(self):
         cfg = OrbitConfig(a=0.4, e_J=0.3)
         state = PoincareState(p1=1.0, p2=0.1, p3=0.0, q1=0.0, q2=0.0, q3=0.0)
         with pytest.raises(ValueError):
-            direct_average_V3d(cfg, state, quad)
+            direct_average_V3d(cfg, state, 64)

@@ -76,7 +76,7 @@ class TestDerivative:
         # At n = 1024 every e spans several kernel chunks.
         a, eJ, n = 0.4, 0.3, 1024
         es = np.array([0.05, 0.12, 0.2, 0.31, 0.44])
-        assert n * n > kernels._DERIV_CHUNK_ELEMS
+        assert n * n > kernels._CHUNK_NODES
         batch = kernels.quarter_derivatives(a, es, eJ, n, n, second=True)
         single = [kernels.quarter_derivatives(a, float(e), eJ, n, n, second=True)
                   for e in es]

@@ -27,7 +27,7 @@ def test_near_planet_triple_is_near():
 
 
 def test_largest_size_spans_chunks():
-    assert 1024 * 1024 // kernels._DERIV_CHUNK_ELEMS == 16
+    assert 1024 * 1024 // kernels._CHUNK_NODES == 16
 
 
 @pytest.mark.parametrize("n", SIZES)
