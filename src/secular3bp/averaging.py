@@ -75,8 +75,8 @@ class QuadratureSpec:
     max_n: int = 4096
 
     def __post_init__(self):
-        if not (self.tol > 0.0):
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
         if self.max_n < N_START:
             raise ValueError(f"max_n must be at least N_START = {N_START}")
 
@@ -140,7 +140,7 @@ class SeparationGuard:
             )
 
 
-def _doubling(eval_at, quad: QuadratureSpec, floors=None):
+def _doubling(eval_at, quad: QuadratureSpec, floors):
     """Run node doubling until consecutive levels agree; returns level data.
 
     ``eval_at(n)`` must return a tuple of floats from n nodes per anomaly.
@@ -153,10 +153,7 @@ def _doubling(eval_at, quad: QuadratureSpec, floors=None):
     """
     n = N_START
     prev = np.asarray(eval_at(n), dtype=float)
-    if floors is None:
-        floors = np.full(prev.shape, _SCALE_FLOOR)
-    else:
-        floors = np.asarray(floors, dtype=float)
+    floors = np.asarray(floors, dtype=float)
     last_error = math.nan
     while True:
         if 2 * n > quad.max_n:
@@ -185,14 +182,14 @@ def _quarter_eval(a, e, eJ, n):
     return rbar, a_mean, c_mean
 
 
-def averaged_coefficients(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None,
-                          include_B=True) -> AveragedCoefficients:
+def averaged_coefficients(cfg: OrbitConfig, e, quad: QuadratureSpec,
+                          guard=None) -> AveragedCoefficients:
     """All averaged coefficients at the aligned configuration (g = 0, i = 0).
 
     Rbar, Abar, Cbar come from one quarter-domain evaluation; Bbar (whose
     exact value is 0 by symmetry) is evaluated over the full domain at the
-    same resolution when ``include_B`` is set.  Bbar is a numerical
-    invariant: callers assert that it sits below the quadrature tolerance.
+    same resolution.  Bbar is a numerical invariant: callers assert that it
+    sits below the quadrature tolerance.
 
     Raises:
         OrbitCrossingError: Orbits closer than the separation threshold.
@@ -209,26 +206,22 @@ def averaged_coefficients(cfg: OrbitConfig, e, quad: QuadratureSpec, guard=None,
     G = cfg.G_of(e)
 
     def eval_all(n):
-        rbar, a_mean, c_mean = _quarter_eval(cfg.a, e, cfg.e_J, n)
-        if include_B:
-            b_mean = kernels.bbar_mean(cfg.a, e, cfg.e_J, n, n)
-            return rbar, a_mean, c_mean, b_mean
-        return rbar, a_mean, c_mean
+        return (*_quarter_eval(cfg.a, e, cfg.e_J, n),
+                kernels.bbar_mean(cfg.a, e, cfg.e_J, n, n))
 
     # Bbar is identically zero: converge it absolutely at tol, on the
     # natural O(1) scale of the disturbing function.
-    floors = (_SCALE_FLOOR, _SCALE_FLOOR, _SCALE_FLOOR, 1.0) if include_B \
-        else (_SCALE_FLOOR, _SCALE_FLOOR, _SCALE_FLOOR)
-    vals, errs, _ = _doubling(eval_all, quad, floors=floors)
-    rbar, a_mean, c_mean = vals[0], vals[1], vals[2]
+    vals, errs, _ = _doubling(
+        eval_all, quad, floors=(_SCALE_FLOOR, _SCALE_FLOOR, _SCALE_FLOOR, 1.0))
+    rbar, a_mean, c_mean, b_mean = vals
     abar = -a_mean / G
     cbar = -c_mean / G
-    bbar = -vals[3] / (4.0 * G) if include_B else math.nan
+    bbar = -b_mean / (4.0 * G)
     err = {
         "Rbar": float(errs[0]),
         "Abar": float(errs[1] / G),
         "Cbar": float(errs[2] / G),
-        "Bbar": float(errs[3] / (4.0 * G)) if include_B else math.nan,
+        "Bbar": float(errs[3] / (4.0 * G)),
     }
     if not abar < 0.0:
         raise RuntimeError(
@@ -263,7 +256,7 @@ def direct_average_V3d(cfg: OrbitConfig, state: PoincareState, n):
         raise ValueError(
             f"state.p1 = {state.p1} inconsistent with sqrt((1-mu) a) = {L}"
         )
-    d, _flags = delaunay_from_poincare(state)
+    d = delaunay_from_poincare(state)
     ratio = min(d.G / d.L, 1.0)
     e = math.sqrt(max(0.0, 1.0 - ratio * ratio))
     if not (0.0 <= e < 1.0):

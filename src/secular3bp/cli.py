@@ -17,8 +17,8 @@ import sys
 
 from ._version import __version__
 from .averaging import N_START, QuadratureSpec
-from .equilibrium import STATUS_FOUND, STATUS_MULTIPLE_ROOTS, STATUS_ORBIT_CROSSING
-from .errors import NonConvergedError, OrbitCrossingError, Secular3bpError
+from .equilibrium import EQUILIBRIUM_STATUSES, STATUS_ORBIT_CROSSING
+from .errors import OrbitCrossingError, Secular3bpError
 from .sweep import (
     evaluate_cell,
     resonance_csv_text,
@@ -124,7 +124,7 @@ def _cell_json(cell):
         "status": cell.status,
         "message": cell.message,
     }
-    if eq is not None and math.isfinite(getattr(eq, "e_star", math.nan)):
+    if eq is not None and math.isfinite(eq.e_star):
         doc["e_star"] = eq.e_star
         doc["residual"] = eq.residual
         doc["hessian"] = [[eq.hessian[0, 0], eq.hessian[0, 1]],
@@ -133,8 +133,8 @@ def _cell_json(cell):
         doc["all_roots"] = list(eq.all_roots)
     if st is not None:
         doc["verdict"] = st.spatial_verdict
-        doc["Abar"] = st.Abar
-        doc["Cbar"] = st.Cbar
+        doc["Abar"] = st.coefficients.Abar
+        doc["Cbar"] = st.coefficients.Cbar
         doc["Rbar"] = st.coefficients.Rbar
         doc["Bbar"] = st.coefficients.Bbar
         doc["err"] = st.coefficients.err
@@ -148,7 +148,7 @@ def _cell_json(cell):
 def _print_point_table(cell):
     eq, st = cell.equilibrium, cell.stability
     rows = [("status", cell.status)]
-    if eq is not None and math.isfinite(getattr(eq, "e_star", math.nan)):
+    if eq is not None and math.isfinite(eq.e_star):
         rows.append(("e_star", f"{eq.e_star:.12f}"))
         rows.append(("residual |dRbar/de|", f"{eq.residual:.3e}"))
         rows.append(("hessian_definite", eq.hessian_definite))
@@ -190,7 +190,7 @@ def cmd_point(args):
             fh.write("\n")
     if cell.status == STATUS_ORBIT_CROSSING:
         return EXIT_CROSSING
-    if cell.status in (STATUS_FOUND, STATUS_MULTIPLE_ROOTS):
+    if cell.status in EQUILIBRIUM_STATUSES:
         if cell.stability is not None and \
                 cell.stability.spatial_verdict == LINEARLY_STABLE:
             return EXIT_OK
@@ -336,16 +336,13 @@ def main(argv=None):
         config_path = getattr(args, "config", None)
         args._config_values = _read_config(config_path) if config_path else {}
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OrbitCrossingError as exc:
         print(f"orbit crossing: {exc}", file=sys.stderr)
         return EXIT_CROSSING
-    except (NonConvergedError, Secular3bpError) as exc:
+    except Secular3bpError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

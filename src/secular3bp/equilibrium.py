@@ -38,6 +38,7 @@ __all__ = [
     "STATUS_NO_ROOT",
     "STATUS_MULTIPLE_ROOTS",
     "STATUS_ORBIT_CROSSING",
+    "EQUILIBRIUM_STATUSES",
     "EquilibriumRecord",
     "find_equilibrium",
     "planar_hessian",
@@ -48,6 +49,8 @@ STATUS_FOUND = "FOUND"
 STATUS_NO_ROOT = "NO_ROOT"
 STATUS_MULTIPLE_ROOTS = "MULTIPLE_ROOTS"
 STATUS_ORBIT_CROSSING = "ORBIT_CROSSING"
+# The statuses of a cell with a located stable equilibrium.
+EQUILIBRIUM_STATUSES = (STATUS_FOUND, STATUS_MULTIPLE_ROOTS)
 
 POSITIVE_DEFINITE = "POSITIVE_DEFINITE"
 NEGATIVE_DEFINITE = "NEGATIVE_DEFINITE"
@@ -64,8 +67,9 @@ _DEFINITE_FLOOR = 1e-9
 
 # Inter-orbit separation (scaled by max(1, a)) needed for the quadrature to
 # converge within the node cap; crossing-bounded bracket sides are inset so
-# scan points stay this far from the boundary.
-_SAFE_SEPARATION = 4e-3
+# scan points stay this far from the boundary.  Being above the guard
+# threshold, it keeps every admissible scan point clear of the guard.
+_SAFE_SEPARATION = 4.0 * DEFAULT_SEPARATION_THRESHOLD
 
 _ROOT_RESIDUAL_TOL = 1e-11
 # The scan grid is inset this far from the bracket ends; moving the grid
@@ -77,7 +81,6 @@ _SCAN_INSET = 1e-4
 class EquilibriumRecord:
     """Located planar equilibrium with residual, Hessian, and status."""
 
-    cfg: OrbitConfig
     e_star: float
     residual: float
     hessian: np.ndarray | None
@@ -120,19 +123,14 @@ def classify_definiteness(hessian):
     return INDEFINITE
 
 
-def _required_separation(cfg):
-    """Separation needed for geometric quadrature convergence at the cap."""
-    return _SAFE_SEPARATION * max(1.0, cfg.a)
-
-
 def _scan_grid(cfg, guard):
     """Scan abscissae over the bracket with a per-point admissibility mask.
 
-    A point is admissible when the exact aligned separation leaves both the
-    crossing threshold and the convergence-safety margin; inadmissible
-    points are masked out rather than failing the whole search, because the
-    near-crossing band can sit at either end (or both ends) of the
-    eccentricity range.
+    A point is admissible when the exact aligned separation leaves the
+    convergence-safety margin, which exceeds the crossing threshold;
+    inadmissible points are masked out rather than failing the whole
+    search, because the near-crossing band can sit at either end (or both
+    ends) of the eccentricity range.
     """
     lo, hi = DEFAULT_E_BRACKET
     interval = aligned_noncrossing_interval(cfg.a, cfg.e_J)
@@ -143,8 +141,7 @@ def _scan_grid(cfg, guard):
     if lo + 2.0 * _SCAN_INSET >= hi:
         return None, None
     grid = np.linspace(lo + _SCAN_INSET, hi - _SCAN_INSET, _N_SCAN)
-    s_req = max(2.0 * DEFAULT_SEPARATION_THRESHOLD, _required_separation(cfg))
-    mask = guard.min_separation(grid) >= s_req
+    mask = guard.min_separation(grid) >= _SAFE_SEPARATION * max(1.0, cfg.a)
     if not mask.any():
         return None, None
     return grid, mask
@@ -168,7 +165,7 @@ def _chain_rule_hessian(cfg, e_star, r_e, r_ee, r_gg):
     return mu_factor * np.array([[hess_pp, 0.0], [0.0, hess_qq]])
 
 
-def planar_hessian(cfg: OrbitConfig, e_star, quad: QuadratureSpec, guard=None):
+def planar_hessian(cfg: OrbitConfig, e_star, quad: QuadratureSpec):
     """Second derivatives of Rbar in canonical (p2, q2) at (e_star, g = 0).
 
     The chain rule through p2 = sqrt(2 (L - G)) cos g, q2 = -sqrt(2 (L - G))
@@ -191,17 +188,14 @@ def planar_hessian(cfg: OrbitConfig, e_star, quad: QuadratureSpec, guard=None):
         e_star: Eccentricity of the expansion point, in (0, 1); the chart
             is singular at e = 0.
         quad: Quadrature control.
-        guard: Optional shared SeparationGuard.
 
     Returns:
         2x2 numpy array [[d2/dp2^2, d2/dp2dq2], [d2/dp2dq2, d2/dq2^2]].
     """
     if not (0.0 < e_star < 1.0):
         raise ValueError(f"eccentricity must be in (0, 1), got {e_star}")
-    if guard is None:
-        guard = SeparationGuard(cfg)
-    (_, r_e, r_ee, r_gg), _, _ = _derivatives(cfg, e_star, quad, guard,
-                                              second=True)
+    (_, r_e, r_ee, r_gg), _, _ = _derivatives(cfg, e_star, quad,
+                                              SeparationGuard(cfg), second=True)
     return _chain_rule_hessian(cfg, e_star, r_e, r_ee, r_gg)
 
 
@@ -241,7 +235,7 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
     scan, mask = _scan_grid(cfg, guard)
     if scan is None:
         return EquilibriumRecord(
-            cfg=cfg, e_star=math.nan, residual=math.nan, hessian=None,
+            e_star=math.nan, residual=math.nan, hessian=None,
             hessian_definite=DEGENERATE, status=STATUS_ORBIT_CROSSING,
             message="entire eccentricity bracket crosses (or nearly crosses) "
                     "the planet orbit",
@@ -277,7 +271,7 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
     ]
     if not brackets:
         return EquilibriumRecord(
-            cfg=cfg, e_star=math.nan, residual=math.nan, hessian=None,
+            e_star=math.nan, residual=math.nan, hessian=None,
             hessian_definite=DEGENERATE, status=STATUS_NO_ROOT,
             message="dRbar/de has no sign change on the admissible bracket",
         )
@@ -302,8 +296,8 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
     all_roots = tuple(r[0] for r in records)
     if not stable:
         return EquilibriumRecord(
-            cfg=cfg, e_star=math.nan, residual=math.nan, hessian=None,
-            hessian_definite=records[0][3] if records else DEGENERATE,
+            e_star=math.nan, residual=math.nan, hessian=None,
+            hessian_definite=records[0][3],
             status=STATUS_NO_ROOT, all_roots=all_roots,
             message="roots located but none has a positive-definite Hessian",
         )
@@ -311,6 +305,6 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
     e_star, resid, hess, definite = min(stable, key=lambda r: r[1])
     status = STATUS_FOUND if len(records) == 1 else STATUS_MULTIPLE_ROOTS
     return EquilibriumRecord(
-        cfg=cfg, e_star=e_star, residual=resid, hessian=hess,
+        e_star=e_star, residual=resid, hessian=hess,
         hessian_definite=definite, status=status, all_roots=all_roots,
     )

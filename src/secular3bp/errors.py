@@ -13,9 +13,13 @@ class OrbitCrossingError(Secular3bpError):
     configuration as outside the model's domain of validity.
     """
 
-    def __init__(self, message, separation=None):
+    def __init__(self, message, separation):
         super().__init__(message)
         self.separation = separation
+
+    def __reduce__(self):
+        # Pickled with both arguments, so it crosses process boundaries.
+        return type(self), (str(self), self.separation)
 
 
 class NonConvergedError(Secular3bpError):

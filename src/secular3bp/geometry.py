@@ -28,7 +28,6 @@ __all__ = [
     "OrbitConfig",
     "DelaunayElements",
     "PoincareState",
-    "ConversionFlags",
     "wrap_angle",
     "rotation_matrix",
     "delaunay_from_poincare",
@@ -127,19 +126,6 @@ class PoincareState:
             raise ValueError("p2^2 + q2^2 exceeds 2 L: no real eccentricity")
 
 
-@dataclass(frozen=True)
-class ConversionFlags:
-    """Indeterminate-angle markers for the Poincare -> Delaunay map.
-
-    On the singular sets e = 0 (G = L) and i = 0 (H = G) the angles g+h
-    resp. h are undefined; the conversion still returns momenta, with the
-    affected angles set to 0 and flagged here.
-    """
-
-    gh_indeterminate: bool = False
-    h_indeterminate: bool = False
-
-
 def rotation_matrix(omega, i, Omega):
     """3x2 matrix taking orbital-plane (x', y') to inertial (x, y, z)."""
     co, so = math.cos(omega), math.sin(omega)
@@ -154,24 +140,19 @@ def rotation_matrix(omega, i, Omega):
     )
 
 
-def delaunay_from_poincare(p: PoincareState):
-    """Map Poincare variables to Delaunay; returns (DelaunayElements, ConversionFlags).
+def delaunay_from_poincare(p: PoincareState) -> DelaunayElements:
+    """Map Poincare variables to Delaunay elements.
 
     The momenta are always recovered exactly; on the singular sets e = 0 and
-    i = 0 the angles g+h resp. h are indeterminate and are returned as 0,
-    flagged in ConversionFlags.  The map is mu-free.
+    i = 0 the angles g+h resp. h are indeterminate and are returned as 0.
+    The map is mu-free.
     """
     L = p.p1
     G = L - 0.5 * (p.p2**2 + p.q2**2)
     H = G - 0.5 * (p.p3**2 + p.q3**2)
-    gh_ind = p.p2 == 0.0 and p.q2 == 0.0
-    h_ind = p.p3 == 0.0 and p.q3 == 0.0
-    gh = 0.0 if gh_ind else math.atan2(-p.q2, p.p2)
-    h = 0.0 if h_ind else math.atan2(-p.q3, p.p3)
-    g = gh - h
-    l = p.q1 - gh
-    elements = DelaunayElements(L=L, G=G, H=H, l=l, g=g, h=h)
-    return elements, ConversionFlags(gh_indeterminate=gh_ind, h_indeterminate=h_ind)
+    gh = 0.0 if p.p2 == 0.0 and p.q2 == 0.0 else math.atan2(-p.q2, p.p2)
+    h = 0.0 if p.p3 == 0.0 and p.q3 == 0.0 else math.atan2(-p.q3, p.p3)
+    return DelaunayElements(L=L, G=G, H=H, l=p.q1 - gh, g=gh - h, h=h)
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,9 @@ def _ellipse_nodes(E, a, e):
     return a * (c - e), a * np.sqrt(1.0 - e * e) * np.sin(E), 1.0 - e * c
 
 
-def _midpoints(lo, hi, n, span):
-    """Midpoint anomalies lo..hi-1 of an n-node grid over [0, span)."""
-    return (np.arange(lo, hi) + 0.5) * (span / n)
+def _midpoints(n, span):
+    """Midpoint anomalies of an n-node grid over [0, span)."""
+    return (np.arange(n) + 0.5) * (span / n)
 
 
 def _row_blocks(rows, n2, count):
@@ -71,9 +71,10 @@ def _rowsum(m, v):
     return np.einsum("ij,j->i", m, v)
 
 
-def _quarter_rows(a, ev, eJ, n1, n2):
+def _quarter_rows(a, ev, n1, xJ, yJ, wJ):
     """One row pass over the quarter grid [0, pi]^2 for each e in ``ev``.
 
+    (xJ, yJ, wJ) are the planet's nodes on its n2 quarter-grid anomalies.
     The ev.size * n1 grid rows (e-major) are visited in chunks.  Per chunk
     this yields the row range (lo, hi); the rows' e, E, x, y and weight wi;
     the node arrays u = 1/r and v = 1/r^3 to the planet (1) and to its
@@ -81,10 +82,9 @@ def _quarter_rows(a, ev, eJ, n1, n2):
     s_u = sum wJ (u1 + u2), s_px = sum wJ xJ pv and s_my = sum wJ yJ dv.
     The node arrays are scratch space that the next chunk overwrites.
     """
-    xJ, yJ, wJ = _ellipse_nodes(_midpoints(0, n2, n2, np.pi), 1.0, eJ)
     wx, wy = wJ * xJ, wJ * yJ
-    E_row = _midpoints(0, n1, n1, np.pi)
-    for lo, hi, (dx2, s1, s2, u1, u2, dv) in _row_blocks(ev.size * n1, n2, 6):
+    E_row = _midpoints(n1, np.pi)
+    for lo, hi, (dx2, s1, s2, u1, u2, dv) in _row_blocks(ev.size * n1, xJ.size, 6):
         k = np.arange(lo, hi)
         ek = ev[k // n1]
         E = E_row[k % n1]
@@ -121,10 +121,11 @@ def quarter_sums(a, e, eJ, n1, n2):
     (r2^3 - r1^3) y yJ.  Per row the sums are wi * sum wJ (1/r1 + 1/r2),
     wi y * sum wJ yJ (1/r1^3 - 1/r2^3) and wi x * sum wJ xJ (1/r1^3 + 1/r2^3).
     """
+    planet = _ellipse_nodes(_midpoints(n2, np.pi), 1.0, eJ)
     rows = np.empty((3, n1))
     min_factor = np.inf
     for (lo, hi, _, _, x, y, wi, _, _, _, _, _, dv,
-         s_u, s_px, s_my) in _quarter_rows(a, np.array([float(e)]), eJ, n1, n2):
+         s_u, s_px, s_my) in _quarter_rows(a, np.array([float(e)]), n1, *planet):
         min_factor = min(min_factor, float(dv.min()))
         rows[0, lo:hi] = wi * s_u
         rows[1, lo:hi] = wi * y * s_my
@@ -154,10 +155,10 @@ def quarter_derivatives(a, e, eJ, n1, n2, second=False):
     """
     es = np.asarray(e, dtype=float)
     ev = es.reshape(-1)
-    xJ, yJ, wJ = _ellipse_nodes(_midpoints(0, n2, n2, np.pi), 1.0, eJ)
+    xJ, yJ, wJ = _ellipse_nodes(_midpoints(n2, np.pi), 1.0, eJ)
     rows = np.empty((4 if second else 2, ev.size * n1))
     for (lo, hi, ek, E, x, y, wi, u1, u2, v1, v2, pv, dv,
-         s_u, s_px, s_my) in _quarter_rows(a, ev, eJ, n1, n2):
+         s_u, s_px, s_my) in _quarter_rows(a, ev, n1, xJ, yJ, wJ):
         out = rows[:, lo:hi]
         cE = np.cos(E)
         b2 = 1.0 - ek * ek
@@ -211,9 +212,9 @@ def bbar_mean(a, e, eJ, n1, n2):
 
     Per row: wi * (x * sum wJ yJ / r1^3 + y * sum wJ xJ / r1^3).
     """
-    xJ, yJ, wJ = _ellipse_nodes(_midpoints(0, n2, n2, 2.0 * np.pi), 1.0, eJ)
+    xJ, yJ, wJ = _ellipse_nodes(_midpoints(n2, 2.0 * np.pi), 1.0, eJ)
     wx, wy = wJ * xJ, wJ * yJ
-    x, y, wi = _ellipse_nodes(_midpoints(0, n1, n1, 2.0 * np.pi), a, e)
+    x, y, wi = _ellipse_nodes(_midpoints(n1, 2.0 * np.pi), a, e)
     rows = np.empty(n1)
     for lo, hi, (s, t) in _row_blocks(n1, n2, 2):
         np.subtract.outer(x[lo:hi], xJ, out=s)
@@ -246,8 +247,8 @@ def vbar_mean(a, e, eJ, m00, m01, m10, m11, m20, m21, n1, n2):
     inertial (x, y, z).  Also returns the smallest sampled r^2.  Per row:
     wi * sum wJ / r.
     """
-    xJ, yJ, wJ = _ellipse_nodes(_midpoints(0, n2, n2, 2.0 * np.pi), 1.0, eJ)
-    xp, yp, wi = _ellipse_nodes(_midpoints(0, n1, n1, 2.0 * np.pi), a, e)
+    xJ, yJ, wJ = _ellipse_nodes(_midpoints(n2, 2.0 * np.pi), 1.0, eJ)
+    xp, yp, wi = _ellipse_nodes(_midpoints(n1, 2.0 * np.pi), a, e)
     x = m00 * xp + m01 * yp
     y = m10 * xp + m11 * yp
     z = m20 * xp + m21 * yp

@@ -32,9 +32,8 @@ from .averaging import (
     averaged_coefficients,
 )
 from .equilibrium import (
+    EQUILIBRIUM_STATUSES,
     POSITIVE_DEFINITE,
-    STATUS_FOUND,
-    STATUS_MULTIPLE_ROOTS,
     EquilibriumRecord,
     find_equilibrium,
 )
@@ -72,19 +71,16 @@ _PARAM_TOL = 1e-4
 class StabilityRecord:
     """Spatial stability classification at one planar equilibrium.
 
+    ``coefficients`` holds the averaged coefficients the verdict rests on.
     Frequencies are stored divided by mu (they both carry the common factor
     mu, so the ratio is mu-independent).
     """
 
-    cfg: OrbitConfig
-    e_star: float
-    Abar: float
-    Cbar: float
     spatial_verdict: str
     omega_plane: float
     omega_z: float
     ratio: float
-    coefficients: AveragedCoefficients  # the full bundle, for reporting
+    coefficients: AveragedCoefficients
 
 
 @dataclass(frozen=True)
@@ -176,7 +172,7 @@ def classify_spatial(cfg: OrbitConfig, eq: EquilibriumRecord,
     Returns:
         StabilityRecord.
     """
-    if eq.status not in (STATUS_FOUND, STATUS_MULTIPLE_ROOTS):
+    if eq.status not in EQUILIBRIUM_STATUSES:
         raise ValueError(f"cannot classify equilibrium with status {eq.status}")
     if guard is None:
         guard = SeparationGuard(cfg)
@@ -198,7 +194,6 @@ def classify_spatial(cfg: OrbitConfig, eq: EquilibriumRecord,
         except DegenerateError:
             pass
     return StabilityRecord(
-        cfg=cfg, e_star=eq.e_star, Abar=coeffs.Abar, Cbar=coeffs.Cbar,
         spatial_verdict=verdict, omega_plane=omega_plane, omega_z=omega_z,
         ratio=ratio, coefficients=coeffs,
     )
@@ -215,7 +210,7 @@ def point_ratio(a, e_J, mu, quad: QuadratureSpec):
         cfg = OrbitConfig(a=a, e_J=e_J, mu=mu)
         guard = SeparationGuard(cfg)
         eq = find_equilibrium(cfg, quad, guard=guard)
-        if eq.status not in (STATUS_FOUND, STATUS_MULTIPLE_ROOTS):
+        if eq.status not in EQUILIBRIUM_STATUSES:
             return None
         rec = classify_spatial(cfg, eq, quad, guard=guard)
     except (Secular3bpError, ValueError):

@@ -24,12 +24,7 @@ from .averaging import (
     QuadratureSpec,
     SeparationGuard,
 )
-from .equilibrium import (
-    STATUS_FOUND,
-    STATUS_MULTIPLE_ROOTS,
-    STATUS_ORBIT_CROSSING,
-    find_equilibrium,
-)
+from .equilibrium import EQUILIBRIUM_STATUSES, STATUS_ORBIT_CROSSING, find_equilibrium
 from .errors import NonConvergedError, OrbitCrossingError
 from .geometry import OrbitConfig
 from .stability import INCONCLUSIVE, classify_spatial
@@ -133,8 +128,7 @@ class SweepGrid:
         return out
 
     def found_cells(self):
-        return [c for c in self.cells
-                if c.status in (STATUS_FOUND, STATUS_MULTIPLE_ROOTS)]
+        return [c for c in self.cells if c.status in EQUILIBRIUM_STATUSES]
 
 
 def evaluate_cell(a, e_J, mu, quad: QuadratureSpec) -> CellResult:
@@ -147,7 +141,7 @@ def evaluate_cell(a, e_J, mu, quad: QuadratureSpec) -> CellResult:
     try:
         guard = SeparationGuard(cfg)
         eq = find_equilibrium(cfg, quad, guard=guard)
-        if eq.status not in (STATUS_FOUND, STATUS_MULTIPLE_ROOTS):
+        if eq.status not in EQUILIBRIUM_STATUSES:
             return CellResult(a=a, e_J=e_J, status=eq.status,
                               equilibrium=eq, message=eq.message)
         stab = classify_spatial(cfg, eq, quad, guard=guard)

@@ -32,7 +32,7 @@ from .averaging import (
     averaged_coefficients,
     direct_average_V3d,
 )
-from .equilibrium import STATUS_FOUND, STATUS_MULTIPLE_ROOTS, find_equilibrium
+from .equilibrium import EQUILIBRIUM_STATUSES, find_equilibrium
 from .errors import Secular3bpError
 from .geometry import (
     OrbitConfig,
@@ -75,7 +75,7 @@ class CheckResult:
     tolerance: float
     worst: float
     passed: bool
-    detail: str = ""
+    detail: str
 
     def line(self):
         flag = "PASS" if self.passed else "FAIL"
@@ -193,7 +193,7 @@ def _check_folding(points, quad, tol):
     worst = 0.0
     for (a, e, eJ) in points:
         cfg = OrbitConfig(a=a, e_J=eJ)
-        coeffs = averaged_coefficients(cfg, e, quad, include_B=False)
+        coeffs = averaged_coefficients(cfg, e, quad)
         # Independent reference, converged by its own doubling.
         n = 256
         ref = unfolded_reference(a, e, eJ, cfg.mu, n)
@@ -210,12 +210,12 @@ def _check_folding(points, quad, tol):
                        f"{len(points)} points")
 
 
-def _check_spatial_hessian(points, quad, rel_tol, cross_tol, inject=None):
+def _check_spatial_hessian(points, quad, rel_tol, cross_tol, inject):
     worst_rel = 0.0
     worst_cross = 0.0
     for (a, e, eJ) in points:
         cfg = OrbitConfig(a=a, e_J=eJ)
-        coeffs = averaged_coefficients(cfg, e, quad, include_B=False)
+        coeffs = averaged_coefficients(cfg, e, quad)
         abar, cbar = coeffs.Abar, coeffs.Cbar
         if inject == "abar-sign":
             abar = -abar
@@ -234,10 +234,8 @@ def _check_mu_scaling(points, quad, tol):
     worst = 0.0
     expected = (1.0 - _MU_ALT) ** -0.5
     for (a, e, eJ) in points:
-        c0 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=0.0), e, quad,
-                                   include_B=False)
-        c1 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=_MU_ALT), e, quad,
-                                   include_B=False)
+        c0 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=0.0), e, quad)
+        c1 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=_MU_ALT), e, quad)
         for v0, v1 in ((c0.Abar, c1.Abar), (c0.Cbar, c1.Cbar)):
             worst = max(worst, abs(v1 / v0 - expected) / expected)
     return CheckResult("mu-scaling", tol, worst, worst < tol,
@@ -253,14 +251,15 @@ def _check_spectrum(points, quad, tol):
             eq = find_equilibrium(cfg, quad)
         except Secular3bpError:
             continue
-        if eq.status not in (STATUS_FOUND, STATUS_MULTIPLE_ROOTS):
+        if eq.status not in EQUILIBRIUM_STATUSES:
             continue
         rec = classify_spatial(cfg, eq, quad)
         if not math.isfinite(rec.ratio):
             continue
         used += 1
-        om_p, om_z, _ = frequencies(eq, rec.Abar, rec.Cbar)
-        eigs = np.linalg.eigvals(linearized_matrix(eq.hessian, rec.Abar, rec.Cbar))
+        abar, cbar = rec.coefficients.Abar, rec.coefficients.Cbar
+        om_p, om_z, _ = frequencies(eq, abar, cbar)
+        eigs = np.linalg.eigvals(linearized_matrix(eq.hessian, abar, cbar))
         scale = max(om_p, om_z)
         worst = max(worst, float(np.max(np.abs(eigs.real))) / scale)
         got = np.sort(np.abs(eigs.imag))

@@ -261,8 +261,8 @@ def quarter_sums_reference(a, e, eJ, n1, n2):
     Its min_factor is the smallest sampled (r2^3 - r1^3) y yJ, the Abar
     integrand factor itself.
     """
-    xJ, yJ, wJ = kernels._ellipse_nodes(kernels._midpoints(0, n2, n2, np.pi), 1.0, eJ)
-    x, y, wi = kernels._ellipse_nodes(kernels._midpoints(0, n1, n1, np.pi), a, e)
+    xJ, yJ, wJ = kernels._ellipse_nodes(kernels._midpoints(n2, np.pi), 1.0, eJ)
+    x, y, wi = kernels._ellipse_nodes(kernels._midpoints(n1, np.pi), a, e)
     w = np.outer(wi, wJ)
     dx = x[:, None] - xJ[None, :]
     r1 = np.sqrt(dx**2 + (y[:, None] - yJ[None, :]) ** 2)
@@ -281,8 +281,8 @@ def quarter_sums_reference(a, e, eJ, n1, n2):
 def bbar_mean_reference(a, e, eJ, n1, n2):
     """``kernels.bbar_mean`` from whole-grid temporaries."""
     xJ, yJ, wJ = kernels._ellipse_nodes(
-        kernels._midpoints(0, n2, n2, 2.0 * np.pi), 1.0, eJ)
-    x, y, wi = kernels._ellipse_nodes(kernels._midpoints(0, n1, n1, 2.0 * np.pi), a, e)
+        kernels._midpoints(n2, 2.0 * np.pi), 1.0, eJ)
+    x, y, wi = kernels._ellipse_nodes(kernels._midpoints(n1, 2.0 * np.pi), a, e)
     w = np.outer(wi, wJ)
     r1 = np.sqrt((x[:, None] - xJ[None, :]) ** 2 + (y[:, None] - yJ[None, :]) ** 2)
     return float(np.sum(w * (np.outer(x, yJ) + np.outer(y, xJ)) / r1**3)) / (n1 * n2)
@@ -291,9 +291,9 @@ def bbar_mean_reference(a, e, eJ, n1, n2):
 def vbar_mean_reference(a, e, eJ, m00, m01, m10, m11, m20, m21, n1, n2):
     """``kernels.vbar_mean`` from whole-grid temporaries."""
     xJ, yJ, wJ = kernels._ellipse_nodes(
-        kernels._midpoints(0, n2, n2, 2.0 * np.pi), 1.0, eJ)
+        kernels._midpoints(n2, 2.0 * np.pi), 1.0, eJ)
     xp, yp, wi = kernels._ellipse_nodes(
-        kernels._midpoints(0, n1, n1, 2.0 * np.pi), a, e)
+        kernels._midpoints(n1, 2.0 * np.pi), a, e)
     x = m00 * xp + m01 * yp
     y = m10 * xp + m11 * yp
     z = m20 * xp + m21 * yp

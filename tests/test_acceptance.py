@@ -52,11 +52,12 @@ def test_bbar_vanishes(default_quad):
             f"worst |Bbar| = {worst:.3e} over {len(points)} triples (tol 1e-9)")
 
 
-def _sign_margins(cells, attr, err_key):
+def _sign_margins(cells, name):
     worst = math.inf
     for cell in cells:
-        value = getattr(cell.stability, attr)
-        err = max(cell.stability.coefficients.err[err_key],
+        coeffs = cell.stability.coefficients
+        value = getattr(coeffs, name)
+        err = max(coeffs.err[name],
                   4.0 * np.finfo(float).eps * abs(value))
         worst = min(worst, -value / (3.0 * err))
     return worst
@@ -69,7 +70,7 @@ def test_abar_negative_with_margin(inner_sweep, outer_sweep):
     for grid in (inner_sweep, outer_sweep):
         found = grid.found_cells()
         n_cells += len(found)
-        worst = min(worst, _sign_margins(found, "Abar", "Abar"))
+        worst = min(worst, _sign_margins(found, "Abar"))
     ok = worst > 1.0 and n_cells > 1000
     _report("Abar-negative", ok,
             f"{n_cells} FOUND cells, min margin factor {worst:.2e} (need > 1)")
@@ -82,7 +83,7 @@ def test_cbar_negative_with_margin(inner_sweep, outer_sweep):
     for grid in (inner_sweep, outer_sweep):
         found = grid.found_cells()
         n_cells += len(found)
-        worst = min(worst, _sign_margins(found, "Cbar", "Cbar"))
+        worst = min(worst, _sign_margins(found, "Cbar"))
     ok = worst > 1.0 and n_cells > 1000
     _report("Cbar-negative", ok,
             f"{n_cells} FOUND cells, min margin factor {worst:.2e} (need > 1)")
@@ -95,7 +96,7 @@ def test_quadratic_form_oracle(default_quad):
     worst_cross = 0.0
     for (a, e, eJ) in points:
         cfg = OrbitConfig(a=a, e_J=eJ)
-        coeffs = averaged_coefficients(cfg, e, default_quad, include_B=False)
+        coeffs = averaged_coefficients(cfg, e, default_quad)
         abar, cbar = coeffs.Abar, coeffs.Cbar
         fd = spatial_quadratic_oracle(cfg, e, default_quad)
         worst_rel = max(worst_rel,
@@ -127,8 +128,7 @@ def test_planar_hessian_positive_definite(inner_sweep, outer_sweep):
 
 def test_small_a_limit(default_quad):
     """Rbar(a=1e-3, e=0.2, e_J=0.3) = 1 +- 1e-5 (outer-orbit average is 1)."""
-    c = averaged_coefficients(OrbitConfig(a=1e-3, e_J=0.3), 0.2, default_quad,
-                              include_B=False)
+    c = averaged_coefficients(OrbitConfig(a=1e-3, e_J=0.3), 0.2, default_quad)
     rbar, err = c.Rbar, c.err["Rbar"]
     ok = abs(rbar - 1.0) < 1e-5
     _report("small-a-limit", ok, f"Rbar = {rbar:.10f}, |Rbar - 1| = "
@@ -151,7 +151,8 @@ def test_linearization_spectrum(inner_sweep, outer_sweep):
             if not math.isfinite(st.ratio):
                 continue
             n_checked += 1
-            M = linearized_matrix(cell.equilibrium.hessian, st.Abar, st.Cbar)
+            M = linearized_matrix(cell.equilibrium.hessian,
+                                  st.coefficients.Abar, st.coefficients.Cbar)
             eigs = np.linalg.eigvals(M)
             scale = max(st.omega_plane, st.omega_z)
             worst = max(worst, float(np.max(np.abs(eigs.real))) / scale)

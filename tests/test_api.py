@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -41,3 +42,29 @@ def test_benchmark_hooks_resolve(monkeypatch):
         tracer.restore()
     assert all(getattr(m, attr) is original for m, attr, original in patched)
     assert all(callable(getattr(kernels, name)) for name in layers.KERNELS)
+
+
+# Settable values in the package: parameters with a default plus dataclass
+# fields with a default.  A value only one caller ever passes belongs in a
+# module constant; adding an option means raising this number on purpose.
+MAX_SETTABLE_VALUES = 32
+
+
+def _settable_values(tree):
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         for s in node.body)
+    return count
+
+
+def test_settable_values_ratchet():
+    src = pathlib.Path(secular3bp.__file__).resolve().parent
+    total = sum(_settable_values(ast.parse(path.read_text()))
+                for path in sorted(src.glob("*.py")))
+    assert total <= MAX_SETTABLE_VALUES

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def brute_force_rbar(a, e, eJ, n=2048, g=0.0):
 
 def averaged_rbar(cfg, e, quad):
     """(Rbar, err) at g = 0 from the pipeline's coefficient quadrature."""
-    c = averaged_coefficients(cfg, e, quad, include_B=False)
+    c = averaged_coefficients(cfg, e, quad)
     return c.Rbar, c.err["Rbar"]
 
 
@@ -108,7 +109,7 @@ class TestAveragedAC:
     def test_folding_equivalence(self, quad):
         for (a, e, eJ) in [(0.5, 0.1, 0.2), (0.25, 0.35, 0.55), (2.2, 0.25, 0.4)]:
             cfg = OrbitConfig(a=a, e_J=eJ)
-            c = averaged_coefficients(cfg, e, quad, include_B=False)
+            c = averaged_coefficients(cfg, e, quad)
             ref_r, ref_a, ref_c = unfolded_reference(a, e, eJ, 0.0, 1024)
             assert c.Abar == pytest.approx(ref_a, rel=1e-10)
             assert c.Cbar == pytest.approx(ref_c, rel=1e-10)
@@ -116,18 +117,15 @@ class TestAveragedAC:
 
     def test_abar_negative(self, quad):
         for (a, e, eJ) in [(0.1, 0.05, 0.1), (0.5, 0.3, 0.4), (3.0, 0.2, 0.6)]:
-            c = averaged_coefficients(OrbitConfig(a=a, e_J=eJ), e, quad,
-                                      include_B=False)
+            c = averaged_coefficients(OrbitConfig(a=a, e_J=eJ), e, quad)
             assert c.Abar < 0.0
             assert c.err["Abar"] >= 0.0
 
     def test_mu_scaling(self, quad):
         # G = sqrt((1-mu) a (1-e^2)) is the only mu dependence.
         a, e, eJ = 0.5, 0.1, 0.2
-        c0 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=0.0), e, quad,
-                                   include_B=False)
-        c1 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=0.5), e, quad,
-                                   include_B=False)
+        c0 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=0.0), e, quad)
+        c1 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=0.5), e, quad)
         factor = 1.0 / math.sqrt(1.0 - 0.5)
         assert c1.Abar / c0.Abar == pytest.approx(factor, rel=1e-12)
         assert c1.Cbar / c0.Cbar == pytest.approx(factor, rel=1e-12)
@@ -185,6 +183,10 @@ class TestDoublingControl:
             QuadratureSpec(max_n=32)
         with pytest.raises(ValueError):
             QuadratureSpec(tol=0.0)
+        # An infinite tolerance would accept the first level comparison.
+        for tol in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                QuadratureSpec(tol=tol)
 
 
 class TestSeparationGuard:
@@ -192,8 +194,12 @@ class TestSeparationGuard:
         cfg = OrbitConfig(a=0.72, e_J=0.3)
         guard = SeparationGuard(cfg)
         guard.check(0.5)  # comfortably separated
-        with pytest.raises(OrbitCrossingError):
+        with pytest.raises(OrbitCrossingError) as info:
             guard.check(0.805)  # apoapsis gap ~4e-4, below 1e-3
+        assert info.value.separation == guard.min_separation(0.805)
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert (str(copy), copy.separation) == (str(info.value),
+                                                info.value.separation)
 
     def test_lipschitz_shortcut_consistency(self):
         cfg = OrbitConfig(a=0.4, e_J=0.3)
@@ -229,7 +235,7 @@ class TestDirectAverage3D:
         # (2 Abar, 2 Cbar); the cross term vanishes by symmetry.
         cfg = OrbitConfig(a=0.4, e_J=0.3)
         e = 0.17
-        c = averaged_coefficients(cfg, e, quad, include_B=False)
+        c = averaged_coefficients(cfg, e, quad)
         fd = spatial_quadratic_oracle(cfg, e, quad)
         assert fd["d2_p3"] == pytest.approx(2.0 * c.Abar, rel=1e-6)
         assert fd["d2_q3"] == pytest.approx(2.0 * c.Cbar, rel=1e-6)

@@ -209,8 +209,7 @@ class TestPoincare:
         d = DelaunayElements(L=L, G=g_frac * L, H=h_frac * g_frac * L,
                              l=l, g=g, h=h)
         p = poincare_from_delaunay(d)
-        back, flags = delaunay_from_poincare(p)
-        assert not flags.gh_indeterminate and not flags.h_indeterminate
+        back = delaunay_from_poincare(p)
         assert back.L == pytest.approx(d.L, abs=1e-12)
         assert back.G == pytest.approx(d.G, abs=1e-12)
         assert back.H == pytest.approx(d.H, abs=1e-12)
@@ -218,16 +217,22 @@ class TestPoincare:
             delta = wrap_angle(got - want)
             assert min(delta, TWO_PI - delta) < 1e-11
 
-    def test_singular_flags(self):
+    def test_singular_sets(self):
+        # On e = 0 the angle g + h is indeterminate and comes back as 0.
         circular = poincare_from_delaunay(
             DelaunayElements(L=1.0, G=1.0, H=0.9, l=0.1, g=0.2, h=0.3))
-        _, flags = delaunay_from_poincare(circular)
-        assert flags.gh_indeterminate and not flags.h_indeterminate
+        back = delaunay_from_poincare(circular)
+        assert (circular.p2, circular.q2) == (0.0, 0.0)
+        delta = wrap_angle(back.g + back.h)
+        assert min(delta, TWO_PI - delta) < 1e-12
+        assert back.h == pytest.approx(0.3, abs=1e-12)
 
+        # On i = 0 the node h is indeterminate and comes back as 0.
         planar = poincare_from_delaunay(
             DelaunayElements(L=1.0, G=0.9, H=0.9, l=0.1, g=0.2, h=0.3))
-        back, flags = delaunay_from_poincare(planar)
-        assert flags.h_indeterminate and not flags.gh_indeterminate
+        back = delaunay_from_poincare(planar)
+        assert (planar.p3, planar.q3) == (0.0, 0.0)
+        assert back.h == 0.0
         assert back.G == pytest.approx(0.9, abs=1e-15)
 
 

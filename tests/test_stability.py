@@ -74,7 +74,7 @@ class TestClassify:
         eq = find_equilibrium(cfg, quad)
         rec = classify_spatial(cfg, eq, quad)
         assert rec.spatial_verdict == LINEARLY_STABLE
-        assert rec.Abar < 0.0 and rec.Cbar < 0.0
+        assert rec.coefficients.Abar < 0.0 and rec.coefficients.Cbar < 0.0
         assert rec.ratio == pytest.approx(rec.omega_z / rec.omega_plane)
 
     def test_rejects_failed_equilibrium(self, quad):
@@ -102,8 +102,9 @@ class TestLinearizedMatrix:
         cfg = OrbitConfig(a=0.4, e_J=0.3)
         eq = find_equilibrium(cfg, quad)
         rec = classify_spatial(cfg, eq, quad)
-        om_p, om_z, _ = frequencies(eq, rec.Abar, rec.Cbar)
-        M = linearized_matrix(eq.hessian, rec.Abar, rec.Cbar)
+        abar, cbar = rec.coefficients.Abar, rec.coefficients.Cbar
+        om_p, om_z, _ = frequencies(eq, abar, cbar)
+        M = linearized_matrix(eq.hessian, abar, cbar)
         eigs = np.linalg.eigvals(M)
         assert np.max(np.abs(eigs.real)) < 1e-8 * max(om_p, om_z)
         got = np.sort(np.abs(eigs.imag))

@@ -49,7 +49,7 @@ class TestSweep:
         # shortest-repr floats must round-trip exactly
         cell = grid.cells[0]
         assert float(row["e_star"]) == cell.equilibrium.e_star
-        assert float(row["Abar"]) == cell.stability.Abar
+        assert float(row["Abar"]) == cell.stability.coefficients.Abar
         assert float(row["ratio"]) == cell.stability.ratio
 
     def test_metadata_sidecar(self, quad, tmp_path):
