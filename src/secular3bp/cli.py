@@ -3,10 +3,12 @@
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 numerical
 failure, 4 orbit crossing (single-point mode only).
 
-Option precedence is CLI flag > config file > built-in default.  The config
-file is a flat ``key = value`` text format using the long option names with
-underscores (e.g. ``max_nodes = 2048``); lines starting with ``#`` are
-comments.
+The parser holds every default and every check.  Option precedence is CLI
+flag > config file > built-in default: the config file's values become the
+subcommand's parser defaults, so each passes the same check as its flag.
+The file is a flat ``key = value`` text format whose keys are CONFIG_KEYS,
+the long option names with underscores (e.g. ``max_nodes = 2048``); lines
+starting with ``#`` are comments.
 """
 
 import argparse
@@ -35,85 +37,77 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_CROSSING = 4
 
-_DEFAULTS = {
-    "mu": 0.0,
-    "tol": QuadratureSpec.tol,
-    "max_nodes": QuadratureSpec.max_n,
-    "jobs": 1,
-    "k": 2.0,
-    "out": ".",
-    "points": 20,
-    "seed": DEFAULT_SEED,
-}
+CONFIG_KEYS = ("mu", "tol", "max_nodes", "jobs", "k", "out", "points", "seed")
 
 
 class InputError(Exception):
     pass
 
 
-def _parse_range(text, name):
-    try:
-        lo, hi, n = text.split(":")
-        lo, hi, n = float(lo), float(hi), int(n)
-    except ValueError:
-        raise InputError(f"--{name} must be MIN:MAX:N, got {text!r}")
-    if n < 1:
-        raise InputError(f"--{name}: N must be >= 1")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InputError(f"--{name}: MIN and MAX must be finite")
-    if not (lo <= hi):
-        raise InputError(f"--{name}: need MIN <= MAX")
-    return lo, hi, n
+def _checked(cast, ok, what):
+    """An argparse type: ``cast(text)``, refused unless ``ok`` holds for it."""
+    def parse(text):
+        try:
+            value = cast(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return parse
+
+
+def _split_range(text):
+    lo, hi, n = text.split(":")
+    return float(lo), float(hi), int(n)
+
+
+def _positive(x):
+    return x > 0.0 and math.isfinite(x)
+
+
+def _unit(x):
+    return 0.0 <= x < 1.0
+
+
+def _window(end_ok):
+    return lambda r: r[2] >= 1 and r[0] <= r[1] and end_ok(r[0]) and end_ok(r[1])
+
+
+POSITIVE = _checked(float, _positive, "positive and finite")
+UNIT = _checked(float, _unit, "in [0, 1)")
+COUNT = _checked(int, lambda n: n >= 1, "at least 1")
+NODES = _checked(int, lambda n: n >= N_START, f"at least {N_START}")
+SEED = _checked(int, lambda n: n >= 0, "a non-negative integer")
+A_RANGE = _checked(_split_range, _window(_positive),
+                   "MIN:MAX:N with 0 < MIN <= MAX finite and N >= 1")
+EJ_RANGE = _checked(_split_range, _window(_unit),
+                    "MIN:MAX:N with 0 <= MIN <= MAX < 1 and N >= 1")
 
 
 def _read_config(path):
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read config file: {exc}")
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in CONFIG_KEYS:
+            raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = val.strip()
     return values
 
 
-def _resolve(args, key, cast):
-    """CLI flag > config file > built-in default."""
-    cli_val = getattr(args, key, None)
-    if cli_val is not None:
-        return cli_val
-    config = getattr(args, "_config_values", {})
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError:
-            raise InputError(f"config value for {key!r} is not valid: "
-                             f"{config[key]!r}")
-    return _DEFAULTS.get(key)
-
-
-def _quad_from(args):
-    tol = _resolve(args, "tol", float)
-    max_nodes = _resolve(args, "max_nodes", int)
-    if not (tol > 0 and math.isfinite(tol)):
-        raise InputError(f"--tol must be positive and finite, got {tol}")
-    if max_nodes < N_START:
-        raise InputError(f"--max-nodes must be >= {N_START}, got {max_nodes}")
-    return QuadratureSpec(tol=tol, max_n=max_nodes)
-
-
-def _validate_params(a, ej, mu):
-    if a is None or ej is None:
-        raise InputError("point mode requires --a and --ej")
-    if not (a > 0 and math.isfinite(a)):
-        raise InputError(f"--a must be positive, got {a}")
-    if not (0.0 <= ej < 1.0):
-        raise InputError(f"--ej must be in [0, 1), got {ej}")
-    if not (0.0 <= mu < 1.0):
-        raise InputError(f"--mu must be in [0, 1), got {mu}")
+def _quad(args):
+    return QuadratureSpec(tol=args.tol, max_n=args.max_nodes)
 
 
 def _cell_json(cell):
@@ -174,18 +168,16 @@ def _print_point_table(cell):
 
 
 def cmd_point(args):
-    mu = _resolve(args, "mu", float)
-    _validate_params(args.a, args.ej, mu)
-    quad = _quad_from(args)
-    cell = evaluate_cell(args.a, args.ej, mu, quad)
+    if args.a is None or args.ej is None:
+        raise InputError("point mode requires --a and --ej")
+    cell = evaluate_cell(args.a, args.ej, args.mu, _quad(args))
     if args.json:
         print(json.dumps(_cell_json(cell), indent=2, sort_keys=True))
     else:
         _print_point_table(cell)
-    out = getattr(args, "out", None)
-    if out is not None:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "point.json"), "w") as fh:
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "point.json"), "w") as fh:
             json.dump(_cell_json(cell), fh, indent=2, sort_keys=True)
             fh.write("\n")
     if cell.status == STATUS_ORBIT_CROSSING:
@@ -197,32 +189,20 @@ def cmd_point(args):
     return EXIT_NUMERICAL
 
 
-def _grid_inputs(args, mode):
-    """The checked (a_range, ej_range, mu) of a sweep or resonance run."""
+def _run_grid(args):
+    """The swept grid of a sweep or resonance run."""
     if args.a_range is None or args.ej_range is None:
-        raise InputError(f"{mode} mode requires --a-range and --ej-range")
-    a_range = _parse_range(args.a_range, "a-range")
-    ej_range = _parse_range(args.ej_range, "ej-range")
-    mu = _resolve(args, "mu", float)
-    if not (0.0 <= ej_range[0] and ej_range[1] < 1.0):
-        raise InputError("--ej-range must stay inside [0, 1)")
-    if a_range[0] <= 0.0:
-        raise InputError("--a-range must be positive")
-    if not (0.0 <= mu < 1.0):
-        raise InputError(f"--mu must be in [0, 1), got {mu}")
-    return a_range, ej_range, mu
+        raise InputError(f"{args.command} mode requires --a-range and --ej-range")
+    return run_sweep(args.a_range, args.ej_range, mu=args.mu, quad=_quad(args),
+                     jobs=args.jobs)
 
 
 def cmd_sweep(args):
-    a_range, ej_range, mu = _grid_inputs(args, "sweep")
-    quad = _quad_from(args)
-    jobs = _resolve(args, "jobs", int)
-    out = _resolve(args, "out", str)
-    grid = run_sweep(a_range, ej_range, mu=mu, quad=quad, jobs=jobs)
-    os.makedirs(out, exist_ok=True)
-    csv_path = os.path.join(out, "sweep.csv")
+    grid = _run_grid(args)
+    os.makedirs(args.out, exist_ok=True)
+    csv_path = os.path.join(args.out, "sweep.csv")
     write_sweep_csv(grid, csv_path)
-    write_metadata_json(grid, os.path.join(out, "sweep_meta.json"))
+    write_metadata_json(grid, os.path.join(args.out, "sweep_meta.json"))
     n_found = len(grid.found_cells())
     print(f"sweep: {grid.n_a}x{grid.n_eJ} cells -> {csv_path} "
           f"({n_found} with equilibria)")
@@ -230,15 +210,8 @@ def cmd_sweep(args):
 
 
 def cmd_validate(args):
-    points = _resolve(args, "points", int)
-    if points == 0:
-        raise InputError("empty validation refused (--points must be >= 1)")
-    if points < 0:
-        raise InputError(f"--points must be >= 1, got {points}")
-    seed = _resolve(args, "seed", int)
-    quad = _quad_from(args)
-    results, ok = run_validation(points=points, seed=seed, quad=quad,
-                                 inject=args.inject_fault)
+    results, ok = run_validation(points=args.points, seed=args.seed,
+                                 quad=_quad(args), inject=args.inject_fault)
     for res in results:
         print(res.line())
     print("validation", "PASSED" if ok else "FAILED")
@@ -246,20 +219,13 @@ def cmd_validate(args):
 
 
 def cmd_resonance(args):
-    a_range, ej_range, mu = _grid_inputs(args, "resonance")
-    quad = _quad_from(args)
-    jobs = _resolve(args, "jobs", int)
-    k = _resolve(args, "k", float)
-    out = _resolve(args, "out", str)
-    if not (k > 0 and math.isfinite(k)):
-        raise InputError(f"--k must be positive and finite, got {k}")
-    grid = run_sweep(a_range, ej_range, mu=mu, quad=quad, jobs=jobs)
-    points = trace_resonance(grid, k=k)
-    os.makedirs(out, exist_ok=True)
-    csv_path = os.path.join(out, "resonance.csv")
+    grid = _run_grid(args)
+    points = trace_resonance(grid, k=args.k)
+    os.makedirs(args.out, exist_ok=True)
+    csv_path = os.path.join(args.out, "resonance.csv")
     with open(csv_path, "w", newline="") as fh:
         fh.write(resonance_csv_text(points))
-    print(f"resonance k={k:g}: {len(points)} curve points -> {csv_path}")
+    print(f"resonance k={args.k:g}: {len(points)} curve points -> {csv_path}")
     return EXIT_OK
 
 
@@ -268,75 +234,70 @@ def build_parser():
         prog="secular3bp",
         description="Doubly averaged restricted elliptic three-body problem: "
                     "planar equilibria and out-of-plane linear stability.",
+        exit_on_error=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ranges=False, point=False, jobs=False, k=False):
-        p.add_argument("--mu", type=float, default=None,
-                       help="planet mass fraction (default 0)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="quadrature relative tolerance "
-                            f"(default {QuadratureSpec.tol:g})")
-        p.add_argument("--max-nodes", type=int, default=None, dest="max_nodes",
-                       help="quadrature node cap per anomaly "
-                            f"(default {QuadratureSpec.max_n})")
-        p.add_argument("--config", type=str, default=None,
-                       help="flat key = value config file")
-        p.add_argument("--out", type=str, default=None,
-                       help="output directory")
-        if ranges:
-            p.add_argument("--a-range", type=str, default=None, dest="a_range",
-                           help="asteroid semi-major axis grid MIN:MAX:N")
-            p.add_argument("--ej-range", type=str, default=None, dest="ej_range",
-                           help="planet eccentricity grid MIN:MAX:N")
-        if point:
-            p.add_argument("--a", type=float, default=None,
-                           help="asteroid semi-major axis (a_J = 1 units)")
-            p.add_argument("--ej", type=float, default=None,
-                           help="planet eccentricity")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=None,
-                           help="worker processes (default 1)")
-        if k:
-            p.add_argument("--k", type=float, default=None,
-                           help="target frequency ratio (default 2)")
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary, exit_on_error=False)
+        p.set_defaults(func=func, parser=p)
+        p.add_argument("--config", help="flat key = value file of option "
+                                        "defaults; a flag still wins")
+        p.add_argument("--tol", type=POSITIVE, default=QuadratureSpec.tol,
+                       help="quadrature relative tolerance (default %(default)g)")
+        p.add_argument("--max-nodes", dest="max_nodes", type=NODES,
+                       default=QuadratureSpec.max_n,
+                       help="quadrature node cap per anomaly (default %(default)d)")
+        return p
 
-    p_point = sub.add_parser("point", help="single (a, e_J) query")
-    common(p_point, point=True)
+    p_point = command("point", cmd_point, "single (a, e_J) query")
+    p_sweep = command("sweep", cmd_sweep, "parameter-plane sweep to CSV")
+    p_val = command("validate", cmd_validate, "run the oracle checks")
+    p_res = command("resonance", cmd_resonance, "trace a frequency-ratio curve")
+    p_point.add_argument("--a", type=POSITIVE,
+                         help="asteroid semi-major axis (a_J = 1 units)")
+    p_point.add_argument("--ej", type=UNIT, help="planet eccentricity")
     p_point.add_argument("--json", action="store_true",
                          help="print machine-readable JSON instead of the table")
-    p_point.set_defaults(func=cmd_point)
+    p_point.add_argument("--out", help="also write point.json to this directory")
 
-    p_sweep = sub.add_parser("sweep", help="parameter-plane sweep to CSV")
-    common(p_sweep, ranges=True, jobs=True)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_val = sub.add_parser("validate", help="run the oracle checks")
-    common(p_val)
-    p_val.add_argument("--points", type=int, default=None,
-                       help="number of random non-crossing samples (default 20)")
-    p_val.add_argument("--seed", type=int, default=None,
-                       help="sample seed (default fixed)")
-    p_val.add_argument("--inject-fault", type=str, default=None,
-                       dest="inject_fault", choices=["abar-sign"],
+    for p in (p_point, p_sweep, p_res):
+        p.add_argument("--mu", type=UNIT, default=0.0,
+                       help="planet mass fraction (default %(default)g)")
+    for p in (p_sweep, p_res):
+        p.add_argument("--a-range", dest="a_range", type=A_RANGE,
+                       help="asteroid semi-major axis grid MIN:MAX:N")
+        p.add_argument("--ej-range", dest="ej_range", type=EJ_RANGE,
+                       help="planet eccentricity grid MIN:MAX:N")
+        p.add_argument("--jobs", type=COUNT, default=1,
+                       help="worker processes (default %(default)d)")
+        p.add_argument("--out", default=".",
+                       help="output directory (default %(default)s)")
+    p_res.add_argument("--k", type=POSITIVE, default=2.0,
+                       help="target frequency ratio (default %(default)g)")
+    p_val.add_argument("--points", type=COUNT, default=20,
+                       help="number of random non-crossing samples "
+                            "(default %(default)d)")
+    p_val.add_argument("--seed", type=SEED, default=DEFAULT_SEED,
+                       help="sample seed (default %(default)d)")
+    p_val.add_argument("--inject-fault", dest="inject_fault", choices=["abar-sign"],
                        help="test mode: corrupt a value to prove detection")
-    p_val.set_defaults(func=cmd_validate)
-
-    p_res = sub.add_parser("resonance", help="trace a frequency-ratio curve")
-    common(p_res, ranges=True, jobs=True, k=True)
-    p_res.set_defaults(func=cmd_resonance)
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        config_path = getattr(args, "config", None)
-        args._config_values = _read_config(config_path) if config_path else {}
+        args = parser.parse_args(argv)
+        if args.config:
+            args.parser.set_defaults(**_read_config(args.config))
+            try:  # flags passed the first parse: a refusal here is the file's
+                args = parser.parse_args(argv)
+            except argparse.ArgumentError as exc:
+                raise InputError(f"{args.config}: {exc}") from None
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (argparse.ArgumentError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OrbitCrossingError as exc:

@@ -173,8 +173,9 @@ def run_sweep(a_range, eJ_range, mu=0.0, quad=None, jobs=1) -> SweepGrid:
         eJ_range: (eJ_min, eJ_max, n_eJ).
         mu: Planet mass fraction.
         quad: QuadratureSpec (defaults apply when None).
-        jobs: Process count; 1 runs in-process.  Output is byte-identical
-            for any worker count.
+        jobs: Requested process count, at least 1; at most one worker per
+            cell is started, and one worker runs in-process.  Output is
+            byte-identical for any worker count.
 
     Returns:
         SweepGrid with row-major cells and reproducibility metadata.
@@ -185,6 +186,8 @@ def run_sweep(a_range, eJ_range, mu=0.0, quad=None, jobs=1) -> SweepGrid:
     eJ_min, eJ_max, n_eJ = eJ_range
     if n_a < 1 or n_eJ < 1:
         raise ValueError("grid needs at least one point per axis")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
 
     grid = SweepGrid(a_min=float(a_min), a_max=float(a_max), n_a=int(n_a),
                      eJ_min=float(eJ_min), eJ_max=float(eJ_max),
@@ -196,12 +199,13 @@ def run_sweep(a_range, eJ_range, mu=0.0, quad=None, jobs=1) -> SweepGrid:
     ]
 
     t0 = time.perf_counter()
-    if jobs <= 1:
+    workers = min(jobs, len(jobs_list))
+    if workers == 1:
         cells = [_cell_worker(j) for j in jobs_list]
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=jobs) as pool:
+        with multiprocessing.Pool(processes=workers) as pool:
             cells = pool.map(_cell_worker, jobs_list, chunksize=4)
     wall = time.perf_counter() - t0
 

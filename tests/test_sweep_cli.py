@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from secular3bp.averaging import QuadratureSpec
 from secular3bp.cli import main
 from secular3bp.sweep import (
     CSV_COLUMNS,
@@ -37,6 +38,41 @@ class TestSweep:
         grid1 = run_sweep((0.1, 0.5, 3), (0.1, 0.5, 3), quad=quad, jobs=1)
         grid2 = run_sweep((0.1, 0.5, 3), (0.1, 0.5, 3), quad=quad, jobs=2)
         assert sweep_csv_text(grid1) == sweep_csv_text(grid2)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_refused(self, jobs, quad):
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep((0.9995, 1.0005, 2), (0.1, 0.2, 2), quad=quad, jobs=jobs)
+
+    def test_pool_capped_at_cell_count(self, quad, monkeypatch):
+        # A stand-in pool records the worker count it is asked for and maps
+        # in-process, so no real processes start.
+        import multiprocessing
+
+        requested = []
+
+        class FakePool:
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, iterable, chunksize=1):
+                return [func(item) for item in iterable]
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        window = ((0.9995, 1.0005, 2), (0.1, 0.2, 2))
+        grid = run_sweep(*window, quad=quad, jobs=64)
+        assert requested == [4]
+        assert grid.metadata["jobs"] == 64
+        assert sweep_csv_text(grid) == sweep_csv_text(
+            run_sweep(*window, quad=quad, jobs=1))
+        run_sweep((0.9995, 0.9995, 1), (0.1, 0.1, 1), quad=quad, jobs=64)
+        assert requested == [4]  # one cell runs in-process
 
     def test_csv_round_trip(self, quad, tmp_path):
         grid = run_sweep((0.2, 0.4, 2), (0.2, 0.3, 2), quad=quad)
@@ -150,6 +186,15 @@ class TestValidateCommand:
     def test_zero_points_refused(self, capsys):
         assert main(["validate", "--points", "0"]) == 2
 
+    @pytest.mark.parametrize("option", [["--mu", "0.5"], ["--out", "."]])
+    def test_unread_options_refused(self, option, capsys):
+        # validate reads neither mu nor an output directory, so neither flag
+        # exists: argparse refuses it with its usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--points", "1"] + option)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestResonanceCommand:
     def test_empty_curve_ok(self, tmp_path, capsys):
@@ -180,6 +225,14 @@ class TestGridInputChecks:
          "--tol", "nan"],
         ["sweep", "--a-range", "0.4:0.5:2", "--ej-range", "0.2:0.3:2",
          "--tol", "inf"],
+        ["sweep", "--a-range", "0.2:0.2:1", "--ej-range", "0.2:0.2:1",
+         "--jobs", "0"],
+        ["sweep", "--a-range", "0.2:0.2:1", "--ej-range", "0.2:0.2:1",
+         "--jobs", "-3"],
+        ["resonance", "--a-range", "0.2:0.2:1", "--ej-range", "0.2:0.2:1",
+         "--jobs", "0"],
+        ["resonance", "--a-range", "0.2:0.2:1", "--ej-range", "0.2:0.2:1",
+         "--jobs", "-3"],
     ])
     def test_bad_window_or_mu_exit_two(self, argv, tmp_path, capsys):
         # Both grid commands check their window, mu, tol and k before any
@@ -222,3 +275,54 @@ class TestConfigFile:
     def test_missing_config_exit_two(self, capsys):
         assert main(["point", "--a", "0.4", "--ej", "0.3",
                      "--config", "/nonexistent.cfg"]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "max_node = 2048\n",
+        "tol = abc\n",
+        "jobs = 0\n",
+    ], ids=["misspelt-key", "tol-abc", "jobs-0"])
+    def test_bad_config_exit_two(self, text, tmp_path, capsys):
+        # A config value passes the same check as its flag, an unknown key
+        # is refused, and the error names the file; nothing is written.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(text)
+        out = tmp_path / "out"
+        assert main(["sweep", "--a-range", "0.2:0.2:1", "--ej-range",
+                     "0.2:0.2:1", "--config", str(cfg_file),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_file}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_unreadable_config_exit_two(self, tmp_path, capsys):
+        assert main(["point", "--a", "0.4", "--ej", "0.3",
+                     "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("extra", ["", "jobs = 2\n"],
+                             ids=["out", "out-and-jobs"])
+    def test_point_reads_shared_config(self, extra, tmp_path, capsys):
+        # point writes point.json to the file's out; a key only another
+        # command reads (jobs) is accepted, so one file serves every command.
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"out = {tmp_path / 'res'}\n{extra}")
+        assert main(["point", "--a", "0.4", "--ej", "0.3",
+                     "--config", str(cfg_file)]) == 0
+        doc = json.loads((tmp_path / "res" / "point.json").read_text())
+        assert doc["status"] == "FOUND"
+
+
+class TestHelp:
+    def test_help_renders(self, capsys):
+        # A bad %(default) format in a help string fails only at help time.
+        pages = {}
+        for command in ["", "point", "sweep", "validate", "resonance"]:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"] if command else ["--help"])
+            assert exc.value.code == 0
+            pages[command] = " ".join(capsys.readouterr().out.split())
+        for command in ["point", "sweep", "validate", "resonance"]:
+            assert f"(default {QuadratureSpec.tol:g})" in pages[command]
+            assert f"(default {QuadratureSpec.max_n})" in pages[command]
+        assert "--mu" not in pages["validate"]
+        assert "--out" not in pages["validate"]
