@@ -54,8 +54,9 @@ __all__ = [
 # the integrands scale like 1/r^3 and quadrature ceases to be trustworthy.
 DEFAULT_SEPARATION_THRESHOLD = 1e-3
 
-# Node count per anomaly at the first level of every doubling.
-N_START = 64
+# Node count per anomaly at the first level of every doubling.  The midpoint
+# rule converges geometrically here, so 32 -> 64 already settles most cells.
+N_START = 32
 
 # Tiny floor that keeps the relative convergence test well-defined for
 # exactly-zero values.

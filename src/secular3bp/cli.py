@@ -5,10 +5,11 @@ failure, 4 orbit crossing (single-point mode only).
 
 The parser holds every default and every check.  Option precedence is CLI
 flag > config file > built-in default: the config file's values become the
-subcommand's parser defaults, so each passes the same check as its flag.
-The file is a flat ``key = value`` text format whose keys are CONFIG_KEYS,
-the long option names with underscores (e.g. ``max_nodes = 2048``); lines
-starting with ``#`` are comments.
+subcommand's parser defaults.  The file is a flat ``key = value`` text
+format whose keys are CONFIG_KEYS, the long option names with underscores
+(e.g. ``max_nodes = 2048``); lines starting with ``#`` are comments.  Each
+value passes its flag's check as the file is read, also where a flag
+overrides it or only another subcommand reads it.
 """
 
 import argparse
@@ -36,8 +37,6 @@ EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_CROSSING = 4
-
-CONFIG_KEYS = ("mu", "tol", "max_nodes", "jobs", "k", "out", "points", "seed")
 
 
 class InputError(Exception):
@@ -83,6 +82,9 @@ A_RANGE = _checked(_split_range, _window(_positive),
                    "MIN:MAX:N with 0 < MIN <= MAX finite and N >= 1")
 EJ_RANGE = _checked(_split_range, _window(_unit),
                     "MIN:MAX:N with 0 <= MIN <= MAX < 1 and N >= 1")
+# Config key -> the argument type of its flag.
+CONFIG_KEYS = {"mu": UNIT, "tol": POSITIVE, "max_nodes": NODES, "jobs": COUNT,
+               "k": POSITIVE, "out": str, "points": COUNT, "seed": SEED}
 
 
 def _read_config(path):
@@ -102,7 +104,10 @@ def _read_config(path):
         key = key.strip().replace("-", "_")
         if key not in CONFIG_KEYS:
             raise InputError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = val.strip()
+        try:
+            values[key] = CONFIG_KEYS[key](val.strip())
+        except argparse.ArgumentTypeError as exc:
+            raise InputError(f"{path}:{lineno}: {key} {exc}") from None
     return values
 
 
@@ -292,10 +297,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.config:
             args.parser.set_defaults(**_read_config(args.config))
-            try:  # flags passed the first parse: a refusal here is the file's
-                args = parser.parse_args(argv)
-            except argparse.ArgumentError as exc:
-                raise InputError(f"{args.config}: {exc}") from None
+            args = parser.parse_args(argv)
         return args.func(args)
     except (argparse.ArgumentError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

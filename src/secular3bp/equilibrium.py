@@ -13,7 +13,8 @@ stay analytic and periodic, so the midpoint rule converges geometrically
 for them as it does for Rbar, with no finite-difference step to choose.
 The scan and Brent share one frozen node count per cell, which keeps the
 scanned derivative a single analytic function of e; the residual and the
-planar Hessian come from one quadrature converged at the root itself.
+planar Hessian come from one quadrature converged at the root itself, and
+a root whose residual fails there is solved again at that level.
 """
 
 import math
@@ -209,8 +210,9 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
     all at one frozen node count.  At each root the first and second derivatives
     are then converged afresh in one quadrature: the magnitude of the first
     is the reported residual, which must be below 1e-11, and all of them
-    give the root's planar Hessian.  The positive-definite root is reported
-    as the stable equilibrium.
+    give the root's planar Hessian.  A root whose residual fails at a level
+    above the one Brent used is solved again on its bracket at that level.
+    The positive-definite root is reported as the stable equilibrium.
 
     Status semantics: FOUND for a single root with positive-definite
     Hessian; MULTIPLE_ROOTS when several roots exist (e_star then points at
@@ -226,8 +228,9 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
         EquilibriumRecord.
 
     Raises:
-        NonConvergedError: A root's residual stays above 1e-11 at the node
-            count converged there, or a quadrature reaches the node cap.
+        NonConvergedError: A root's residual stays above 1e-11 at a node
+            count it was solved at, its bracket loses the sign change at a
+            finer level, or a quadrature reaches the node cap.
     """
     if guard is None:
         guard = SeparationGuard(cfg)
@@ -252,16 +255,20 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
     values = np.full(scan.shape, math.nan)
     values[mask] = kernels.quarter_derivatives(cfg.a, admissible, cfg.e_J,
                                                n_frozen, n_frozen)[1]
-    # The kernel gives each e the same bytes batched or alone, so Brent can
-    # take its bracket ends from the scan.
+    # The kernel gives each e the same bytes batched or alone, so Brent at
+    # the frozen level can take its bracket ends from the scan.
     scanned = dict(zip(scan.tolist(), values.tolist()))
 
-    def phi(e):
-        if e in scanned:
-            return scanned[e]
-        guard.check(e)
-        _, r_e = kernels.quarter_derivatives(cfg.a, e, cfg.e_J, n_frozen, n_frozen)
-        return float(r_e)
+    def phi_at(n):
+        memo = scanned if n == n_frozen else {}
+
+        def phi(e):
+            if e not in memo:
+                guard.check(e)
+                memo[e] = float(kernels.quarter_derivatives(
+                    cfg.a, e, cfg.e_J, n, n)[1])
+            return memo[e]
+        return phi
 
     brackets = [
         (float(scan[k]), float(scan[k + 1]))
@@ -277,18 +284,27 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
         )
 
     records = []
+    where = f"(a={cfg.a:g}, e_J={cfg.e_J:g})"
     for (e1, e2) in brackets:
-        e_root = brentq(phi, e1, e2, xtol=1e-15, rtol=4 * np.finfo(float).eps)
-        (_, r_e, r_ee, r_gg), _, _ = _derivatives(cfg, e_root, quad, guard,
-                                                  second=True)
-        resid = abs(float(r_e))
-        if not resid < _ROOT_RESIDUAL_TOL:
-            raise NonConvergedError(
-                f"|dRbar/de| = {resid:.3e} at the root e = {e_root:.15g} "
-                f"(a={cfg.a:g}, e_J={cfg.e_J:g}): the node count frozen at "
-                "the probe does not resolve the root",
-                last_error=resid,
-            )
+        # Solve at the frozen level, then again at the root's own converged
+        # level until the residual there passes or that level was solved at.
+        n, nodes, resid = 0, n_frozen, math.inf
+        while not resid < _ROOT_RESIDUAL_TOL:
+            if nodes <= n:
+                raise NonConvergedError(
+                    f"|dRbar/de| = {resid:.3e} at the root e = {e_root:.15g} "
+                    f"{where}, converged at n = {nodes} after a solve at "
+                    f"n = {n}", last_error=resid, nodes=nodes)
+            n, phi = nodes, phi_at(nodes)
+            if phi(e1) * phi(e2) > 0.0:
+                raise NonConvergedError(
+                    f"dRbar/de has no sign change on [{e1:.15g}, {e2:.15g}] "
+                    f"at n = {n} {where}", nodes=n)
+            e_root = brentq(phi, e1, e2, xtol=1e-15,
+                            rtol=4 * np.finfo(float).eps)
+            (_, r_e, r_ee, r_gg), _, nodes = _derivatives(
+                cfg, e_root, quad, guard, second=True)
+            resid = abs(float(r_e))
         hess = _chain_rule_hessian(cfg, e_root, r_e, r_ee, r_gg)
         records.append((e_root, resid, hess, classify_definiteness(hess)))
 

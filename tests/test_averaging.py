@@ -8,6 +8,7 @@ from scipy.special import ellipk
 from oracles import mean_anomaly_rbar, rbar_fine
 from secular3bp import kernels
 from secular3bp.averaging import (
+    N_START,
     AveragedCoefficients,
     QuadratureSpec,
     SeparationGuard,
@@ -16,7 +17,11 @@ from secular3bp.averaging import (
 )
 from secular3bp.errors import NonConvergedError, OrbitCrossingError
 from secular3bp.geometry import OrbitConfig, PoincareState, aligned_separation
-from secular3bp.validate import spatial_quadratic_oracle, unfolded_reference
+from secular3bp.validate import (
+    sample_noncrossing_points,
+    spatial_quadratic_oracle,
+    unfolded_reference,
+)
 
 
 def brute_force_rbar(a, e, eJ, n=2048, g=0.0):
@@ -160,27 +165,45 @@ class TestDoublingControl:
         assert abs(rbar - fine) <= max(err, 1e-12) + 1e-12
 
     def test_last_error_is_level_change(self):
-        # The cap stops the doubling at n = 128: last_error is the largest
-        # change between the n = 64 and n = 128 levels, not a level's value.
+        # The cap stops the doubling at its second level: last_error is the
+        # largest change between the first two levels, not a level's value.
         a, eJ, e = 0.9, 0.3, 0.25
         cfg = OrbitConfig(a=a, e_J=eJ)
         with pytest.raises(NonConvergedError) as info:
-            averaged_coefficients(cfg, e, QuadratureSpec(max_n=128))
+            averaged_coefficients(cfg, e, QuadratureSpec(max_n=2 * N_START))
         lo, hi = (np.array(kernels.quarter_sums(a, e, eJ, n, n)[:3]
                            + (kernels.bbar_mean(a, e, eJ, n, n),))
-                  for n in (64, 128))
+                  for n in (N_START, 2 * N_START))
         assert info.value.last_error == float(np.max(np.abs(hi - lo)))
         assert f"{info.value.last_error:.3e}" in str(info.value)
-        assert info.value.nodes == 128
-        # No doubling at all: there is no change to report.
+        assert info.value.nodes == 2 * N_START
+        # A cap of N_START allows no doubling: there is no change to report.
         with pytest.raises(NonConvergedError) as info:
-            averaged_coefficients(cfg, e, QuadratureSpec(max_n=64))
+            averaged_coefficients(cfg, e, QuadratureSpec(max_n=N_START))
         assert math.isnan(info.value.last_error)
-        assert info.value.nodes == 64
+        assert info.value.nodes == N_START
+
+    # Sampled triples plus test_kernels' near-planet triple (aligned
+    # separation about 5e-3).
+    @pytest.mark.parametrize(
+        "a, e, eJ", sample_noncrossing_points(24, seed=20261018)
+        + [(0.7, 0.707, 0.2)])
+    def test_errors_bound_fine_grid(self, a, e, eJ, quad):
+        # Each reported error, the change between the last two levels,
+        # bounds the distance to a 2048-node grid, rounding aside.
+        cfg = OrbitConfig(a=a, e_J=eJ)
+        c = averaged_coefficients(cfg, e, quad)
+        rbar, a_mean, c_mean, _ = kernels.quarter_sums(a, e, eJ, 2048, 2048)
+        G = cfg.G_of(e)
+        eps = np.finfo(float).eps
+        for name, fine in [("Rbar", rbar), ("Abar", -a_mean / G),
+                           ("Cbar", -c_mean / G)]:
+            value = getattr(c, name)
+            assert abs(value - fine) <= 3.0 * c.err[name] + 4.0 * eps * abs(value)
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(ValueError):
-            QuadratureSpec(max_n=32)
+            QuadratureSpec(max_n=N_START // 2)
         with pytest.raises(ValueError):
             QuadratureSpec(tol=0.0)
         # An infinite tolerance would accept the first level comparison.
@@ -244,7 +267,7 @@ class TestDirectAverage3D:
     def test_oracle_refuses_unconverged_base(self):
         # The node cap allows no doubling, so the base point cannot converge.
         cfg = OrbitConfig(a=0.4, e_J=0.3)
-        capped = QuadratureSpec(max_n=64)
+        capped = QuadratureSpec(max_n=N_START)
         with pytest.raises(NonConvergedError):
             spatial_quadratic_oracle(cfg, 0.17, capped)
 

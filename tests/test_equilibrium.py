@@ -23,6 +23,7 @@ from secular3bp.equilibrium import (
     planar_hessian,
 )
 from secular3bp.geometry import OrbitConfig
+from secular3bp.sweep import evaluate_cell
 
 
 def analytic_derivatives(cfg, e, quad, second=False):
@@ -148,6 +149,16 @@ class TestFindEquilibrium:
             rec = find_equilibrium(OrbitConfig(a=a, e_J=eJ), quad)
             assert rec.status == STATUS_FOUND
             assert rec.residual < 1e-11
+
+    def test_root_solved_at_its_own_level(self, quad):
+        # The probe converges at n = 128 and the root at n = 256, where the
+        # root Brent found at 128 has |dRbar/de| = 2.3e-11; it is solved
+        # again at 256.
+        cell = evaluate_cell(0.9, 0.8, 0.0, quad)
+        assert cell.status == STATUS_FOUND
+        assert cell.equilibrium.residual < 1e-11
+        assert cell.equilibrium.hessian_definite == POSITIVE_DEFINITE
+        assert np.all(np.linalg.eigvalsh(cell.equilibrium.hessian) > 0.0)
 
     def test_continuity_along_a(self, quad):
         eJ = 0.3

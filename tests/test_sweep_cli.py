@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from secular3bp.averaging import QuadratureSpec
+from secular3bp.averaging import N_START, QuadratureSpec
 from secular3bp.cli import main
 from secular3bp.sweep import (
     CSV_COLUMNS,
@@ -162,6 +162,20 @@ class TestSweepCommand:
         meta = json.loads((tmp_path / "sw" / "sweep_meta.json").read_text())
         assert meta["csv_columns"] == list(CSV_COLUMNS)
 
+    def test_max_nodes_floor_is_n_start(self, tmp_path, capsys):
+        # The --max-nodes floor follows the doubling's start level.
+        window = ["--a-range", "0.9995:0.9995:1", "--ej-range", "0.1:0.1:1"]
+        out = tmp_path / "sw"
+        assert main(["sweep", *window, "--max-nodes", str(N_START),
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "sweep_meta.json").read_text())
+        assert meta["quad_max_n"] == N_START
+        capsys.readouterr()
+        assert main(["sweep", *window, "--max-nodes", str(N_START - 1),
+                     "--out", str(tmp_path / "low")]) == 2
+        assert f"at least {N_START}" in capsys.readouterr().err
+        assert not (tmp_path / "low").exists()
+
     def test_bad_range_exit_two(self, capsys):
         assert main(["sweep", "--a-range", "0.2:0.4", "--ej-range",
                      "0.2:0.3:2", "--out", "/tmp/x"]) == 2
@@ -244,6 +258,9 @@ class TestGridInputChecks:
         assert not out.exists()
 
 
+SWEEP_ONE = ["sweep", "--a-range", "0.2:0.2:1", "--ej-range", "0.2:0.2:1"]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -276,22 +293,27 @@ class TestConfigFile:
         assert main(["point", "--a", "0.4", "--ej", "0.3",
                      "--config", "/nonexistent.cfg"]) == 2
 
-    @pytest.mark.parametrize("text", [
-        "max_node = 2048\n",
-        "tol = abc\n",
-        "jobs = 0\n",
-    ], ids=["misspelt-key", "tol-abc", "jobs-0"])
-    def test_bad_config_exit_two(self, text, tmp_path, capsys):
-        # A config value passes the same check as its flag, an unknown key
-        # is refused, and the error names the file; nothing is written.
+    @pytest.mark.parametrize("text, argv", [
+        ("max_node = 2048\n", SWEEP_ONE),
+        ("tol = abc\n", SWEEP_ONE),
+        ("jobs = 0\n", SWEEP_ONE),
+        ("tol = abc\n", ["point", "--tol", "1e-10", "--a", "0.4", "--ej", "0.3"]),
+        ("k = abc\n", ["point", "--a", "0.4", "--ej", "0.3"]),
+    ], ids=["misspelt-key", "tol-abc", "jobs-0", "point-tol-abc-flag-given",
+            "point-k-abc"])
+    def test_bad_config_exit_two(self, text, argv, tmp_path, capsys):
+        # A config value passes the same check as its flag, also where the
+        # flag is given or only another command reads the key; an unknown
+        # key is refused, and the error names the file and line.  Nothing
+        # is written.
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(text)
         out = tmp_path / "out"
-        assert main(["sweep", "--a-range", "0.2:0.2:1", "--ej-range",
-                     "0.2:0.2:1", "--config", str(cfg_file),
-                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg_file}") and err.count("\n") == 1
+        assert main(argv + ["--config", str(cfg_file), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err
+        assert err.startswith(f"error: {cfg_file}:1: ") and err.count("\n") == 1
+        assert captured.out == ""
         assert not out.exists()
 
     def test_unreadable_config_exit_two(self, tmp_path, capsys):
