@@ -11,7 +11,6 @@ from ._version import __version__
 from .averaging import (
     AveragedCoefficients,
     QuadratureSpec,
-    SeparationGuard,
     averaged_coefficients,
     direct_average_V3d,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "QuadratureSpec",
     "ResonancePoint",
     "Secular3bpError",
-    "SeparationGuard",
     "StabilityRecord",
     "SweepGrid",
     "aligned_noncrossing_interval",

@@ -45,7 +45,6 @@ __all__ = [
     "DEFAULT_SEPARATION_THRESHOLD",
     "QuadratureSpec",
     "AveragedCoefficients",
-    "SeparationGuard",
     "averaged_coefficients",
     "direct_average_V3d",
 ]
@@ -93,52 +92,20 @@ class AveragedCoefficients:
     err: dict
 
 
-class SeparationGuard:
-    """Cached orbit-separation checks for one (a, eJ) parameter cell.
+def _check_separation(cfg: OrbitConfig, e):
+    """Raise OrbitCrossingError if the orbits at e are within threshold.
 
-    Exact separations come from the support-function form
-    (:func:`aligned_separation`); between cached eccentricities a Lipschitz
-    bound (the aligned curves move at most ~4a per unit of e) certifies
-    safety without re-evaluating, keeping repeated guard checks cheap inside
-    root refinement.  An array of eccentricities (the equilibrium scan) is
-    evaluated in one batch.
+    The single-point entries call this; the equilibrium scan certifies a
+    whole cell with one batched separation instead.
     """
-
-    def __init__(self, cfg: OrbitConfig):
-        self.cfg = cfg
-        self._cache = {}
-        self._lip = 4.0 * cfg.a
-
-    def min_separation(self, e):
-        """Exact separation at e, a float or an array evaluated in one batch."""
-        es = np.asarray(e, dtype=float)
-        missing = [x for x in dict.fromkeys(es.reshape(-1).tolist())
-                   if x not in self._cache]
-        if missing:
-            seps = aligned_separation(self.cfg.a, np.array(missing), self.cfg.e_J)
-            self._cache.update(zip(missing, seps.tolist()))
-        if es.ndim == 0:
-            return self._cache[float(es)]
-        return np.array([self._cache[x] for x in es.tolist()])
-
-    def separation_lower_bound(self, e):
-        best = -math.inf
-        for e0, sep0 in self._cache.items():
-            best = max(best, sep0 - self._lip * abs(e - e0))
-        return best
-
-    def check(self, e):
-        """Raise OrbitCrossingError if the configuration is within threshold."""
-        if self.separation_lower_bound(e) >= DEFAULT_SEPARATION_THRESHOLD:
-            return
-        sep = self.min_separation(e)
-        if sep < DEFAULT_SEPARATION_THRESHOLD:
-            raise OrbitCrossingError(
-                f"orbits closer than {DEFAULT_SEPARATION_THRESHOLD:g} at "
-                f"a={self.cfg.a:g}, e={e:g}, e_J={self.cfg.e_J:g} "
-                f"(separation {sep:.3e})",
-                separation=sep,
-            )
+    sep = aligned_separation(cfg.a, e, cfg.e_J)
+    if sep < DEFAULT_SEPARATION_THRESHOLD:
+        raise OrbitCrossingError(
+            f"orbits closer than {DEFAULT_SEPARATION_THRESHOLD:g} at "
+            f"a={cfg.a:g}, e={e:g}, e_J={cfg.e_J:g} "
+            f"(separation {sep:.3e})",
+            separation=sep,
+        )
 
 
 def _doubling(eval_at, quad: QuadratureSpec, floors):
@@ -183,8 +150,8 @@ def _quarter_eval(a, e, eJ, n):
     return rbar, a_mean, c_mean
 
 
-def averaged_coefficients(cfg: OrbitConfig, e, quad: QuadratureSpec,
-                          guard=None) -> AveragedCoefficients:
+def averaged_coefficients(cfg: OrbitConfig, e,
+                          quad: QuadratureSpec) -> AveragedCoefficients:
     """All averaged coefficients at the aligned configuration (g = 0, i = 0).
 
     Rbar, Abar, Cbar come from one quarter-domain evaluation; Bbar (whose
@@ -201,9 +168,7 @@ def averaged_coefficients(cfg: OrbitConfig, e, quad: QuadratureSpec,
     """
     if not (0.0 <= e < 1.0):
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    if guard is None:
-        guard = SeparationGuard(cfg)
-    guard.check(e)
+    _check_separation(cfg, e)
     G = cfg.G_of(e)
 
     def eval_all(n):

@@ -28,11 +28,15 @@ from .averaging import (
     _SCALE_FLOOR,
     DEFAULT_SEPARATION_THRESHOLD,
     QuadratureSpec,
-    SeparationGuard,
+    _check_separation,
     _doubling,
 )
 from .errors import NonConvergedError
-from .geometry import OrbitConfig, aligned_noncrossing_interval
+from .geometry import (
+    OrbitConfig,
+    aligned_noncrossing_interval,
+    aligned_separation,
+)
 
 __all__ = [
     "STATUS_FOUND",
@@ -67,9 +71,9 @@ _N_SCAN = 21
 _DEFINITE_FLOOR = 1e-9
 
 # Inter-orbit separation (scaled by max(1, a)) needed for the quadrature to
-# converge within the node cap; crossing-bounded bracket sides are inset so
-# scan points stay this far from the boundary.  Being above the guard
-# threshold, it keeps every admissible scan point clear of the guard.
+# converge within the node cap.  Scan points below it are masked out; being
+# above the crossing threshold, it certifies every point the cell evaluates
+# (see _scan_grid).
 _SAFE_SEPARATION = 4.0 * DEFAULT_SEPARATION_THRESHOLD
 
 _ROOT_RESIDUAL_TOL = 1e-11
@@ -91,7 +95,7 @@ class EquilibriumRecord:
     message: str = ""
 
 
-def _derivatives(cfg, e, quad, guard, second=False):
+def _derivatives(cfg, e, quad, second=False):
     """Converged (R, R_e), plus (R_ee, R_gg) when ``second``, at g = 0.
 
     Returns (values, errors, nodes).  Node doubling stops once R agrees to
@@ -101,7 +105,6 @@ def _derivatives(cfg, e, quad, guard, second=False):
     """
     if not (0.0 <= e < 1.0):
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    guard.check(e)
     floors = (_SCALE_FLOOR, 1.0) + ((math.inf, math.inf) if second else ())
     vals, errs, nodes = _doubling(
         lambda n: kernels.quarter_derivatives(cfg.a, e, cfg.e_J, n, n,
@@ -124,28 +127,35 @@ def classify_definiteness(hessian):
     return INDEFINITE
 
 
-def _scan_grid(cfg, guard):
-    """Scan abscissae over the bracket with a per-point admissibility mask.
+def _scan_grid(cfg):
+    """Scan abscissae, admissibility mask and the best-separated point.
 
-    A point is admissible when the exact aligned separation leaves the
-    convergence-safety margin, which exceeds the crossing threshold;
-    inadmissible points are masked out rather than failing the whole
-    search, because the near-crossing band can sit at either end (or both
-    ends) of the eccentricity range.
+    A point is admissible when its exact aligned separation, from one
+    batched evaluation, clears the convergence-safety margin, which exceeds
+    the crossing threshold; inadmissible points are masked out rather than
+    failing the whole search, because the near-crossing band can sit at
+    either end (or both ends) of the eccentricity range.
+
+    The mask is the cell's one crossing certificate.  Every evaluation the
+    cell makes is an admissible scan point or lies inside a bracket whose
+    two ends are admissible, and the separation is quasi-concave in e (see
+    :func:`aligned_separation`), so inside such a bracket it stays above
+    the margin too.
     """
     lo, hi = DEFAULT_E_BRACKET
     interval = aligned_noncrossing_interval(cfg.a, cfg.e_J)
     if interval is None:
-        return None, None
+        return None
     lo = max(lo, interval[0])
     hi = min(hi, interval[1])
     if lo + 2.0 * _SCAN_INSET >= hi:
-        return None, None
+        return None
     grid = np.linspace(lo + _SCAN_INSET, hi - _SCAN_INSET, _N_SCAN)
-    mask = guard.min_separation(grid) >= _SAFE_SEPARATION * max(1.0, cfg.a)
+    seps = aligned_separation(cfg.a, grid, cfg.e_J)
+    mask = seps >= _SAFE_SEPARATION * max(1.0, cfg.a)
     if not mask.any():
-        return None, None
-    return grid, mask
+        return None
+    return grid, mask, float(grid[mask][np.argmax(seps[mask])])
 
 
 def _chain_rule_hessian(cfg, e_star, r_e, r_ee, r_gg):
@@ -195,13 +205,12 @@ def planar_hessian(cfg: OrbitConfig, e_star, quad: QuadratureSpec):
     """
     if not (0.0 < e_star < 1.0):
         raise ValueError(f"eccentricity must be in (0, 1), got {e_star}")
-    (_, r_e, r_ee, r_gg), _, _ = _derivatives(cfg, e_star, quad,
-                                              SeparationGuard(cfg), second=True)
+    _check_separation(cfg, e_star)
+    (_, r_e, r_ee, r_gg), _, _ = _derivatives(cfg, e_star, quad, second=True)
     return _chain_rule_hessian(cfg, e_star, r_e, r_ee, r_gg)
 
 
-def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
-                     guard=None) -> EquilibriumRecord:
+def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecord:
     """Locate planar equilibria: roots of dRbar/de = 0 at g = 0.
 
     Evaluates the analytic derivative on an eccentricity grid over the
@@ -222,7 +231,6 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
     Args:
         cfg: Problem parameters.
         quad: Quadrature control.
-        guard: Optional shared SeparationGuard.
 
     Returns:
         EquilibriumRecord.
@@ -232,11 +240,8 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
             count it was solved at, its bracket loses the sign change at a
             finer level, or a quadrature reaches the node cap.
     """
-    if guard is None:
-        guard = SeparationGuard(cfg)
-
-    scan, mask = _scan_grid(cfg, guard)
-    if scan is None:
+    certified = _scan_grid(cfg)
+    if certified is None:
         return EquilibriumRecord(
             e_star=math.nan, residual=math.nan, hessian=None,
             hessian_definite=DEGENERATE, status=STATUS_ORBIT_CROSSING,
@@ -247,13 +252,11 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
     # One frozen node count per cell keeps the scanned derivative an
     # analytic function of e (no adaptive-refinement jitter near roots);
     # probe at the best-separated admissible point.
-    admissible = scan[mask]
-    e_probe = float(admissible[np.argmax(guard.min_separation(admissible))])
-    _, _, n_frozen = _derivatives(cfg, e_probe, quad, guard)
+    scan, mask, e_probe = certified
+    _, _, n_frozen = _derivatives(cfg, e_probe, quad)
 
-    # The mask keeps every scan point above the guard threshold.
     values = np.full(scan.shape, math.nan)
-    values[mask] = kernels.quarter_derivatives(cfg.a, admissible, cfg.e_J,
+    values[mask] = kernels.quarter_derivatives(cfg.a, scan[mask], cfg.e_J,
                                                n_frozen, n_frozen)[1]
     # The kernel gives each e the same bytes batched or alone, so Brent at
     # the frozen level can take its bracket ends from the scan.
@@ -264,7 +267,6 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
 
         def phi(e):
             if e not in memo:
-                guard.check(e)
                 memo[e] = float(kernels.quarter_derivatives(
                     cfg.a, e, cfg.e_J, n, n)[1])
             return memo[e]
@@ -303,7 +305,7 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec,
             e_root = brentq(phi, e1, e2, xtol=1e-15,
                             rtol=4 * np.finfo(float).eps)
             (_, r_e, r_ee, r_gg), _, nodes = _derivatives(
-                cfg, e_root, quad, guard, second=True)
+                cfg, e_root, quad, second=True)
             resid = abs(float(r_e))
         hess = _chain_rule_hessian(cfg, e_root, r_e, r_ee, r_gg)
         records.append((e_root, resid, hess, classify_definiteness(hess)))

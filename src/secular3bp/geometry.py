@@ -174,6 +174,16 @@ def aligned_separation(a, e, eJ):
     side, and the result has the shape of ``e``.
     Returns 0 when the curves cross (including the whole a = 1 line).
     The test suite checks it against a dense sampling of both anomalies.
+
+    On the non-crossing interval the separation is quasi-concave in e:
+    between two eccentricities it never drops below the smaller of their
+    two values, which lets the equilibrium scan certify a whole bracket
+    from its ends.  For a > 1 this is exact: each direction's gap
+    h_ast - h_pl, with h_ast = a (-e cos(theta) + sqrt(1 - e^2 sin^2(theta))),
+    is concave in e, and a minimum over directions of concave functions is
+    concave.  For a < 1 each direction's gap is convex in e and no such
+    argument exists; the test suite checks the property there on dense
+    e samples of random cells.
     """
     es = np.asarray(e, dtype=float)
     ev = es.reshape(-1, 1)

@@ -28,7 +28,6 @@ from scipy.optimize import brentq
 from .averaging import (
     AveragedCoefficients,
     QuadratureSpec,
-    SeparationGuard,
     averaged_coefficients,
 )
 from .equilibrium import (
@@ -153,7 +152,7 @@ def linearized_matrix(hessian, Abar, Cbar):
 
 
 def classify_spatial(cfg: OrbitConfig, eq: EquilibriumRecord,
-                     quad: QuadratureSpec, guard=None) -> StabilityRecord:
+                     quad: QuadratureSpec) -> StabilityRecord:
     """Spatial linear-stability verdict at a located planar equilibrium.
 
     Evaluates (Abar, Cbar) at (a, e*, e_J) and requires the sign margins to
@@ -167,23 +166,19 @@ def classify_spatial(cfg: OrbitConfig, eq: EquilibriumRecord,
         eq: Equilibrium record with status FOUND (or MULTIPLE_ROOTS, in
             which case the selected stable root is classified).
         quad: Quadrature control.
-        guard: Optional shared SeparationGuard.
 
     Returns:
         StabilityRecord.
     """
     if eq.status not in EQUILIBRIUM_STATUSES:
         raise ValueError(f"cannot classify equilibrium with status {eq.status}")
-    if guard is None:
-        guard = SeparationGuard(cfg)
 
-    coeffs = averaged_coefficients(cfg, eq.e_star, quad, guard=guard)
+    coeffs = averaged_coefficients(cfg, eq.e_star, quad)
     verdict = sign_verdict(coeffs.Abar, coeffs.Cbar,
                            coeffs.err["Abar"], coeffs.err["Cbar"])
     if verdict == INCONCLUSIVE:
         coeffs = averaged_coefficients(cfg, eq.e_star,
-                                       replace(quad, tol=quad.tol / 10.0),
-                                       guard=guard)
+                                       replace(quad, tol=quad.tol / 10.0))
         verdict = sign_verdict(coeffs.Abar, coeffs.Cbar,
                                coeffs.err["Abar"], coeffs.err["Cbar"])
 
@@ -208,11 +203,10 @@ def point_ratio(a, e_J, mu, quad: QuadratureSpec):
     """
     try:
         cfg = OrbitConfig(a=a, e_J=e_J, mu=mu)
-        guard = SeparationGuard(cfg)
-        eq = find_equilibrium(cfg, quad, guard=guard)
+        eq = find_equilibrium(cfg, quad)
         if eq.status not in EQUILIBRIUM_STATUSES:
             return None
-        rec = classify_spatial(cfg, eq, quad, guard=guard)
+        rec = classify_spatial(cfg, eq, quad)
     except (Secular3bpError, ValueError):
         return None
     if not math.isfinite(rec.ratio):

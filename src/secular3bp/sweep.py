@@ -22,9 +22,13 @@ from .averaging import (
     DEFAULT_SEPARATION_THRESHOLD,
     N_START,
     QuadratureSpec,
-    SeparationGuard,
 )
-from .equilibrium import EQUILIBRIUM_STATUSES, STATUS_ORBIT_CROSSING, find_equilibrium
+from .equilibrium import (
+    _SAFE_SEPARATION,
+    EQUILIBRIUM_STATUSES,
+    STATUS_ORBIT_CROSSING,
+    find_equilibrium,
+)
 from .errors import NonConvergedError, OrbitCrossingError
 from .geometry import OrbitConfig
 from .stability import INCONCLUSIVE, classify_spatial
@@ -139,12 +143,11 @@ def evaluate_cell(a, e_J, mu, quad: QuadratureSpec) -> CellResult:
     """
     cfg = OrbitConfig(a=a, e_J=e_J, mu=mu)
     try:
-        guard = SeparationGuard(cfg)
-        eq = find_equilibrium(cfg, quad, guard=guard)
+        eq = find_equilibrium(cfg, quad)
         if eq.status not in EQUILIBRIUM_STATUSES:
             return CellResult(a=a, e_J=e_J, status=eq.status,
                               equilibrium=eq, message=eq.message)
-        stab = classify_spatial(cfg, eq, quad, guard=guard)
+        stab = classify_spatial(cfg, eq, quad)
         status = INCONCLUSIVE if stab.spatial_verdict == INCONCLUSIVE \
             else eq.status
         return CellResult(a=a, e_J=e_J, status=status, equilibrium=eq,
@@ -221,6 +224,9 @@ def run_sweep(a_range, eJ_range, mu=0.0, quad=None, jobs=1) -> SweepGrid:
         "quad_n_ast": N_START, "quad_n_pl": N_START,
         "quad_tol": quad.tol, "quad_max_n": quad.max_n,
         "separation_threshold": DEFAULT_SEPARATION_THRESHOLD,
+        # A cell is ORBIT_CROSSING when no scan point clears this margin,
+        # scaled by max(1, a).
+        "scan_separation_margin": _SAFE_SEPARATION,
         "cell_order": "row-major (a outer, e_J inner)",
         "jobs": jobs,
         "wall_time_s": wall,

@@ -47,7 +47,7 @@ def test_benchmark_hooks_resolve(monkeypatch):
 # Settable values in the package: parameters with a default plus dataclass
 # fields with a default.  A value only one caller ever passes belongs in a
 # module constant; adding an option means raising this number on purpose.
-MAX_SETTABLE_VALUES = 28
+MAX_SETTABLE_VALUES = 25
 
 
 def _settable_values(tree):

@@ -11,10 +11,10 @@ from secular3bp.averaging import (
     N_START,
     AveragedCoefficients,
     QuadratureSpec,
-    SeparationGuard,
     averaged_coefficients,
     direct_average_V3d,
 )
+from secular3bp.equilibrium import planar_hessian
 from secular3bp.errors import NonConvergedError, OrbitCrossingError
 from secular3bp.geometry import OrbitConfig, PoincareState, aligned_separation
 from secular3bp.validate import (
@@ -213,34 +213,21 @@ class TestDoublingControl:
 
 
 class TestSeparationGuard:
-    def test_threshold_refusal(self):
+    def test_threshold_refusal(self, quad):
+        # Both single-point entries refuse a configuration whose apoapsis
+        # gap (~4e-4) is below 1e-3, before any quadrature.
         cfg = OrbitConfig(a=0.72, e_J=0.3)
-        guard = SeparationGuard(cfg)
-        guard.check(0.5)  # comfortably separated
-        with pytest.raises(OrbitCrossingError) as info:
-            guard.check(0.805)  # apoapsis gap ~4e-4, below 1e-3
-        assert info.value.separation == guard.min_separation(0.805)
-        copy = pickle.loads(pickle.dumps(info.value))
-        assert (str(copy), copy.separation) == (str(info.value),
-                                                info.value.separation)
-
-    def test_lipschitz_shortcut_consistency(self):
-        cfg = OrbitConfig(a=0.4, e_J=0.3)
-        guard = SeparationGuard(cfg)
-        sep = guard.min_separation(0.3)
-        assert guard.separation_lower_bound(0.3005) >= sep - 4.0 * 0.4 * 0.0006
-        guard.check(0.3005)  # must pass without any new exact evaluation
-        assert set(guard._cache) == {0.3}
-
-    def test_batch_seeds_cache(self):
-        cfg = OrbitConfig(a=0.4, e_J=0.3)
-        guard = SeparationGuard(cfg)
-        es = np.array([0.1, 0.2, 0.2, 0.45])
-        seps = guard.min_separation(es)
-        assert set(guard._cache) == {0.1, 0.2, 0.45}
-        # One batched evaluation gives each e the bytes of a scalar call.
-        assert seps.tolist() == [aligned_separation(0.4, float(e), 0.3) for e in es]
-        assert guard.min_separation(0.45) == seps[3]
+        averaged_coefficients(cfg, 0.5, quad)  # comfortably separated
+        for entry in (averaged_coefficients, planar_hessian):
+            with pytest.raises(OrbitCrossingError) as info:
+                entry(cfg, 0.805, quad)
+            assert info.value.separation == aligned_separation(0.72, 0.805, 0.3)
+            assert str(info.value) == (
+                "orbits closer than 0.001 at a=0.72, e=0.805, e_J=0.3 "
+                f"(separation {info.value.separation:.3e})")
+            copy = pickle.loads(pickle.dumps(info.value))
+            assert (str(copy), copy.separation) == (str(info.value),
+                                                    info.value.separation)
 
 
 class TestDirectAverage3D:

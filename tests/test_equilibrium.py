@@ -12,7 +12,7 @@ from oracles import (
     richardson_second,
 )
 from secular3bp import kernels
-from secular3bp.averaging import SeparationGuard
+from secular3bp.averaging import DEFAULT_SEPARATION_THRESHOLD
 from secular3bp.equilibrium import (
     POSITIVE_DEFINITE,
     STATUS_FOUND,
@@ -22,13 +22,13 @@ from secular3bp.equilibrium import (
     find_equilibrium,
     planar_hessian,
 )
-from secular3bp.geometry import OrbitConfig
+from secular3bp.geometry import OrbitConfig, aligned_separation
 from secular3bp.sweep import evaluate_cell
 
 
 def analytic_derivatives(cfg, e, quad, second=False):
     """Converged (R, R_e[, R_ee, R_gg]) and their doubling errors."""
-    vals, errs, _ = _derivatives(cfg, e, quad, SeparationGuard(cfg), second=second)
+    vals, errs, _ = _derivatives(cfg, e, quad, second=second)
     return vals, errs
 
 
@@ -138,7 +138,7 @@ class TestFindEquilibrium:
         assert rec.status == STATUS_ORBIT_CROSSING
 
     def test_near_boundary_cell_survives(self, quad):
-        # Low-e scan points sit within the crossing guard here (periapsis
+        # Low-e scan points sit below the scan margin here (periapsis
         # gap = a*e when a = 1 - e_J); masking must not lose the root.
         rec = find_equilibrium(OrbitConfig(a=0.3, e_J=0.7), quad)
         assert rec.status == STATUS_FOUND
@@ -159,6 +159,34 @@ class TestFindEquilibrium:
         assert cell.equilibrium.residual < 1e-11
         assert cell.equilibrium.hessian_definite == POSITIVE_DEFINITE
         assert np.all(np.linalg.eigvalsh(cell.equilibrium.hessian) > 0.0)
+
+    def test_cell_path_stays_clear_of_crossing(self, quad, monkeypatch):
+        # The scan mask is the cell's only crossing check: every e the
+        # kernels see on the cell path, scalar or batched, must clear the
+        # crossing threshold.
+        seen = []
+
+        def recording(kernel):
+            def wrapped(a, e, eJ, *args, **kwargs):
+                seen.extend((a, float(x), eJ) for x in np.ravel(e))
+                return kernel(a, e, eJ, *args, **kwargs)
+            return wrapped
+
+        for name in ("quarter_derivatives", "quarter_sums", "bbar_mean"):
+            monkeypatch.setattr(kernels, name, recording(getattr(kernels, name)))
+        rng = np.random.default_rng(20261018)
+        cells = [(rng.uniform(0.05, 0.55), rng.uniform(0.05, 0.85))
+                 for _ in range(10)]
+        cells += [(rng.uniform(1.8, 4.0), rng.uniform(0.05, 0.85))
+                  for _ in range(10)]
+        cells += [(0.3, 0.7), (0.9, 0.8)]
+        statuses = [evaluate_cell(float(a), float(eJ), 0.0, quad).status
+                    for a, eJ in cells]
+        assert statuses.count(STATUS_FOUND) >= 15
+        assert seen
+        low = [(a, e, eJ) for a, e, eJ in seen
+               if aligned_separation(a, e, eJ) < DEFAULT_SEPARATION_THRESHOLD]
+        assert low == []
 
     def test_continuity_along_a(self, quad):
         eJ = 0.3

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import orbit_min_separation, poincare_from_delaunay, solve_kepler
@@ -305,6 +305,25 @@ class TestSeparation:
             if hi < 1.0:
                 e_out = min(0.999, hi + 0.05)
                 assert aligned_separation(a, e_out, eJ) == 0.0
+
+    def test_batch_matches_scalar(self):
+        # One batched evaluation gives each e the bytes of a scalar call.
+        es = np.array([0.1, 0.2, 0.2, 0.45])
+        seps = aligned_separation(0.4, es, 0.3)
+        assert seps.tolist() == [aligned_separation(0.4, float(e), 0.3) for e in es]
+
+    @given(st.one_of(st.floats(0.02, 0.99), st.floats(1.01, 5.0)),
+           st.floats(0.0, 0.97))
+    @settings(max_examples=200, deadline=None)
+    def test_quasi_concave_on_noncrossing_interval(self, a, eJ):
+        # sep(e) >= min(sep(e1), sep(e2)) for every e1 < e < e2: the
+        # equilibrium scan certifies each bracket from its two ends.
+        interval = aligned_noncrossing_interval(a, eJ)
+        assume(interval is not None)
+        seps = aligned_separation(a, np.linspace(*interval, 256), eJ)
+        left = np.maximum.accumulate(seps)
+        right = np.maximum.accumulate(seps[::-1])[::-1]
+        assert np.all(seps[1:-1] >= np.minimum(left[:-2], right[2:]) - 1e-12)
 
     def test_a_equal_one_always_crosses(self):
         assert aligned_noncrossing_interval(1.0, 0.3) is None

@@ -1,6 +1,8 @@
 import json
 import math
+import pathlib
 
+import numpy as np
 import pytest
 
 from secular3bp.averaging import N_START, QuadratureSpec
@@ -13,6 +15,8 @@ from secular3bp.sweep import (
     write_metadata_json,
     write_sweep_csv,
 )
+
+GOLDEN_WIDE = pathlib.Path(__file__).parent / "data" / "golden_wide_10x10.csv"
 
 HEADER = ("a,e_J,status,e_star,Rbar,Abar,Bbar,Cbar,hess_pp,hess_qq,hess_pq,"
           "omega_plane,omega_z,ratio,err_R,err_A,err_C")
@@ -96,6 +100,7 @@ class TestSweep:
         assert meta["quad_tol"] == quad.tol
         assert meta["quad_max_n"] == quad.max_n
         assert meta["separation_threshold"] == 1e-3
+        assert meta["scan_separation_margin"] == 4e-3
         assert meta["n_a"] == 1 and meta["n_eJ"] == 1
         assert "wall_time_s" in meta
 
@@ -105,6 +110,34 @@ class TestSweep:
         statuses = [c.status for c in grid.cells]
         assert statuses[1] == "ORBIT_CROSSING"
         assert len(grid.cells) == 3
+
+    def test_golden_window_equivalence(self, quad):
+        # The 10x10 window of NO_ROOT, FOUND and ORBIT_CROSSING cells
+        # against its stored sweep.csv, under the refactor equivalence rule:
+        # same statuses and empty cells, e_star and the Hessian to 1e-9
+        # relative, Rbar/Abar/Cbar within 3x their reported error.  A change
+        # that moves these numbers regenerates the file.
+        golden = [line.split(",") for line in
+                  GOLDEN_WIDE.read_text().strip().split("\n")]
+        grid = run_sweep((0.05, 0.95, 10), (0.0, 0.95, 10), quad=quad)
+        rows = [row.split(",") for row in sweep_csv_text(grid).strip().split("\n")]
+        assert rows[0] == golden[0]
+        assert len(rows) == len(golden) == 101
+        col = {name: k for k, name in enumerate(CSV_COLUMNS)}
+        eps = np.finfo(float).eps
+        for got, want in zip(rows[1:], golden[1:]):
+            assert got[:3] == want[:3]
+            assert [x == "" for x in got] == [x == "" for x in want]
+            for name in ("e_star", "hess_pp", "hess_qq", "hess_pq"):
+                if want[col[name]]:
+                    assert math.isclose(float(got[col[name]]),
+                                        float(want[col[name]]), rel_tol=1e-9)
+            for name, err in (("Rbar", "err_R"), ("Abar", "err_A"),
+                              ("Cbar", "err_C")):
+                if want[col[name]]:
+                    value = float(want[col[name]])
+                    bound = 3.0 * max(float(want[col[err]]), 4.0 * eps * abs(value))
+                    assert abs(float(got[col[name]]) - value) <= bound
 
     def test_evaluate_cell_smoke(self, quad):
         cell = evaluate_cell(0.4, 0.3, 0.0, quad)
