@@ -11,12 +11,16 @@ Derivatives come from differentiating the quadrature under the integral
 sign (:func:`kernels.quarter_derivatives`).  The differentiated integrands
 stay analytic and periodic, so the midpoint rule converges geometrically
 for them as it does for Rbar, with no finite-difference step to choose.
-The scan and Brent share one frozen node count per cell, which keeps the
-scanned derivative a single analytic function of e; the residual and the
-planar Hessian come from one quadrature converged at the root itself, and
-a root whose residual fails there is solved again at that level.
+Brent runs at one frozen node count per cell, which keeps the derivative
+it solves a single analytic function of e.  The scan needs only signs and
+runs one doubling level below, where the probe that froze the count has
+already seen the two levels agree; Brent and the root stay at the frozen
+level or finer.  The residual and the planar Hessian come from one
+quadrature converged at the root itself, and a root whose residual fails
+there is solved again at that level.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -27,6 +31,7 @@ from . import kernels
 from .averaging import (
     _SCALE_FLOOR,
     DEFAULT_SEPARATION_THRESHOLD,
+    N_START,
     QuadratureSpec,
     _check_separation,
     _doubling,
@@ -215,13 +220,14 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
 
     Evaluates the analytic derivative on an eccentricity grid over the
     admissible (non-crossing) part of ``DEFAULT_E_BRACKET`` in one batched
-    kernel call, brackets sign changes and refines each with Brent's method,
-    all at one frozen node count.  At each root the first and second derivatives
-    are then converged afresh in one quadrature: the magnitude of the first
-    is the reported residual, which must be below 1e-11, and all of them
-    give the root's planar Hessian.  A root whose residual fails at a level
-    above the one Brent used is solved again on its bracket at that level.
-    The positive-definite root is reported as the stable equilibrium.
+    kernel call one doubling level below the cell's frozen node count,
+    brackets sign changes and refines each with Brent's method at the
+    frozen count.  At each root the first and second derivatives are then
+    converged afresh in one quadrature: the magnitude of the first is the
+    reported residual, which must be below 1e-11, and all of them give the
+    root's planar Hessian.  A root whose residual fails at a level above
+    the one Brent used is solved again on its bracket at that level.  The
+    positive-definite root is reported as the stable equilibrium.
 
     Status semantics: FOUND for a single root with positive-definite
     Hessian; MULTIPLE_ROOTS when several roots exist (e_star then points at
@@ -238,7 +244,9 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
     Raises:
         NonConvergedError: A root's residual stays above 1e-11 at a node
             count it was solved at, its bracket loses the sign change at a
-            finer level, or a quadrature reaches the node cap.
+            level above the frozen one, or a quadrature reaches the node
+            cap.  A scan bracket whose ends lose their sign change at the
+            frozen level is no error: the cell is scanned again there.
     """
     certified = _scan_grid(cfg)
     if certified is None:
@@ -249,35 +257,34 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
                     "the planet orbit",
         )
 
-    # One frozen node count per cell keeps the scanned derivative an
-    # analytic function of e (no adaptive-refinement jitter near roots);
-    # probe at the best-separated admissible point.
+    # One frozen node count per cell keeps Brent's derivative an analytic
+    # function of e; probe at the best-separated admissible point.  The
+    # probe saw n_frozen // 2 agree with n_frozen, so the scan runs there.
     scan, mask, e_probe = certified
     _, _, n_frozen = _derivatives(cfg, e_probe, quad)
 
-    values = np.full(scan.shape, math.nan)
-    values[mask] = kernels.quarter_derivatives(cfg.a, scan[mask], cfg.e_J,
-                                               n_frozen, n_frozen)[1]
-    # The kernel gives each e the same bytes batched or alone, so Brent at
-    # the frozen level can take its bracket ends from the scan.
-    scanned = dict(zip(scan.tolist(), values.tolist()))
+    def brackets_at(n):
+        values = np.full(scan.shape, math.nan)
+        values[mask] = kernels.quarter_derivatives(cfg.a, scan[mask], cfg.e_J,
+                                                   n, n)[1]
+        neg = values < 0.0
+        return [
+            (float(scan[k]), float(scan[k + 1]))
+            for k in range(len(scan) - 1)
+            if mask[k] and mask[k + 1]
+            and (values[k] == 0.0 or neg[k] != neg[k + 1])
+        ]
 
-    def phi_at(n):
-        memo = scanned if n == n_frozen else {}
+    @functools.cache
+    def slope(n, e):
+        return float(kernels.quarter_derivatives(cfg.a, e, cfg.e_J, n, n)[1])
 
-        def phi(e):
-            if e not in memo:
-                memo[e] = float(kernels.quarter_derivatives(
-                    cfg.a, e, cfg.e_J, n, n)[1])
-            return memo[e]
-        return phi
-
-    brackets = [
-        (float(scan[k]), float(scan[k + 1]))
-        for k in range(len(scan) - 1)
-        if mask[k] and mask[k + 1]
-        and (values[k] == 0.0 or (values[k] < 0.0) != (values[k + 1] < 0.0))
-    ]
+    # A bracket whose ends lose their sign change at n_frozen sends the
+    # cell back to a scan at n_frozen itself.
+    brackets = brackets_at(max(N_START, n_frozen // 2))
+    if any(slope(n_frozen, e1) * slope(n_frozen, e2) > 0.0
+           for (e1, e2) in brackets):
+        brackets = brackets_at(n_frozen)
     if not brackets:
         return EquilibriumRecord(
             e_star=math.nan, residual=math.nan, hessian=None,
@@ -297,7 +304,7 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
                     f"|dRbar/de| = {resid:.3e} at the root e = {e_root:.15g} "
                     f"{where}, converged at n = {nodes} after a solve at "
                     f"n = {n}", last_error=resid, nodes=nodes)
-            n, phi = nodes, phi_at(nodes)
+            n, phi = nodes, functools.partial(slope, nodes)
             if phi(e1) * phi(e2) > 0.0:
                 raise NonConvergedError(
                     f"dRbar/de has no sign change on [{e1:.15g}, {e2:.15g}] "

@@ -12,16 +12,18 @@ from oracles import (
     richardson_second,
 )
 from secular3bp import kernels
-from secular3bp.averaging import DEFAULT_SEPARATION_THRESHOLD
+from secular3bp.averaging import DEFAULT_SEPARATION_THRESHOLD, N_START
 from secular3bp.equilibrium import (
     POSITIVE_DEFINITE,
     STATUS_FOUND,
     STATUS_NO_ROOT,
     STATUS_ORBIT_CROSSING,
     _derivatives,
+    _scan_grid,
     find_equilibrium,
     planar_hessian,
 )
+from secular3bp.errors import NonConvergedError
 from secular3bp.geometry import OrbitConfig, aligned_separation
 from secular3bp.sweep import evaluate_cell
 
@@ -199,6 +201,142 @@ class TestFindEquilibrium:
         diffs = np.abs(np.diff(stars))
         # e*(a) is smooth here; steps of da = 0.01 move e* by O(da).
         assert diffs.max() < 0.05
+
+
+def sign_changes(values):
+    """Indices k where values[k] and values[k + 1] bracket a root."""
+    neg = values < 0.0
+    return [k for k in range(len(values) - 1)
+            if values[k] == 0.0 or neg[k] != neg[k + 1]]
+
+
+def recording_derivatives(monkeypatch, alter=None):
+    """Record (batched, n, second) for every quarter_derivatives call.
+
+    ``alter(calls, e, n, out)`` may return replaced outputs; ``calls``
+    holds the calls made before this one.
+    """
+    calls = []
+    kernel = kernels.quarter_derivatives
+
+    def wrapped(a, e, eJ, n1, n2, second=False):
+        out = kernel(a, e, eJ, n1, n2, second=second)
+        if alter is not None:
+            out = alter(calls, e, n1, out)
+        calls.append((np.ndim(e) > 0, n1, second))
+        return out
+
+    monkeypatch.setattr(kernels, "quarter_derivatives", wrapped)
+    return calls
+
+
+def flip_one(out):
+    """Kernel outputs with R_e negated at the third-last batched e.
+
+    For (a, e_J) = (0.4, 0.3) that point lies far above the root, so the
+    flip adds two spurious sign changes.
+    """
+    r_e = out[1].copy()
+    r_e[-3] = -r_e[-3]
+    return (out[0], r_e) + out[2:]
+
+
+class TestScanLevel:
+    @pytest.mark.parametrize("a, eJ, n_frozen", [(0.4, 0.3, 64), (0.9, 0.8, 128)])
+    def test_scan_runs_one_level_below_brent(self, quad, monkeypatch, a, eJ,
+                                             n_frozen):
+        calls = recording_derivatives(monkeypatch)
+        rec = find_equilibrium(OrbitConfig(a=a, e_J=eJ), quad)
+        assert rec.status == STATUS_FOUND
+        batched = [k for k, call in enumerate(calls) if call[0]]
+        assert len(batched) == 1
+        k = batched[0]
+        assert max(n for _, n, _ in calls[:k]) == n_frozen  # the probe
+        assert calls[k][1] == max(N_START, n_frozen // 2)
+        brent = {n for _, n, second in calls[k + 1:] if not second}
+        root = {n for _, n, second in calls[k + 1:] if second}
+        assert n_frozen in brent
+        assert brent <= {n_frozen, max(root)}
+
+    def test_spurious_scan_sign_change_rescans_at_frozen_level(
+            self, quad, monkeypatch):
+        # Flip one scan value far from the root at n = 32 only: the two
+        # spurious brackets lose their sign change at n_frozen = 64, so the
+        # cell scans again at 64 and returns the unpatched record.
+        cfg = OrbitConfig(a=0.4, e_J=0.3)
+        want = find_equilibrium(cfg, quad)
+
+        def flip(calls, e, n, out):
+            return flip_one(out) if np.ndim(e) > 0 and n == 32 else out
+
+        calls = recording_derivatives(monkeypatch, flip)
+        got = find_equilibrium(cfg, quad)
+        assert [n for batched, n, _ in calls if batched] == [32, 64]
+        assert got.status == want.status == STATUS_FOUND
+        assert got.e_star == want.e_star
+        assert got.residual == want.residual
+        assert got.hessian.tobytes() == want.hessian.tobytes()
+
+    @pytest.mark.parametrize("missing", ["root", "spurious"])
+    def test_sign_change_missing_at_frozen_level(self, quad, monkeypatch,
+                                                 missing):
+        # "root": after the probe, dRbar/de at n_frozen = 64 has no sign
+        # change at all, so the rescan finds none.  "spurious": both batched
+        # scans show a sign change that single evaluations at 64 do not.
+        # Either way the cell must not report a root.
+        cfg = OrbitConfig(a=0.4, e_J=0.3)
+
+        def alter(calls, e, n, out):
+            if missing == "root" and n == 64 and any(c[0] for c in calls):
+                return (out[0], np.abs(out[1])) + out[2:]
+            if missing == "spurious" and np.ndim(e) > 0:
+                return flip_one(out)
+            return out
+
+        calls = recording_derivatives(monkeypatch, alter)
+        if missing == "root":
+            assert find_equilibrium(cfg, quad).status == STATUS_NO_ROOT
+        else:
+            with pytest.raises(NonConvergedError, match="no sign change"):
+                find_equilibrium(cfg, quad)
+        assert [n for batched, n, _ in calls if batched] == [32, 64]
+
+    def test_half_level_scan_hides_no_root(self, quad):
+        # The 21-point scan one level below n_frozen against a 301-point scan
+        # at n_frozen over the same admissible segments: the same number of
+        # sign changes, each dense one inside a coarse bracket.  The
+        # near-planet cells freeze at n = 128-512; a dense scan at n = 1024
+        # alone would take about 6 s, and the near-planet golden window
+        # holds cells at that level to the stored statuses and roots.
+        rng = np.random.default_rng(20261021)
+        cells = [(rng.uniform(0.05, 0.55), rng.uniform(0.05, 0.85))
+                 for _ in range(11)]
+        cells += [(rng.uniform(1.8, 4.0), rng.uniform(0.05, 0.85))
+                  for _ in range(11)]
+        cells += [(rng.uniform(0.85, 0.97), rng.uniform(0.1, 0.9))
+                  for _ in range(4)]
+        found = 0
+        for a, eJ in cells:
+            cfg = OrbitConfig(a=float(a), e_J=float(eJ))
+            scan, mask, e_probe = _scan_grid(cfg)
+            n_frozen = _derivatives(cfg, e_probe, quad)[2]
+            n_scan = max(N_START, n_frozen // 2)
+            coarse = np.full(scan.shape, math.nan)
+            coarse[mask] = kernels.quarter_derivatives(
+                cfg.a, scan[mask], cfg.e_J, n_scan, n_scan)[1]
+            brackets = {k for k in sign_changes(coarse)
+                        if mask[k] and mask[k + 1]}
+            segments = [k for k in range(len(scan) - 1) if mask[k] and mask[k + 1]]
+            dense_e = np.concatenate([
+                np.linspace(scan[k], scan[k + 1], 16) for k in segments])
+            dense = kernels.quarter_derivatives(
+                cfg.a, dense_e, cfg.e_J, n_frozen, n_frozen)[1].reshape(-1, 16)
+            dense_changes = [k for k, row in zip(segments, dense)
+                             for _ in sign_changes(row)]
+            assert len(dense_changes) == len(brackets), (a, eJ)
+            assert set(dense_changes) <= brackets, (a, eJ)
+            found += len(brackets) > 0
+        assert found >= 20
 
 
 class TestPlanarHessian:

@@ -16,7 +16,12 @@ from secular3bp.sweep import (
     write_sweep_csv,
 )
 
-GOLDEN_WIDE = pathlib.Path(__file__).parent / "data" / "golden_wide_10x10.csv"
+DATA = pathlib.Path(__file__).parent / "data"
+# Stored sweep.csv files and the windows that made them.
+GOLDEN_WINDOWS = {
+    "golden_wide_10x10": ((0.05, 0.95, 10), (0.0, 0.95, 10)),
+    "golden_near_planet": ((0.85, 0.97, 7), (0.1, 0.9, 5)),
+}
 
 HEADER = ("a,e_J,status,e_star,Rbar,Abar,Bbar,Cbar,hess_pp,hess_qq,hess_pq,"
           "omega_plane,omega_z,ratio,err_R,err_A,err_C")
@@ -111,18 +116,21 @@ class TestSweep:
         assert statuses[1] == "ORBIT_CROSSING"
         assert len(grid.cells) == 3
 
-    def test_golden_window_equivalence(self, quad):
-        # The 10x10 window of NO_ROOT, FOUND and ORBIT_CROSSING cells
-        # against its stored sweep.csv, under the refactor equivalence rule:
-        # same statuses and empty cells, e_star and the Hessian to 1e-9
-        # relative, Rbar/Abar/Cbar within 3x their reported error.  A change
-        # that moves these numbers regenerates the file.
+    @pytest.mark.parametrize("name", sorted(GOLDEN_WINDOWS))
+    def test_golden_window_equivalence(self, quad, name):
+        # A window against its stored sweep.csv, under the refactor
+        # equivalence rule: same statuses and empty cells, e_star and the
+        # Hessian to 1e-9 relative, Rbar/Abar/Cbar within 3x their reported
+        # error.  The 10x10 window holds NO_ROOT, FOUND and ORBIT_CROSSING
+        # cells; the near-planet one freezes at n = 128-1024.  A change that
+        # moves these numbers regenerates the file.
         golden = [line.split(",") for line in
-                  GOLDEN_WIDE.read_text().strip().split("\n")]
-        grid = run_sweep((0.05, 0.95, 10), (0.0, 0.95, 10), quad=quad)
+                  (DATA / f"{name}.csv").read_text().strip().split("\n")]
+        a_range, ej_range = GOLDEN_WINDOWS[name]
+        grid = run_sweep(a_range, ej_range, quad=quad)
         rows = [row.split(",") for row in sweep_csv_text(grid).strip().split("\n")]
         assert rows[0] == golden[0]
-        assert len(rows) == len(golden) == 101
+        assert len(rows) == len(golden) == a_range[2] * ej_range[2] + 1
         col = {name: k for k, name in enumerate(CSV_COLUMNS)}
         eps = np.finfo(float).eps
         for got, want in zip(rows[1:], golden[1:]):
