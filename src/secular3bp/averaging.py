@@ -140,16 +140,6 @@ def _doubling(eval_at, quad: QuadratureSpec, floors):
         last_error = float(np.max(err))
 
 
-def _quarter_eval(a, e, eJ, n):
-    rbar, a_mean, c_mean, min_factor = kernels.quarter_sums(a, e, eJ, n, n)
-    if min_factor < 0.0:
-        raise RuntimeError(
-            "internal error: the Abar kernel factor 1/r1^3 - 1/r2^3 "
-            f"went negative ({min_factor:.3e}) on the quarter grid"
-        )
-    return rbar, a_mean, c_mean
-
-
 def averaged_coefficients(cfg: OrbitConfig, e,
                           quad: QuadratureSpec) -> AveragedCoefficients:
     """All averaged coefficients at the aligned configuration (g = 0, i = 0).
@@ -172,8 +162,14 @@ def averaged_coefficients(cfg: OrbitConfig, e,
     G = cfg.G_of(e)
 
     def eval_all(n):
-        return (*_quarter_eval(cfg.a, e, cfg.e_J, n),
-                kernels.bbar_mean(cfg.a, e, cfg.e_J, n, n))
+        rbar, a_mean, c_mean, min_factor = kernels.quarter_sums(
+            cfg.a, e, cfg.e_J, n, n)
+        if min_factor < 0.0:
+            raise RuntimeError(
+                "internal error: the Abar kernel factor 1/r1^3 - 1/r2^3 "
+                f"went negative ({min_factor:.3e}) on the quarter grid"
+            )
+        return rbar, a_mean, c_mean, kernels.bbar_mean(cfg.a, e, cfg.e_J, n, n)
 
     # Bbar is identically zero: converge it absolutely at tol, on the
     # natural O(1) scale of the disturbing function.

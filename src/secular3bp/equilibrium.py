@@ -8,9 +8,11 @@ Newton iteration is never used, so a root is never lost outside its
 bracket.
 
 Derivatives come from differentiating the quadrature under the integral
-sign (:func:`kernels.quarter_derivatives`).  The differentiated integrands
-stay analytic and periodic, so the midpoint rule converges geometrically
-for them as it does for Rbar, with no finite-difference step to choose.
+sign, in the row pass that gives Rbar, Abar and Cbar
+(:func:`kernels.quarter_sums` at ``order`` 1 or 2).  The differentiated
+integrands stay analytic and periodic, so the midpoint rule converges
+geometrically for them as it does for Rbar, with no finite-difference
+step to choose.
 Brent runs at one frozen node count per cell, which keeps the derivative
 it solves a single analytic function of e.  The scan needs only signs and
 runs one doubling level below, where the probe that froze the count has
@@ -100,8 +102,8 @@ class EquilibriumRecord:
     message: str = ""
 
 
-def _derivatives(cfg, e, quad, second=False):
-    """Converged (R, R_e), plus (R_ee, R_gg) when ``second``, at g = 0.
+def _derivatives(cfg, e, quad, order=1):
+    """Converged (R, R_e), plus (R_ee, R_gg) at ``order`` 2, at g = 0.
 
     Returns (values, errors, nodes).  Node doubling stops once R agrees to
     the relative tolerance and R_e, which vanishes at the roots, to the
@@ -110,13 +112,10 @@ def _derivatives(cfg, e, quad, second=False):
     """
     if not (0.0 <= e < 1.0):
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    floors = (_SCALE_FLOOR, 1.0) + ((math.inf, math.inf) if second else ())
-    vals, errs, nodes = _doubling(
-        lambda n: kernels.quarter_derivatives(cfg.a, e, cfg.e_J, n, n,
-                                              second=second),
-        quad, floors=floors,
+    return _doubling(
+        lambda n: kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n, order=order),
+        quad, floors=(_SCALE_FLOOR, 1.0, math.inf, math.inf)[:2 * order],
     )
-    return vals, errs, nodes
 
 
 def classify_definiteness(hessian):
@@ -193,7 +192,7 @@ def planar_hessian(cfg: OrbitConfig, e_star, quad: QuadratureSpec):
 
     exactly (R is even in g, so R_eg vanishes at g = 0); it holds at any
     e_star, not only at a root.  R_e, R_ee and R_gg are converged
-    quadratures at e_star (see :func:`kernels.quarter_derivatives`).
+    quadratures at e_star (see :func:`kernels.quarter_sums`).
 
     The mass fraction enters the canonical chart only through the overall
     scale L = sqrt((1-mu) a), so the chain rule is applied in the mu-free
@@ -211,7 +210,7 @@ def planar_hessian(cfg: OrbitConfig, e_star, quad: QuadratureSpec):
     if not (0.0 < e_star < 1.0):
         raise ValueError(f"eccentricity must be in (0, 1), got {e_star}")
     _check_separation(cfg, e_star)
-    (_, r_e, r_ee, r_gg), _, _ = _derivatives(cfg, e_star, quad, second=True)
+    (_, r_e, r_ee, r_gg), _, _ = _derivatives(cfg, e_star, quad, order=2)
     return _chain_rule_hessian(cfg, e_star, r_e, r_ee, r_gg)
 
 
@@ -265,8 +264,8 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
 
     def brackets_at(n):
         values = np.full(scan.shape, math.nan)
-        values[mask] = kernels.quarter_derivatives(cfg.a, scan[mask], cfg.e_J,
-                                                   n, n)[1]
+        values[mask] = kernels.quarter_sums(cfg.a, scan[mask], cfg.e_J, n, n,
+                                            order=1)[1]
         neg = values < 0.0
         return [
             (float(scan[k]), float(scan[k + 1]))
@@ -275,14 +274,27 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
             and (values[k] == 0.0 or neg[k] != neg[k + 1])
         ]
 
-    @functools.cache
+    # dRbar/de at bracket ends, keyed (n, e); the ends a level needs are
+    # evaluated in one batched call, which Brent's first two steps read.
+    ends = {}
+
+    def batch_ends(n, es):
+        es = sorted({e for e in es if (n, e) not in ends})
+        if es:
+            r_e = kernels.quarter_sums(cfg.a, np.array(es), cfg.e_J, n, n,
+                                       order=1)[1]
+            ends.update(((n, e), float(v)) for e, v in zip(es, r_e))
+
     def slope(n, e):
-        return float(kernels.quarter_derivatives(cfg.a, e, cfg.e_J, n, n)[1])
+        if (n, e) in ends:
+            return ends[n, e]
+        return kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n, order=1)[1]
 
     # A bracket whose ends lose their sign change at n_frozen sends the
     # cell back to a scan at n_frozen itself.
     brackets = brackets_at(max(N_START, n_frozen // 2))
-    if any(slope(n_frozen, e1) * slope(n_frozen, e2) > 0.0
+    batch_ends(n_frozen, [e for bracket in brackets for e in bracket])
+    if any(ends[n_frozen, e1] * ends[n_frozen, e2] > 0.0
            for (e1, e2) in brackets):
         brackets = brackets_at(n_frozen)
     if not brackets:
@@ -304,15 +316,16 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
                     f"|dRbar/de| = {resid:.3e} at the root e = {e_root:.15g} "
                     f"{where}, converged at n = {nodes} after a solve at "
                     f"n = {n}", last_error=resid, nodes=nodes)
-            n, phi = nodes, functools.partial(slope, nodes)
-            if phi(e1) * phi(e2) > 0.0:
+            n = nodes
+            batch_ends(n, (e1, e2))
+            if ends[n, e1] * ends[n, e2] > 0.0:
                 raise NonConvergedError(
                     f"dRbar/de has no sign change on [{e1:.15g}, {e2:.15g}] "
                     f"at n = {n} {where}", nodes=n)
-            e_root = brentq(phi, e1, e2, xtol=1e-15,
+            e_root = brentq(functools.partial(slope, n), e1, e2, xtol=1e-15,
                             rtol=4 * np.finfo(float).eps)
             (_, r_e, r_ee, r_gg), _, nodes = _derivatives(
-                cfg, e_root, quad, second=True)
+                cfg, e_root, quad, order=2)
             resid = abs(float(r_e))
         hess = _chain_rule_hessian(cfg, e_root, r_e, r_ee, r_gg)
         records.append((e_root, resid, hess, classify_definiteness(hess)))

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "BACKEND",
     "quarter_sums",
-    "quarter_derivatives",
     "bbar_mean",
     "rbar_rotated_mean",
     "vbar_mean",
@@ -71,20 +70,42 @@ def _rowsum(m, v):
     return np.einsum("ij,j->i", m, v)
 
 
-def _quarter_rows(a, ev, n1, xJ, yJ, wJ):
-    """One row pass over the quarter grid [0, pi]^2 for each e in ``ev``.
+def quarter_sums(a, e, eJ, n1, n2, order=0):
+    """Quarter-domain [0,pi]^2 midpoint sums at g = 0, for each e in ``e``.
 
-    (xJ, yJ, wJ) are the planet's nodes on its n2 quarter-grid anomalies.
-    The ev.size * n1 grid rows (e-major) are visited in chunks.  Per chunk
-    this yields the row range (lo, hi); the rows' e, E, x, y and weight wi;
-    the node arrays u = 1/r and v = 1/r^3 to the planet (1) and to its
-    mirror image (2), with pv = v1 + v2 and dv = v1 - v2; and the row sums
-    s_u = sum wJ (u1 + u2), s_px = sum wJ xJ pv and s_my = sum wJ yJ dv.
-    The node arrays are scratch space that the next chunk overwrites.
+    ``e`` is a scalar, which gives floats, or a 1-D array, which gives
+    arrays of its shape.  ``order`` selects the sums:
+
+    * 0: (rbar, a_mean, c_mean, min_factor) for the spatial coefficients
+      Abar = -a_mean / G and Cbar = -c_mean / G.  min_factor is the
+      smallest sampled 1/r1^3 - 1/r2^3, with r1 and r2 the distances to
+      the planet and to its mirror image: non-negative in exact math, and
+      with y, yJ > 0 at every midpoint of (0, pi) the sign of the Abar
+      integrand factor (r2^3 - r1^3) y yJ.
+    * 1: (R, R_e), Rbar and its derivative in e, for the equilibrium search.
+    * 2: (R, R_e, R_ee, R_gg), g being the asteroid's periapsis angle; R is
+      even in g, and the mirror images that fold R fold R_gg as well.
+
+    Per row the order-0 sums are wi * sum wJ (1/r1 + 1/r2),
+    wi y * sum wJ yJ (1/r1^3 - 1/r2^3) and wi x * sum wJ xJ (1/r1^3 + 1/r2^3);
+    the derivatives differentiate them under the integral sign (dx/de = -a,
+    dy/de = -e y / (1 - e^2), dw/de = -cos E).  A value's bytes do not
+    depend on the rest of the batch, the chunking or ``order``.
     """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    es = np.asarray(e, dtype=float)
+    ev = es.reshape(-1)
+    xJ, yJ, wJ = _ellipse_nodes(_midpoints(n2, np.pi), 1.0, eJ)
     wx, wy = wJ * xJ, wJ * yJ
     E_row = _midpoints(n1, np.pi)
-    for lo, hi, (dx2, s1, s2, u1, u2, dv) in _row_blocks(ev.size * n1, xJ.size, 6):
+    rows = np.empty((3 if order == 0 else 2 * order, ev.size * n1))
+    mins = np.full(ev.size, np.inf)
+    # The ev.size * n1 grid rows (e-major) are visited in chunks whose node
+    # arrays are reused in place; each buffer's meaning is noted where it
+    # changes.
+    for lo, hi, (dx2, s1, s2, u1, u2, dv) in _row_blocks(ev.size * n1, n2, 6):
+        out = rows[:, lo:hi]
         k = np.arange(lo, hi)
         ek = ev[k // n1]
         E = E_row[k % n1]
@@ -98,113 +119,76 @@ def _quarter_rows(a, ev, n1, xJ, yJ, wJ):
         s2 *= s2
         s2 += dx2
         np.sqrt(s1, out=u1)
-        np.divide(1.0, u1, out=u1)
+        np.divide(1.0, u1, out=u1)  # 1 / r1
         np.sqrt(s2, out=u2)
         np.divide(1.0, u2, out=u2)
-        v1 = np.divide(u1, s1, out=s1)
+        v1 = np.divide(u1, s1, out=s1)  # 1 / r1^3
         v2 = np.divide(u2, s2, out=s2)
         s_u = _rowsum(u1, wJ) + _rowsum(u2, wJ)
         pv = np.add(v1, v2, out=dx2)
         np.subtract(v1, v2, out=dv)
-        yield (lo, hi, ek, E, x, y, wi, u1, u2, v1, v2, pv, dv,
-               s_u, _rowsum(pv, wx), _rowsum(dv, wy))
-
-
-def quarter_sums(a, e, eJ, n1, n2):
-    """Quarter-domain [0,pi]^2 midpoint sums for Rbar and the G-scaled A, C.
-
-    Returns (rbar, a_mean, c_mean, min_factor) where
-    Abar = -a_mean / G, Cbar = -c_mean / G and min_factor is the smallest
-    sampled value of 1/r1^3 - 1/r2^3 (non-negative in exact math: the
-    mirror image is never closer).  With y and yJ positive at every
-    midpoint of (0, pi), its sign is the sign of the Abar integrand factor
-    (r2^3 - r1^3) y yJ.  Per row the sums are wi * sum wJ (1/r1 + 1/r2),
-    wi y * sum wJ yJ (1/r1^3 - 1/r2^3) and wi x * sum wJ xJ (1/r1^3 + 1/r2^3).
-    """
-    planet = _ellipse_nodes(_midpoints(n2, np.pi), 1.0, eJ)
-    rows = np.empty((3, n1))
-    min_factor = np.inf
-    for (lo, hi, _, _, x, y, wi, _, _, _, _, _, dv,
-         s_u, s_px, s_my) in _quarter_rows(a, np.array([float(e)]), n1, *planet):
-        min_factor = min(min_factor, float(dv.min()))
-        rows[0, lo:hi] = wi * s_u
-        rows[1, lo:hi] = wi * y * s_my
-        rows[2, lo:hi] = wi * x * s_px
-    SR, SA, SC = rows.sum(axis=1)
-    norm = 1.0 / (n1 * n2)
-    return (float(0.5 * SR * norm), float(0.25 * SA * norm),
-            float(0.25 * SC * norm), min_factor)
-
-
-# The benchmark harness checks that the production kernel is this object.
-quarter_sums_numpy = quarter_sums
-
-
-def quarter_derivatives(a, e, eJ, n1, n2, second=False):
-    """Quarter-domain Rbar and its derivatives at g = 0, for each e in ``e``.
-
-    The folded integrand of :func:`quarter_sums` is differentiated under the
-    integral sign (dx/de = -a, dy/de = -e y / (1 - e^2), dw/de = -cos E)
-    and summed on the same midpoint grid.  ``e`` is a scalar or a 1-D array;
-    returns arrays (R, R_e) of its shape, plus (R_ee, R_gg) when ``second``
-    is set, where g is the asteroid's periapsis angle; R is even in g, and
-    the mirror images that fold R onto [0, pi]^2 fold R_gg as well.  Each
-    grid row is reduced on its own and rows are summed once at the end, so
-    the result for one e does not depend on the rest of the batch or on
-    the chunking.
-    """
-    es = np.asarray(e, dtype=float)
-    ev = es.reshape(-1)
-    xJ, yJ, wJ = _ellipse_nodes(_midpoints(n2, np.pi), 1.0, eJ)
-    rows = np.empty((4 if second else 2, ev.size * n1))
-    for (lo, hi, ek, E, x, y, wi, u1, u2, v1, v2, pv, dv,
-         s_u, s_px, s_my) in _quarter_rows(a, ev, n1, xJ, yJ, wJ):
-        out = rows[:, lo:hi]
+        s_px, s_my = _rowsum(pv, wx), _rowsum(dv, wy)
+        out[0] = wi * s_u
+        if order == 0:
+            out[1] = wi * y * s_my
+            out[2] = wi * x * s_px
+            # The chunk's rows of one e are contiguous; one flat min each.
+            for j in range(lo // n1, (hi - 1) // n1 + 1):
+                seg = dv[max(j * n1, lo) - lo:(j + 1) * n1 - lo]
+                mins[j] = min(mins[j], seg.min())
+            continue
         cE = np.cos(E)
         b2 = 1.0 - ek * ek
         ye = -ek * y / b2  # dy/de; dx/de = -a
         s_p = _rowsum(pv, wJ)
         # sum over j and both images of wJ (dx x_e + dy y_e) / r^3
         d_row = -a * (x * s_p - s_px) + ye * (y * s_p - s_my)
-        out[0] = wi * s_u
         out[1] = -cE * s_u - wi * d_row
-        if second:
-            # The chunk's node arrays are reused in place; each buffer's
-            # meaning is noted where it changes.
-            yee = -y / (b2 * b2)  # d2y/de2; d2x/de2 = 0
-            q1 = np.multiply(v1, u1, out=v1)
-            q1 *= u1  # 1 / r1^5
-            q2 = np.multiply(v2, u2, out=v2)
-            q2 *= u2
-            adx = np.subtract.outer(x, xJ, out=pv)
-            adx *= -a  # dx x_e
-            d1 = np.subtract.outer(y, yJ, out=u1)
-            d1 *= ye[:, None]
-            d1 += adx  # dx x_e + dy y_e
-            d2 = np.add.outer(y, yJ, out=u2)
-            d2 *= ye[:, None]
-            d2 += adx
-            f = np.multiply(d1, d1, out=dv)
-            f *= q1
-            d2 *= d2
-            d2 *= q2
-            f += d2
-            s_q = _rowsum(f, wJ)
-            out[2] = 2.0 * cE * d_row + wi * (
-                -(a * a + ye * ye) * s_p - yee * (y * s_p - s_my) + 3.0 * s_q)
-            yxJ = np.multiply.outer(y, xJ, out=u1)
-            xyJ = np.multiply.outer(x, yJ, out=u2)
-            t1 = np.subtract(yxJ, xyJ, out=dv)
-            t2 = np.add(yxJ, xyJ, out=u1)
-            t1 *= t1
-            t1 *= q1
-            t2 *= t2
-            t2 *= q2
-            t1 += t2
-            s_t = _rowsum(t1, wJ)
-            out[3] = wi * (-x * s_px - y * s_my + 3.0 * s_t)
-    sums = rows.reshape(rows.shape[0], ev.size, n1).sum(axis=2) * (0.5 / (n1 * n2))
+        if order == 1:
+            continue
+        yee = -y / (b2 * b2)  # d2y/de2; d2x/de2 = 0
+        q1 = np.multiply(v1, u1, out=v1)
+        q1 *= u1  # 1 / r1^5
+        q2 = np.multiply(v2, u2, out=v2)
+        q2 *= u2
+        adx = np.subtract.outer(x, xJ, out=pv)
+        adx *= -a  # dx x_e
+        d1 = np.subtract.outer(y, yJ, out=u1)
+        d1 *= ye[:, None]
+        d1 += adx  # dx x_e + dy y_e
+        d2 = np.add.outer(y, yJ, out=u2)
+        d2 *= ye[:, None]
+        d2 += adx
+        f = np.multiply(d1, d1, out=dv)
+        f *= q1
+        d2 *= d2
+        d2 *= q2
+        f += d2
+        s_q = _rowsum(f, wJ)
+        out[2] = 2.0 * cE * d_row + wi * (
+            -(a * a + ye * ye) * s_p - yee * (y * s_p - s_my) + 3.0 * s_q)
+        yxJ = np.multiply.outer(y, xJ, out=u1)
+        xyJ = np.multiply.outer(x, yJ, out=u2)
+        t1 = np.subtract(yxJ, xyJ, out=dv)
+        t2 = np.add(yxJ, xyJ, out=u1)
+        t1 *= t1
+        t1 *= q1
+        t2 *= t2
+        t2 *= q2
+        t1 += t2
+        s_t = _rowsum(t1, wJ)
+        out[3] = wi * (-x * s_px - y * s_my + 3.0 * s_t)
+    sums = rows.reshape(len(rows), ev.size, n1).sum(axis=2) * (0.5 / (n1 * n2))
+    if order == 0:
+        sums[1:] *= 0.5  # Abar and Cbar carry 1/4, Rbar 1/2; exact in binary
+        sums = (*sums, mins)
+    if es.ndim == 0:
+        return tuple(float(s[0]) for s in sums)
     return tuple(s.reshape(es.shape) for s in sums)
+
+
+# The benchmark harness checks that the production kernel is this object.
+quarter_sums_numpy = quarter_sums
 
 
 def bbar_mean(a, e, eJ, n1, n2):

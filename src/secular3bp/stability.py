@@ -90,10 +90,9 @@ class ResonancePoint:
 
 
 def _effective_error(value, err):
-    floor = 4.0 * np.finfo(float).eps * abs(value)
     if not math.isfinite(err):
-        return floor
-    return max(err, floor)
+        return math.inf  # an unknown error certifies no sign
+    return max(err, 4.0 * np.finfo(float).eps * abs(value))
 
 
 def sign_verdict(abar, cbar, err_a, err_c):

@@ -191,19 +191,15 @@ def _check_bbar(points, quad, tol):
 
 def _check_folding(points, quad, tol):
     worst = 0.0
+    # The independent reference is converged by its own doubling, absolutely
+    # at tol / 10 on the O(1) scale of the coefficients.
+    ref_quad = QuadratureSpec(tol=0.1 * tol, max_n=4096)
     for (a, e, eJ) in points:
         cfg = OrbitConfig(a=a, e_J=eJ)
         coeffs = averaged_coefficients(cfg, e, quad)
-        # Independent reference, converged by its own doubling.
-        n = 256
-        ref = unfolded_reference(a, e, eJ, cfg.mu, n)
-        while n < 4096:
-            ref2 = unfolded_reference(a, e, eJ, cfg.mu, 2 * n)
-            n *= 2
-            if max(abs(r2 - r1) for r1, r2 in zip(ref, ref2)) < 0.1 * tol:
-                ref = ref2
-                break
-            ref = ref2
+        ref, _, _ = _doubling(
+            lambda n: unfolded_reference(a, e, eJ, cfg.mu, n),
+            ref_quad, floors=(1.0, 1.0, 1.0))
         for prod, indep in zip((coeffs.Rbar, coeffs.Abar, coeffs.Cbar), ref):
             worst = max(worst, abs(prod - indep) / max(abs(indep), 1e-30))
     return CheckResult("quarter-folding", tol, worst, worst < tol,

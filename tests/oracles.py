@@ -11,7 +11,8 @@ None of this is on the package's CLI or pipeline path:
   support-function form ``aligned_separation``;
 * ``rbar_fine`` and the finite-difference stencils below differentiate
   fixed-node quadratures numerically, the reference for the derivatives
-  that ``kernels.quarter_derivatives`` takes under the integral sign;
+  that ``kernels.quarter_sums`` takes under the integral sign at
+  ``order`` 1 and 2;
 * ``PlanarState`` converts between the (e, g) and canonical (p2, q2)
   forms of a planar phase point;
 * ``quarter_sums_reference``, ``bbar_mean_reference`` and

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ellipk
 
 from oracles import mean_anomaly_rbar, rbar_fine
-from secular3bp import kernels
+from secular3bp import kernels, validate
 from secular3bp.averaging import (
     N_START,
     AveragedCoefficients,
@@ -119,6 +119,16 @@ class TestAveragedAC:
             assert c.Abar == pytest.approx(ref_a, rel=1e-10)
             assert c.Cbar == pytest.approx(ref_c, rel=1e-10)
             assert c.Rbar == pytest.approx(ref_r, rel=1e-10)
+
+    def test_unconverged_folding_reference_raises(self, monkeypatch, quad):
+        # A reference whose doubling levels never agree must raise at the
+        # node cap instead of standing in for a converged one.
+        def drifting(a, e, eJ, mu, n):
+            return (1.0 / n, 0.0, 0.0)
+
+        monkeypatch.setattr(validate, "unfolded_reference", drifting)
+        with pytest.raises(NonConvergedError):
+            validate._check_folding([(0.5, 0.1, 0.2)], quad, tol=1e-10)
 
     def test_abar_negative(self, quad):
         for (a, e, eJ) in [(0.1, 0.05, 0.1), (0.5, 0.3, 0.4), (3.0, 0.2, 0.6)]:

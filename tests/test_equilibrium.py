@@ -28,9 +28,9 @@ from secular3bp.geometry import OrbitConfig, aligned_separation
 from secular3bp.sweep import evaluate_cell
 
 
-def analytic_derivatives(cfg, e, quad, second=False):
+def analytic_derivatives(cfg, e, quad, order=1):
     """Converged (R, R_e[, R_ee, R_gg]) and their doubling errors."""
-    vals, errs, _ = _derivatives(cfg, e, quad, second=second)
+    vals, errs, _ = _derivatives(cfg, e, quad, order=order)
     return vals, errs
 
 
@@ -69,7 +69,7 @@ class TestDerivative:
     @pytest.mark.parametrize("a, eJ, e0", [(0.4, 0.3, 0.22), (2.5, 0.4, 0.18)])
     def test_second_derivatives_against_richardson(self, quad, a, eJ, e0):
         cfg = OrbitConfig(a=a, e_J=eJ)
-        (_, _, r_ee, r_gg), _ = analytic_derivatives(cfg, e0, quad, second=True)
+        (_, _, r_ee, r_gg), _ = analytic_derivatives(cfg, e0, quad, order=2)
         want_ee = richardson_second(lambda e: rbar_fine(cfg, e), e0, 1e-3)
         want_gg = richardson_second(lambda g: rbar_fine(cfg, e0, g=g), 0.0, 1e-3)
         assert r_ee == pytest.approx(want_ee, rel=1e-6)
@@ -80,22 +80,26 @@ class TestDerivative:
         a, eJ, n = 0.4, 0.3, 1024
         es = np.array([0.05, 0.12, 0.2, 0.31, 0.44])
         assert n * n > kernels._CHUNK_NODES
-        batch = kernels.quarter_derivatives(a, es, eJ, n, n, second=True)
-        single = [kernels.quarter_derivatives(a, float(e), eJ, n, n, second=True)
-                  for e in es]
-        for k in range(4):
-            assert np.array_equal(batch[k], [s[k] for s in single])
+        for order in (0, 2):
+            batch = kernels.quarter_sums(a, es, eJ, n, n, order=order)
+            single = [kernels.quarter_sums(a, float(e), eJ, n, n, order=order)
+                      for e in es]
+            for k in range(4):
+                assert np.array_equal(batch[k], [s[k] for s in single])
 
     @pytest.mark.parametrize("n", [128, 1024])
     def test_second_leaves_first_rows_unchanged(self, n):
-        # find_equilibrium takes the residual from a second=True call; its
-        # R and R_e must be the bytes a second=False call gives.
+        # find_equilibrium takes the residual from an order=2 call; its
+        # R and R_e must be the bytes an order=1 call gives, and its R the
+        # bytes of averaged_coefficients' order=0 Rbar.
         a, eJ = 0.4, 0.3
         for e in (0.22, np.array([0.05, 0.22, 0.44])):
-            first = kernels.quarter_derivatives(a, e, eJ, n, n)
-            both = kernels.quarter_derivatives(a, e, eJ, n, n, second=True)
+            rbar = kernels.quarter_sums(a, e, eJ, n, n)[0]
+            first = kernels.quarter_sums(a, e, eJ, n, n, order=1)
+            both = kernels.quarter_sums(a, e, eJ, n, n, order=2)
             for k in range(2):
-                assert both[k].tobytes() == first[k].tobytes()
+                assert np.asarray(both[k]).tobytes() == np.asarray(first[k]).tobytes()
+            assert np.asarray(rbar).tobytes() == np.asarray(first[0]).tobytes()
 
 
 def grid_scan_oracle(cfg, lo, hi, resolution=1e-4):
@@ -174,7 +178,7 @@ class TestFindEquilibrium:
                 return kernel(a, e, eJ, *args, **kwargs)
             return wrapped
 
-        for name in ("quarter_derivatives", "quarter_sums", "bbar_mean"):
+        for name in ("quarter_sums", "bbar_mean"):
             monkeypatch.setattr(kernels, name, recording(getattr(kernels, name)))
         rng = np.random.default_rng(20261018)
         cells = [(rng.uniform(0.05, 0.55), rng.uniform(0.05, 0.85))
@@ -210,28 +214,33 @@ def sign_changes(values):
             if values[k] == 0.0 or neg[k] != neg[k + 1]]
 
 
-def recording_derivatives(monkeypatch, alter=None):
-    """Record (batched, n, second) for every quarter_derivatives call.
+def recording_derivatives(monkeypatch, cfg, alter=None):
+    """Record (scan, n, order) for every derivative call of quarter_sums.
 
-    ``alter(calls, e, n, out)`` may return replaced outputs; ``calls``
+    ``scan`` marks a batched call over the cell's admissible scan points,
+    as opposed to a call over bracket ends or at a single e.
+    ``alter(calls, scan, n, out)`` may return replaced outputs; ``calls``
     holds the calls made before this one.
     """
+    scan_grid, mask, _ = _scan_grid(cfg)
     calls = []
-    kernel = kernels.quarter_derivatives
+    kernel = kernels.quarter_sums
 
-    def wrapped(a, e, eJ, n1, n2, second=False):
-        out = kernel(a, e, eJ, n1, n2, second=second)
-        if alter is not None:
-            out = alter(calls, e, n1, out)
-        calls.append((np.ndim(e) > 0, n1, second))
+    def wrapped(a, e, eJ, n1, n2, order=0):
+        out = kernel(a, e, eJ, n1, n2, order=order)
+        if order:
+            scan = np.ndim(e) > 0 and np.array_equal(e, scan_grid[mask])
+            if alter is not None:
+                out = alter(calls, scan, n1, out)
+            calls.append((scan, n1, order))
         return out
 
-    monkeypatch.setattr(kernels, "quarter_derivatives", wrapped)
+    monkeypatch.setattr(kernels, "quarter_sums", wrapped)
     return calls
 
 
 def flip_one(out):
-    """Kernel outputs with R_e negated at the third-last batched e.
+    """Kernel outputs with R_e negated at the third-last scan point.
 
     For (a, e_J) = (0.4, 0.3) that point lies far above the root, so the
     flip adds two spurious sign changes.
@@ -245,18 +254,39 @@ class TestScanLevel:
     @pytest.mark.parametrize("a, eJ, n_frozen", [(0.4, 0.3, 64), (0.9, 0.8, 128)])
     def test_scan_runs_one_level_below_brent(self, quad, monkeypatch, a, eJ,
                                              n_frozen):
-        calls = recording_derivatives(monkeypatch)
-        rec = find_equilibrium(OrbitConfig(a=a, e_J=eJ), quad)
+        cfg = OrbitConfig(a=a, e_J=eJ)
+        calls = recording_derivatives(monkeypatch, cfg)
+        rec = find_equilibrium(cfg, quad)
         assert rec.status == STATUS_FOUND
-        batched = [k for k, call in enumerate(calls) if call[0]]
-        assert len(batched) == 1
-        k = batched[0]
+        scans = [k for k, call in enumerate(calls) if call[0]]
+        assert len(scans) == 1
+        k = scans[0]
         assert max(n for _, n, _ in calls[:k]) == n_frozen  # the probe
         assert calls[k][1] == max(N_START, n_frozen // 2)
-        brent = {n for _, n, second in calls[k + 1:] if not second}
-        root = {n for _, n, second in calls[k + 1:] if second}
+        brent = {n for _, n, order in calls[k + 1:] if order == 1}
+        root = {n for _, n, order in calls[k + 1:] if order == 2}
         assert n_frozen in brent
         assert brent <= {n_frozen, max(root)}
+
+    def test_bracket_ends_in_one_batched_call(self, quad, monkeypatch):
+        # (0.4, 0.3) has one bracket, solved at n_frozen = 64: its two ends
+        # come from one batched call, and Brent reads them from it.
+        seen = []
+        kernel = kernels.quarter_sums
+
+        def wrapped(a, e, eJ, n1, n2, order=0):
+            seen.append((np.atleast_1d(e).tolist(), n1, order))
+            return kernel(a, e, eJ, n1, n2, order=order)
+
+        monkeypatch.setattr(kernels, "quarter_sums", wrapped)
+        rec = find_equilibrium(OrbitConfig(a=0.4, e_J=0.3), quad)
+        assert len(rec.all_roots) == 1
+        at_64 = [es for es, n, order in seen if n == 64 and order == 1]
+        batches = [es for es in at_64 if len(es) > 1]
+        assert len(batches) == 1 and len(batches[0]) == 2
+        e1, e2 = batches[0]
+        assert e1 < rec.e_star < e2
+        assert not any(es in ([e1], [e2]) for es in at_64)
 
     def test_spurious_scan_sign_change_rescans_at_frozen_level(
             self, quad, monkeypatch):
@@ -266,12 +296,12 @@ class TestScanLevel:
         cfg = OrbitConfig(a=0.4, e_J=0.3)
         want = find_equilibrium(cfg, quad)
 
-        def flip(calls, e, n, out):
-            return flip_one(out) if np.ndim(e) > 0 and n == 32 else out
+        def flip(calls, scan, n, out):
+            return flip_one(out) if scan and n == 32 else out
 
-        calls = recording_derivatives(monkeypatch, flip)
+        calls = recording_derivatives(monkeypatch, cfg, flip)
         got = find_equilibrium(cfg, quad)
-        assert [n for batched, n, _ in calls if batched] == [32, 64]
+        assert [n for scan, n, _ in calls if scan] == [32, 64]
         assert got.status == want.status == STATUS_FOUND
         assert got.e_star == want.e_star
         assert got.residual == want.residual
@@ -281,25 +311,25 @@ class TestScanLevel:
     def test_sign_change_missing_at_frozen_level(self, quad, monkeypatch,
                                                  missing):
         # "root": after the probe, dRbar/de at n_frozen = 64 has no sign
-        # change at all, so the rescan finds none.  "spurious": both batched
-        # scans show a sign change that single evaluations at 64 do not.
-        # Either way the cell must not report a root.
+        # change at all, so the rescan finds none.  "spurious": both scans
+        # show a sign change that the bracket ends at 64 do not.  Either
+        # way the cell must not report a root.
         cfg = OrbitConfig(a=0.4, e_J=0.3)
 
-        def alter(calls, e, n, out):
+        def alter(calls, scan, n, out):
             if missing == "root" and n == 64 and any(c[0] for c in calls):
                 return (out[0], np.abs(out[1])) + out[2:]
-            if missing == "spurious" and np.ndim(e) > 0:
+            if missing == "spurious" and scan:
                 return flip_one(out)
             return out
 
-        calls = recording_derivatives(monkeypatch, alter)
+        calls = recording_derivatives(monkeypatch, cfg, alter)
         if missing == "root":
             assert find_equilibrium(cfg, quad).status == STATUS_NO_ROOT
         else:
             with pytest.raises(NonConvergedError, match="no sign change"):
                 find_equilibrium(cfg, quad)
-        assert [n for batched, n, _ in calls if batched] == [32, 64]
+        assert [n for scan, n, _ in calls if scan] == [32, 64]
 
     def test_half_level_scan_hides_no_root(self, quad):
         # The 21-point scan one level below n_frozen against a 301-point scan
@@ -322,15 +352,15 @@ class TestScanLevel:
             n_frozen = _derivatives(cfg, e_probe, quad)[2]
             n_scan = max(N_START, n_frozen // 2)
             coarse = np.full(scan.shape, math.nan)
-            coarse[mask] = kernels.quarter_derivatives(
-                cfg.a, scan[mask], cfg.e_J, n_scan, n_scan)[1]
+            coarse[mask] = kernels.quarter_sums(
+                cfg.a, scan[mask], cfg.e_J, n_scan, n_scan, order=1)[1]
             brackets = {k for k in sign_changes(coarse)
                         if mask[k] and mask[k + 1]}
             segments = [k for k in range(len(scan) - 1) if mask[k] and mask[k + 1]]
             dense_e = np.concatenate([
                 np.linspace(scan[k], scan[k + 1], 16) for k in segments])
-            dense = kernels.quarter_derivatives(
-                cfg.a, dense_e, cfg.e_J, n_frozen, n_frozen)[1].reshape(-1, 16)
+            dense = kernels.quarter_sums(cfg.a, dense_e, cfg.e_J, n_frozen,
+                                         n_frozen, order=1)[1].reshape(-1, 16)
             dense_changes = [k for k, row in zip(segments, dense)
                              for _ in sign_changes(row)]
             assert len(dense_changes) == len(brackets), (a, eJ)

@@ -99,12 +99,12 @@ def _peak_bytes(fn, *args, **kwargs):
     (kernels.bbar_mean, (0.4, 0.17, 0.3, 1024, 1024), {}),
     (kernels.rbar_rotated_mean,
      (0.4, 0.17, 0.3, math.cos(0.1), math.sin(0.1), 1024, 1024), {}),
-    (kernels.quarter_derivatives,
-     (0.4, np.linspace(0.02, 0.44, 21), 0.3, 1024, 1024), {}),
-    (kernels.quarter_derivatives,
-     (0.4, np.linspace(0.02, 0.44, 21), 0.3, 1024, 1024), {"second": True}),
+    (kernels.quarter_sums,
+     (0.4, np.linspace(0.02, 0.44, 21), 0.3, 1024, 1024), {"order": 1}),
+    (kernels.quarter_sums,
+     (0.4, np.linspace(0.02, 0.44, 21), 0.3, 1024, 1024), {"order": 2}),
 ], ids=["quarter_sums", "bbar_mean", "rbar_rotated_mean",
-        "quarter_derivatives", "quarter_derivatives-second"])
+        "quarter_sums-order1", "quarter_sums-order2"])
 def test_working_set_below_8_mib(fn, args, kwargs):
     # One call at n = 1024 keeps its temporaries in cache-sized chunks.
     assert _peak_bytes(fn, *args, **kwargs) < 8 * 2**20

@@ -36,6 +36,15 @@ class TestSignVerdict:
         assert sign_verdict(-4e-9, -0.1, 1e-9, 1e-12) == LINEARLY_STABLE
         assert sign_verdict(-2e-9, -0.1, 1e-9, 1e-12) == INCONCLUSIVE
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_error_certifies_no_sign(self, bad):
+        assert sign_verdict(-0.1, -0.2, bad, bad) == INCONCLUSIVE
+        assert sign_verdict(-0.1, -0.2, bad, 1e-12) == INCONCLUSIVE
+        assert sign_verdict(-0.1, -0.2, 1e-12, bad) == INCONCLUSIVE
+        assert sign_verdict(0.1, -0.2, bad, 1e-12) == INCONCLUSIVE
+        # A certified positive coefficient still makes the verdict.
+        assert sign_verdict(-0.1, 0.2, bad, 1e-12) == UNSTABLE
+
 
 class _FakeEq:
     def __init__(self, hessian):
