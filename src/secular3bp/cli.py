@@ -7,9 +7,10 @@ The parser holds every default and every check.  Option precedence is CLI
 flag > config file > built-in default: the config file's values become the
 subcommand's parser defaults.  The file is a flat ``key = value`` text
 format whose keys are CONFIG_KEYS, the long option names with underscores
-(e.g. ``max_nodes = 2048``); lines starting with ``#`` are comments.  Each
-value passes its flag's check as the file is read, also where a flag
-overrides it or only another subcommand reads it.
+(e.g. ``max_nodes = 2048``); lines starting with ``#`` are comments, and
+a ``#`` anywhere else is part of the value.  Each value passes its flag's
+check as the file is read, also where a flag overrides it or only another
+subcommand reads it.
 """
 
 import argparse
@@ -95,8 +96,8 @@ def _read_config(path):
         raise InputError(f"cannot read config file: {exc}")
     values = {}
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected key = value")

@@ -34,9 +34,9 @@ from .equilibrium import (
     EQUILIBRIUM_STATUSES,
     POSITIVE_DEFINITE,
     EquilibriumRecord,
-    find_equilibrium,
+    find_equilibrium,  # unused here; perfbench wraps stability.find_equilibrium
 )
-from .errors import DegenerateError, Secular3bpError
+from .errors import DegenerateError
 from .geometry import OrbitConfig
 
 __all__ = [
@@ -196,19 +196,14 @@ def classify_spatial(cfg: OrbitConfig, eq: EquilibriumRecord,
 def point_ratio(a, e_J, mu, quad: QuadratureSpec):
     """Frequency ratio omega_z / omega_plane at one parameter point.
 
-    Runs the full equilibrium -> classification -> frequencies pipeline;
-    returns None when any stage fails (crossing, no root, non-convergence,
-    inconclusive signs).
+    The ratio of ``sweep.evaluate_cell``'s record, or None when the cell
+    has none (crossing, no root, non-convergence, no certified stability).
+    A defect propagates.
     """
-    try:
-        cfg = OrbitConfig(a=a, e_J=e_J, mu=mu)
-        eq = find_equilibrium(cfg, quad)
-        if eq.status not in EQUILIBRIUM_STATUSES:
-            return None
-        rec = classify_spatial(cfg, eq, quad)
-    except (Secular3bpError, ValueError):
-        return None
-    if not math.isfinite(rec.ratio):
+    from .sweep import evaluate_cell  # sweep imports this module
+
+    rec = evaluate_cell(a, e_J, mu, quad).stability
+    if rec is None or not math.isfinite(rec.ratio):
         return None
     return rec.ratio
 
@@ -241,7 +236,7 @@ def _solve_edge(ratio_at, k, lo, hi, r_lo, r_hi):
     return x, float(memo[x])
 
 
-def trace_resonance(grid, k=2.0, evaluate_ratio=None):
+def trace_resonance(grid, k, evaluate_ratio=None):
     """Locate the ratio = k level set on a swept parameter grid.
 
     Scans grid edges for sign changes of (ratio - k) between adjacent cells

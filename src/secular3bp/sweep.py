@@ -5,8 +5,14 @@ A sweep evaluates the full pipeline (equilibrium -> spatial classification
 may be dispatched to a process pool; results are assembled in row-major
 cell order regardless of completion order, and every float is written with
 shortest round-trip formatting, so identical inputs produce byte-identical
-CSV no matter how many workers ran.  A failing cell is recorded as a typed
-failure and never aborts the sweep.
+CSV no matter how many workers ran.
+
+``evaluate_cell`` is the one code path from a parameter point to a cell
+record; the point query, the sweep, resonance tracing and ``validate`` all
+run it.  It maps the typed numerical failures (orbit crossing,
+non-convergence) to cell statuses and lets any other exception, a defect,
+propagate.  The sweep's worker isolates defects: it records one as
+NON_CONVERGED "unexpected ..." so a single bad cell never aborts a sweep.
 """
 
 import json
@@ -118,18 +124,12 @@ class SweepGrid:
     def eJ_values(self):
         return np.linspace(self.eJ_min, self.eJ_max, self.n_eJ)
 
-    def cell(self, i, j) -> CellResult:
-        return self.cells[i * self.n_eJ + j]
-
     def ratio_array(self):
         """(n_a, n_eJ) array of frequency ratios, NaN where unavailable."""
-        out = np.full((self.n_a, self.n_eJ), np.nan)
-        for i in range(self.n_a):
-            for j in range(self.n_eJ):
-                st = self.cell(i, j).stability
-                if st is not None and math.isfinite(st.ratio):
-                    out[i, j] = st.ratio
-        return out
+        stabs = [c.stability for c in self.cells]
+        ratios = [st.ratio if st is not None and math.isfinite(st.ratio)
+                  else math.nan for st in stabs]
+        return np.array(ratios).reshape(self.n_a, self.n_eJ)
 
     def found_cells(self):
         return [c for c in self.cells if c.status in EQUILIBRIUM_STATUSES]
@@ -138,8 +138,9 @@ class SweepGrid:
 def evaluate_cell(a, e_J, mu, quad: QuadratureSpec) -> CellResult:
     """Full pipeline at one parameter point, mapped to a typed cell result.
 
-    Invalid parameters raise ValueError; numerical failures of any stage
-    are captured as typed cell statuses, never raised.
+    Invalid parameters raise ValueError.  An orbit crossing or a
+    non-converged quadrature becomes the cell's status; any other
+    exception is a defect and propagates (the sweep's worker records it).
     """
     cfg = OrbitConfig(a=a, e_J=e_J, mu=mu)
     try:
@@ -148,49 +149,56 @@ def evaluate_cell(a, e_J, mu, quad: QuadratureSpec) -> CellResult:
             return CellResult(a=a, e_J=e_J, status=eq.status,
                               equilibrium=eq, message=eq.message)
         stab = classify_spatial(cfg, eq, quad)
-        status = INCONCLUSIVE if stab.spatial_verdict == INCONCLUSIVE \
-            else eq.status
-        return CellResult(a=a, e_J=e_J, status=status, equilibrium=eq,
-                          stability=stab)
     except OrbitCrossingError as exc:
         return CellResult(a=a, e_J=e_J, status=STATUS_ORBIT_CROSSING,
                           message=str(exc))
     except NonConvergedError as exc:
         return CellResult(a=a, e_J=e_J, status=STATUS_NON_CONVERGED,
                           message=str(exc))
+    status = INCONCLUSIVE if stab.spatial_verdict == INCONCLUSIVE else eq.status
+    return CellResult(a=a, e_J=e_J, status=status, equilibrium=eq,
+                      stability=stab)
+
+
+def _cell_worker(args):
+    a, e_J, mu, quad = args
+    try:
+        return evaluate_cell(a, e_J, mu, quad)
     except Exception as exc:  # crash isolation: record, never poison the sweep
         return CellResult(a=a, e_J=e_J, status=STATUS_NON_CONVERGED,
                           message=f"unexpected {type(exc).__name__}: {exc}")
 
 
-def _cell_worker(args):
-    a, e_J, mu, quad = args
-    return evaluate_cell(a, e_J, mu, quad)
-
-
-def run_sweep(a_range, eJ_range, mu=0.0, quad=None, jobs=1) -> SweepGrid:
+def run_sweep(a_range, eJ_range, mu=0.0, *, quad: QuadratureSpec,
+              jobs=1) -> SweepGrid:
     """Populate a SweepGrid over a rectangular parameter window.
 
     Args:
         a_range: (a_min, a_max, n_a).
         eJ_range: (eJ_min, eJ_max, n_eJ).
         mu: Planet mass fraction.
-        quad: QuadratureSpec (defaults apply when None).
+        quad: Quadrature control.
         jobs: Requested process count, at least 1; at most one worker per
             cell is started, and one worker runs in-process.  Output is
             byte-identical for any worker count.
 
     Returns:
         SweepGrid with row-major cells and reproducibility metadata.
+
+    Raises:
+        ValueError: For an empty grid, jobs below 1, or a window corner
+            outside the model's parameter domain.  Nothing has run then.
     """
-    if quad is None:
-        quad = QuadratureSpec()
     a_min, a_max, n_a = a_range
     eJ_min, eJ_max, n_eJ = eJ_range
     if n_a < 1 or n_eJ < 1:
         raise ValueError("grid needs at least one point per axis")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    # The worker records any exception as a cell, so a bad window is
+    # refused here, before a cell runs.
+    OrbitConfig(a=a_min, e_J=eJ_min, mu=mu)
+    OrbitConfig(a=a_max, e_J=eJ_max, mu=mu)
 
     grid = SweepGrid(a_min=float(a_min), a_max=float(a_max), n_a=int(n_a),
                      eJ_min=float(eJ_min), eJ_max=float(eJ_max),

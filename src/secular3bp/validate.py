@@ -32,15 +32,14 @@ from .averaging import (
     averaged_coefficients,
     direct_average_V3d,
 )
-from .equilibrium import EQUILIBRIUM_STATUSES, find_equilibrium
-from .errors import Secular3bpError
 from .geometry import (
     OrbitConfig,
     PoincareState,
     aligned_noncrossing_interval,
     aligned_separation,
 )
-from .stability import classify_spatial, frequencies, linearized_matrix
+from .stability import frequencies, linearized_matrix
+from .sweep import evaluate_cell
 
 __all__ = [
     "CheckResult",
@@ -83,7 +82,7 @@ class CheckResult:
                 f"worst={self.worst:.3e}  {self.detail}")
 
 
-def sample_noncrossing_points(n, seed=DEFAULT_SEED):
+def sample_noncrossing_points(n, seed):
     """Deterministic random (a, e, eJ) triples away from orbit crossings.
 
     Alternates between the inner (a < 1) and outer (a > 1) regimes and
@@ -242,15 +241,9 @@ def _check_spectrum(points, quad, tol):
     worst = 0.0
     used = 0
     for (a, _e, eJ) in points:
-        cfg = OrbitConfig(a=a, e_J=eJ)
-        try:
-            eq = find_equilibrium(cfg, quad)
-        except Secular3bpError:
-            continue
-        if eq.status not in EQUILIBRIUM_STATUSES:
-            continue
-        rec = classify_spatial(cfg, eq, quad)
-        if not math.isfinite(rec.ratio):
+        cell = evaluate_cell(a, eJ, 0.0, quad)
+        eq, rec = cell.equilibrium, cell.stability
+        if rec is None or not math.isfinite(rec.ratio):
             continue
         used += 1
         abar, cbar = rec.coefficients.Abar, rec.coefficients.Cbar
@@ -266,16 +259,15 @@ def _check_spectrum(points, quad, tol):
                        f"{used} equilibria")
 
 
-def run_validation(points=20, seed=DEFAULT_SEED, quad=None, inject=None):
+def run_validation(points, seed, quad, inject):
     """Run the full oracle suite at ``points`` random non-crossing samples.
 
+    ``inject`` names a fault to plant (``"abar-sign"``) or is None.
     Returns (list of CheckResult, all_passed).  ``points`` must be positive.
     """
     if points <= 0:
         raise ValueError("validation needs at least one sample point")
-    if quad is None:
-        quad = QuadratureSpec()
-    samples = sample_noncrossing_points(points, seed=seed)
+    samples = sample_noncrossing_points(points, seed)
     few = samples[: max(3, points // 4)]
     results = [
         _check_bbar(samples, quad, tol=1e-9),

@@ -2,6 +2,8 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import secular3bp
 from secular3bp import kernels
@@ -44,10 +46,19 @@ def test_benchmark_hooks_resolve(monkeypatch):
     assert all(callable(getattr(kernels, name)) for name in layers.KERNELS)
 
 
+def test_benchmark_selftest_passes():
+    # The traced benchmark run restores every wrapped name and counts the
+    # same work twice; a broken hook fails here rather than at benchmark time.
+    selftest = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "selftest.py"
+    proc = subprocess.run([sys.executable, str(selftest)], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 # Settable values in the package: parameters with a default plus dataclass
 # fields with a default.  A value only one caller ever passes belongs in a
 # module constant; adding an option means raising this number on purpose.
-MAX_SETTABLE_VALUES = 25
+MAX_SETTABLE_VALUES = 18
 
 
 def _settable_values(tree):

@@ -5,8 +5,10 @@ import pathlib
 import numpy as np
 import pytest
 
+from secular3bp import sweep
 from secular3bp.averaging import N_START, QuadratureSpec
 from secular3bp.cli import main
+from secular3bp.stability import point_ratio
 from secular3bp.sweep import (
     CSV_COLUMNS,
     evaluate_cell,
@@ -115,6 +117,31 @@ class TestSweep:
         statuses = [c.status for c in grid.cells]
         assert statuses[1] == "ORBIT_CROSSING"
         assert len(grid.cells) == 3
+
+    def test_defect_isolated_by_worker_only(self, quad, monkeypatch):
+        # A defect (an exception that is not a typed failure) propagates
+        # out of the one cell path; only the sweep's worker records it.
+        def defect(*args):
+            raise RuntimeError("planted defect")
+
+        monkeypatch.setattr(sweep, "classify_spatial", defect)
+        with pytest.raises(RuntimeError, match="planted defect"):
+            evaluate_cell(0.4, 0.3, 0.0, quad)
+        with pytest.raises(RuntimeError, match="planted defect"):
+            point_ratio(0.4, 0.3, 0.0, quad)
+        [cell] = run_sweep((0.4, 0.4, 1), (0.3, 0.3, 1), quad=quad, jobs=1).cells
+        assert cell.status == "NON_CONVERGED"
+        assert cell.message.startswith("unexpected RuntimeError")
+
+        # The worker records every exception, so a window outside the
+        # parameter domain is refused before any cell runs.
+        calls = []
+        monkeypatch.setattr(sweep, "find_equilibrium",
+                            lambda *args: calls.append(args))
+        for a_min in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="semi-major axis"):
+                run_sweep((a_min, 0.4, 3), (0.3, 0.3, 1), quad=quad, jobs=1)
+        assert calls == []
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_WINDOWS))
     def test_golden_window_equivalence(self, quad, name):
@@ -340,8 +367,9 @@ class TestConfigFile:
         ("jobs = 0\n", SWEEP_ONE),
         ("tol = abc\n", ["point", "--tol", "1e-10", "--a", "0.4", "--ej", "0.3"]),
         ("k = abc\n", ["point", "--a", "0.4", "--ej", "0.3"]),
+        ("max_nodes = 2048  # more nodes\n", SWEEP_ONE),
     ], ids=["misspelt-key", "tol-abc", "jobs-0", "point-tol-abc-flag-given",
-            "point-k-abc"])
+            "point-k-abc", "inline-comment"])
     def test_bad_config_exit_two(self, text, argv, tmp_path, capsys):
         # A config value passes the same check as its flag, also where the
         # flag is given or only another command reads the key; an unknown
@@ -362,16 +390,21 @@ class TestConfigFile:
                      "--config", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("extra", ["", "jobs = 2\n"],
-                             ids=["out", "out-and-jobs"])
-    def test_point_reads_shared_config(self, extra, tmp_path, capsys):
+    @pytest.mark.parametrize("name, extra", [
+        ("res", ""),
+        ("res", "jobs = 2\n"),
+        ("run#3", ""),
+    ], ids=["out", "out-and-jobs", "out-with-hash"])
+    def test_point_reads_shared_config(self, name, extra, tmp_path, capsys):
         # point writes point.json to the file's out; a key only another
         # command reads (jobs) is accepted, so one file serves every command.
+        # A "#" inside a value is part of it: only a line starting with "#"
+        # is a comment.
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(f"out = {tmp_path / 'res'}\n{extra}")
+        cfg_file.write_text(f"out = {tmp_path / name}\n{extra}")
         assert main(["point", "--a", "0.4", "--ej", "0.3",
                      "--config", str(cfg_file)]) == 0
-        doc = json.loads((tmp_path / "res" / "point.json").read_text())
+        doc = json.loads((tmp_path / name / "point.json").read_text())
         assert doc["status"] == "FOUND"
 
 
