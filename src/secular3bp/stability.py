@@ -212,84 +212,70 @@ class _EdgeFailed(Exception):
     """The pipeline failed at a point inside a traced edge."""
 
 
-def _solve_edge(ratio_at, k, lo, hi, r_lo, r_hi):
-    """(x, ratio) on one edge with ratio(x) = k, or None if a run fails.
+def _solve_edge(grid, k, start, end, r_start, r_end):
+    """ResonancePoint with ratio = k on one grid edge, or None if a run fails.
 
-    Brent's method starts from the edge ends, whose ratios the sweep has
-    already computed, and returns a point it has evaluated, so every
-    pipeline run it makes is inside the edge.
+    The edge joins the grid points ``start`` and ``end`` (each an
+    ``(a, e_J)`` pair), which differ in one coordinate.  Brent's method
+    starts from the edge ends, whose ratios the sweep has already
+    computed, and returns a point it has evaluated, so every pipeline run
+    it makes is inside the edge.
     """
-    memo = {lo: r_lo, hi: r_hi}
+    axis = 0 if start[1] == end[1] else 1  # the coordinate the edge varies
+    memo = {start[axis]: r_start, end[axis]: r_end}
+
+    def point(x):
+        return (x, start[1]) if axis == 0 else (start[0], x)
 
     def f(x):
         if x not in memo:
-            r = ratio_at(x)
+            r = point_ratio(*point(x), grid.mu, grid.quad)
             if r is None:
                 raise _EdgeFailed
             memo[x] = r
         return memo[x] - k
 
     try:
-        x = brentq(f, lo, hi, xtol=_PARAM_TOL / 2)
+        x = brentq(f, start[axis], end[axis], xtol=_PARAM_TOL / 2)
     except _EdgeFailed:
         return None
-    return x, float(memo[x])
+    return ResonancePoint(*point(x), ratio=float(memo[x]))
 
 
-def trace_resonance(grid, k, evaluate_ratio=None):
+def trace_resonance(grid, k):
     """Locate the ratio = k level set on a swept parameter grid.
 
     Scans grid edges for sign changes of (ratio - k) between adjacent cells
     that both carry finite ratios, then solves ratio = k along each such
-    edge by Brent's method (re-running the full pipeline at interior
-    points).  Each returned point is one the solve evaluated, within
-    _PARAM_TOL / 2 = 5e-5 of the level set in the varying parameter; a
-    failed run anywhere inside an edge drops that edge's point.
-    An empty list is a valid outcome.
+    edge by Brent's method, running ``point_ratio`` with the grid's mu and
+    quadrature settings at interior points.  Each returned point is one
+    the solve evaluated, within _PARAM_TOL / 2 = 5e-5 of the level set in
+    the varying parameter; a failed run anywhere inside an edge drops that
+    edge's point.  An empty list is a valid outcome.
 
     Args:
         grid: A populated sweep grid (anything exposing ``a_values()``,
             ``eJ_values()``, ``ratio_array()``, ``mu`` and ``quad``).
         k: Target frequency ratio (trace both 2 and 1/2 to cover either
             branch of a "2:1" commensurability).
-        evaluate_ratio: Override for the interior evaluations, called as
-            ``evaluate_ratio(a, e_J) -> float | None``; defaults to the full
-            pipeline with the grid's mu and quadrature settings.
 
     Returns:
-        List of ResonancePoint, ordered row-major by originating edge.
+        List of ResonancePoint, ordered row-major by originating edge, the
+        edge to the next a before the edge to the next e_J.
     """
-    a_vals = grid.a_values().tolist()
-    eJ_vals = grid.eJ_values().tolist()
+    a_vals, eJ_vals = grid.a_values().tolist(), grid.eJ_values().tolist()
     ratios = grid.ratio_array().tolist()
-    if evaluate_ratio is None:
-        mu, quad = grid.mu, grid.quad
-
-        def evaluate_ratio(a, e_J):
-            return point_ratio(a, e_J, mu, quad)
-
     points = []
     for i, a in enumerate(a_vals):
         for j, e_J in enumerate(eJ_vals):
-            r0 = ratios[i][j]
-            if not math.isfinite(r0):
-                continue
-            # Edge to the next a (same e_J).
-            if i + 1 < len(a_vals) and math.isfinite(ratios[i + 1][j]):
-                r1 = ratios[i + 1][j]
-                if (r0 - k) * (r1 - k) < 0.0:
-                    hit = _solve_edge(lambda x: evaluate_ratio(x, e_J), k,
-                                      a, a_vals[i + 1], r0, r1)
+            # The edge to the next a, then the edge to the next e_J.
+            for i1, j1 in ((i + 1, j), (i, j + 1)):
+                if i1 == len(a_vals) or j1 == len(eJ_vals):
+                    continue
+                r0, r1 = ratios[i][j], ratios[i1][j1]
+                if (r0 - k) * (r1 - k) < 0.0:  # never true for a NaN ratio
+                    hit = _solve_edge(grid, k, (a, e_J),
+                                      (a_vals[i1], eJ_vals[j1]), r0, r1)
                     if hit is not None:
-                        points.append(ResonancePoint(a=hit[0], e_J=e_J,
-                                                     ratio=hit[1]))
-            # Edge to the next e_J (same a).
-            if j + 1 < len(eJ_vals) and math.isfinite(ratios[i][j + 1]):
-                r1 = ratios[i][j + 1]
-                if (r0 - k) * (r1 - k) < 0.0:
-                    hit = _solve_edge(lambda x: evaluate_ratio(a, x), k,
-                                      e_J, eJ_vals[j + 1], r0, r1)
-                    if hit is not None:
-                        points.append(ResonancePoint(a=a, e_J=hit[0],
-                                                     ratio=hit[1]))
+                        points.append(hit)
     return points

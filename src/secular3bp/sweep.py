@@ -75,28 +75,25 @@ class CellResult:
 
     def csv_row(self):
         eq, st = self.equilibrium, self.stability
-        coeffs = st.coefficients if st is not None else None
-        hess = eq.hessian if eq is not None else None
-        fields = [
-            _fmt(self.a),
-            _fmt(self.e_J),
-            self.status,
-            _fmt(eq.e_star) if eq is not None and math.isfinite(eq.e_star) else "",
-            _fmt(coeffs.Rbar) if coeffs is not None else "",
-            _fmt(coeffs.Abar) if coeffs is not None else "",
-            _fmt(coeffs.Bbar) if coeffs is not None else "",
-            _fmt(coeffs.Cbar) if coeffs is not None else "",
-            _fmt(hess[0, 0]) if hess is not None else "",
-            _fmt(hess[1, 1]) if hess is not None else "",
-            _fmt(hess[0, 1]) if hess is not None else "",
-            _fmt(st.omega_plane) if st is not None and math.isfinite(st.omega_plane) else "",
-            _fmt(st.omega_z) if st is not None and math.isfinite(st.omega_z) else "",
-            _fmt(st.ratio) if st is not None and math.isfinite(st.ratio) else "",
-            _fmt(coeffs.err["Rbar"]) if coeffs is not None else "",
-            _fmt(coeffs.err["Abar"]) if coeffs is not None else "",
-            _fmt(coeffs.err["Cbar"]) if coeffs is not None else "",
-        ]
-        return ",".join(fields)
+        values = {"a": self.a, "e_J": self.e_J}
+        if eq is not None:
+            values["e_star"] = eq.e_star
+            if eq.hessian is not None:
+                hess = eq.hessian
+                values.update(hess_pp=hess[0, 0], hess_qq=hess[1, 1],
+                              hess_pq=hess[0, 1])
+        if st is not None:
+            coeffs = st.coefficients
+            values.update(
+                Rbar=coeffs.Rbar, Abar=coeffs.Abar, Bbar=coeffs.Bbar,
+                Cbar=coeffs.Cbar, omega_plane=st.omega_plane,
+                omega_z=st.omega_z, ratio=st.ratio, err_R=coeffs.err["Rbar"],
+                err_A=coeffs.err["Abar"], err_C=coeffs.err["Cbar"])
+        # One rule for every number: missing or non-finite is an empty field.
+        fields = {name: _fmt(x) if math.isfinite(x) else ""
+                  for name, x in values.items()}
+        fields["status"] = self.status
+        return ",".join(fields.get(name, "") for name in CSV_COLUMNS)
 
 
 def _fmt(x):

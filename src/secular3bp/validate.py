@@ -14,7 +14,8 @@ Each check pits one production path against an independent evaluation:
 * ``mu-scaling``        - coefficients scale exactly as (1-mu)^(-1/2).
 * ``spectrum``          - the assembled 4x4 linearization at located
                           equilibria has purely imaginary eigenvalues
-                          matching (+-i omega_plane, +-i omega_z).
+                          matching the record's reported
+                          (+-i omega_plane, +-i omega_z).
 
 ``--inject-fault abar-sign`` flips the sign of Abar inside the
 spatial-hessian comparison, proving the harness actually detects
@@ -38,7 +39,7 @@ from .geometry import (
     aligned_noncrossing_interval,
     aligned_separation,
 )
-from .stability import frequencies, linearized_matrix
+from .stability import linearized_matrix
 from .sweep import evaluate_cell
 
 __all__ = [
@@ -247,7 +248,7 @@ def _check_spectrum(points, quad, tol):
             continue
         used += 1
         abar, cbar = rec.coefficients.Abar, rec.coefficients.Cbar
-        om_p, om_z, _ = frequencies(eq, abar, cbar)
+        om_p, om_z = rec.omega_plane, rec.omega_z
         eigs = np.linalg.eigvals(linearized_matrix(eq.hessian, abar, cbar))
         scale = max(om_p, om_z)
         worst = max(worst, float(np.max(np.abs(eigs.real))) / scale)

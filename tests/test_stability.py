@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from secular3bp import stability
 from secular3bp.averaging import QuadratureSpec
 from secular3bp.equilibrium import find_equilibrium
 from secular3bp.errors import DegenerateError
@@ -152,28 +153,30 @@ def curved_field(a, e):
 
 
 class TestTraceResonance:
-    def test_planted_linear_field(self):
+    def test_planted_linear_field(self, monkeypatch):
         a_vals = np.linspace(0.2, 0.8, 13)
         eJ_vals = np.linspace(0.2, 0.8, 13)
         grid = synthetic_grid(lambda a, e: a + e, a_vals, eJ_vals)
-        points = trace_resonance(grid, k=1.0,
-                                 evaluate_ratio=lambda a, e: a + e)
+        monkeypatch.setattr(stability, "point_ratio",
+                            lambda a, e, mu, quad: a + e)
+        points = trace_resonance(grid, k=1.0)
         assert len(points) > 0
         for p in points:
             assert abs(p.a + p.e_J - 1.0) <= 1e-4
             assert_float_fields(p)
 
-    def test_curved_field_budget_and_accuracy(self):
+    def test_curved_field_budget_and_accuracy(self, monkeypatch):
         a_vals = np.linspace(0.2, 0.8, 13)
         eJ_vals = np.linspace(0.2, 0.8, 13)
         grid = synthetic_grid(curved_field, a_vals, eJ_vals)
         calls = []
 
-        def evaluate(a, e):
+        def evaluate(a, e, mu, quad):
             calls.append((a, e))
             return curved_field(a, e)
 
-        points = trace_resonance(grid, k=2.0, evaluate_ratio=evaluate)
+        monkeypatch.setattr(stability, "point_ratio", evaluate)
+        points = trace_resonance(grid, k=2.0)
         assert len(points) > 0
         # The sweep already holds the edge ends, so only interior points
         # cost a run; a bisection to 1e-4 would need 10 per point here.
@@ -189,31 +192,34 @@ class TestTraceResonance:
                 abs(p.e_J - math.sqrt(2.0 - math.exp(p.a))) <= 5e-5
             assert on_a_edge or on_eJ_edge
 
-    def test_everywhere_below_k(self):
+    def test_everywhere_below_k(self, monkeypatch):
         a_vals = np.linspace(0.2, 0.8, 5)
         eJ_vals = np.linspace(0.2, 0.8, 5)
         grid = synthetic_grid(lambda a, e: 1.0 + 0.1 * a, a_vals, eJ_vals)
-        assert trace_resonance(grid, k=2.0,
-                               evaluate_ratio=lambda a, e: 1.0 + 0.1 * a) == []
+        monkeypatch.setattr(stability, "point_ratio",
+                            lambda a, e, mu, quad: 1.0 + 0.1 * a)
+        assert trace_resonance(grid, k=2.0) == []
 
-    def test_failed_midpoint_drops_edge(self):
+    def test_failed_midpoint_drops_edge(self, monkeypatch):
         a_vals = np.linspace(0.2, 0.8, 5)
         eJ_vals = np.linspace(0.2, 0.8, 5)
         grid = synthetic_grid(lambda a, e: a + e, a_vals, eJ_vals)
-        assert trace_resonance(grid, k=1.0,
-                               evaluate_ratio=lambda a, e: None) == []
+        monkeypatch.setattr(stability, "point_ratio",
+                            lambda a, e, mu, quad: None)
+        assert trace_resonance(grid, k=1.0) == []
 
-    def test_failure_after_first_interior_call_drops_edge(self):
+    def test_failure_after_first_interior_call_drops_edge(self, monkeypatch):
         a_vals = np.linspace(0.2, 0.8, 5)
         eJ_vals = np.linspace(0.2, 0.8, 5)
         grid = synthetic_grid(curved_field, a_vals, eJ_vals)
         calls = []
 
-        def evaluate(a, e):
+        def evaluate(a, e, mu, quad):
             calls.append((a, e))
             return curved_field(a, e)
 
-        clean = trace_resonance(grid, k=2.0, evaluate_ratio=evaluate)
+        monkeypatch.setattr(stability, "point_ratio", evaluate)
+        clean = trace_resonance(grid, k=2.0)
         # The first two runs lie on the first traced edge: they share its
         # fixed coordinate.
         (a0, e0), (a1, e1) = calls[:2]
@@ -222,13 +228,14 @@ class TestTraceResonance:
 
         n_calls = 0
 
-        def fail_second(a, e):
+        def fail_second(a, e, mu, quad):
             nonlocal n_calls
             n_calls += 1
             return None if n_calls == 2 else curved_field(a, e)
 
         # The first edge succeeds once, then fails: only its point drops.
-        assert trace_resonance(grid, k=2.0, evaluate_ratio=fail_second) == clean[1:]
+        monkeypatch.setattr(stability, "point_ratio", fail_second)
+        assert trace_resonance(grid, k=2.0) == clean[1:]
 
     def test_focus_window_points_are_floats(self, quad):
         grid = run_sweep((0.45, 0.65, 5), (0.84, 0.90, 4), quad=quad)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -8,7 +9,7 @@ import pytest
 from secular3bp import sweep
 from secular3bp.averaging import N_START, QuadratureSpec
 from secular3bp.cli import main
-from secular3bp.stability import point_ratio
+from secular3bp.stability import _PARAM_TOL, point_ratio, trace_resonance
 from secular3bp.sweep import (
     CSV_COLUMNS,
     evaluate_cell,
@@ -19,9 +20,12 @@ from secular3bp.sweep import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
-# Stored sweep.csv files and the windows that made them.
+# Stored sweep.csv files and the windows that made them.  Each file is
+# rebuilt byte for byte by the command beside it.
 GOLDEN_WINDOWS = {
+    # secular3bp sweep --a-range 0.05:0.95:10 --ej-range 0:0.95:10
     "golden_wide_10x10": ((0.05, 0.95, 10), (0.0, 0.95, 10)),
+    # secular3bp sweep --a-range 0.85:0.97:7 --ej-range 0.1:0.9:5
     "golden_near_planet": ((0.85, 0.97, 7), (0.1, 0.9, 5)),
 }
 
@@ -99,6 +103,26 @@ class TestSweep:
         assert float(row["Abar"]) == cell.stability.coefficients.Abar
         assert float(row["ratio"]) == cell.stability.ratio
 
+    def test_csv_row_without_frequencies(self, quad):
+        # A stability record with NaN frequencies, the shape of an
+        # INCONCLUSIVE cell: the coefficients and their errors are written,
+        # the frequencies and the ratio are empty fields.
+        cell = evaluate_cell(0.4, 0.3, 0.0, quad)
+        st = dataclasses.replace(cell.stability, spatial_verdict="INCONCLUSIVE",
+                                 omega_plane=math.nan, omega_z=math.nan,
+                                 ratio=math.nan)
+        cell = dataclasses.replace(cell, status="INCONCLUSIVE", stability=st)
+        row = dict(zip(CSV_COLUMNS, cell.csv_row().split(",")))
+        assert row["status"] == "INCONCLUSIVE"
+        coeffs = st.coefficients
+        for name, value in (("Rbar", coeffs.Rbar), ("Abar", coeffs.Abar),
+                            ("Bbar", coeffs.Bbar), ("Cbar", coeffs.Cbar),
+                            ("err_R", coeffs.err["Rbar"]),
+                            ("err_A", coeffs.err["Abar"]),
+                            ("err_C", coeffs.err["Cbar"])):
+            assert float(row[name]) == value
+        assert row["omega_plane"] == row["omega_z"] == row["ratio"] == ""
+
     def test_metadata_sidecar(self, quad, tmp_path):
         grid = run_sweep((0.2, 0.2, 1), (0.2, 0.2, 1), quad=quad)
         path = tmp_path / "meta.json"
@@ -173,6 +197,30 @@ class TestSweep:
                     value = float(want[col[name]])
                     bound = 3.0 * max(float(want[col[err]]), 4.0 * eps * abs(value))
                     assert abs(float(got[col[name]]) - value) <= bound
+
+    def test_golden_resonance_trace(self, quad):
+        # The k = 2 trace of a focus window against its stored resonance.csv,
+        # rebuilt byte for byte by
+        #   secular3bp resonance --a-range 0.45:0.65:8 --ej-range 0.84:0.92:6 --k 2
+        # Its points lie on both kinds of edge.  Each keeps its grid
+        # coordinate exactly and its solved one within _PARAM_TOL.
+        golden = [tuple(map(float, line.split(","))) for line in
+                  (DATA / "golden_focus_resonance.csv").read_text()
+                  .strip().split("\n")[1:]]
+        grid = run_sweep((0.45, 0.65, 8), (0.84, 0.92, 6), quad=quad)
+        points = trace_resonance(grid, k=2.0)
+        assert len(points) == len(golden) == 11
+        a_grid, eJ_grid = grid.a_values().tolist(), grid.eJ_values().tolist()
+        kinds = set()
+        for p, (a, e_J, _ratio) in zip(points, golden):
+            if e_J in eJ_grid:  # on an edge to the next a
+                kinds.add("a")
+                assert p.e_J == e_J and abs(p.a - a) <= _PARAM_TOL
+            else:
+                kinds.add("e_J")
+                assert a in a_grid
+                assert p.a == a and abs(p.e_J - e_J) <= _PARAM_TOL
+        assert kinds == {"a", "e_J"}
 
     def test_evaluate_cell_smoke(self, quad):
         cell = evaluate_cell(0.4, 0.3, 0.0, quad)
