@@ -142,9 +142,9 @@ def _scan_grid(cfg):
 
     The mask is the cell's one crossing certificate.  Every evaluation the
     cell makes is an admissible scan point or lies inside a bracket whose
-    two ends are admissible, and the separation is quasi-concave in e (see
-    :func:`aligned_separation`), so inside such a bracket it stays above
-    the margin too.
+    two ends are admissible, and the separation is concave in e on the
+    non-crossing interval for every a (see :func:`aligned_separation`), so
+    inside such a bracket it stays above the margin too.
     """
     lo, hi = DEFAULT_E_BRACKET
     interval = aligned_noncrossing_interval(cfg.a, cfg.e_J)

@@ -41,9 +41,6 @@ TWO_PI = 2.0 * math.pi
 # by rounding in round-trip conversions.
 _VALIDATION_SLACK = 1e-9
 
-# Dense direction samples of aligned_separation before grid refinement.
-_N_THETA = 512
-
 
 def wrap_angle(x):
     """Reduce an angle (scalar or array) to [0, 2*pi)."""
@@ -159,85 +156,71 @@ def delaunay_from_poincare(p: PoincareState) -> DelaunayElements:
 # inter-orbit separation (aligned coplanar geometry)
 # ---------------------------------------------------------------------------
 
+def _outer_side(a):
+    """+1 if the asteroid's orbit nests outside the planet's, -1 inside, 0 at a = 1.
+
+    Two confocal ellipses with coinciding periapsis directions nest without
+    crossing exactly when the asteroid's periapsis and apoapsis distances
+    both lie on the same side of the planet's:
+
+        inner (a < 1):  a (1 - e) < 1 - eJ  and  a (1 + e) < 1 + eJ
+        outer (a > 1):  a (1 - e) > 1 - eJ  and  a (1 + e) > 1 + eJ
+
+    The side is set by a alone: adding the two inequalities of the other
+    side would put 2 a on the wrong side of 2.  At a = 1 every eccentricity
+    crosses.
+    """
+    return 1 if a > 1.0 else -1 if a < 1.0 else 0
+
+
 def aligned_separation(a, e, eJ):
-    """Exact minimum distance between the aligned ellipses (support form).
+    """Exact minimum distance between the aligned ellipses (apsidal gap).
 
-    For nested convex curves the boundary distance equals the minimum over
-    directions of the support-function difference.  Both aligned confocal
-    ellipses have centers on the x axis (asteroid at (-a e, 0) with
-    semi-axes a, a sqrt(1-e^2); planet at (-eJ, 0) with semi-axes
-    1, sqrt(1-eJ^2)), so the difference is a smooth 1-D function of the
-    direction angle, minimized by dense sampling and then six grid
-    refinements, each 16x finer around the best sample: the last step is
-    below 1e-9 rad, so the minimum value is exact to rounding.
-    ``e`` is a float or an array; all eccentricities are refined side by
-    side, and the result has the shape of ``e``.
-    Returns 0 when the curves cross (including the whole a = 1 line).
-    The test suite checks it against a dense sampling of both anomalies.
+    The minimum lies on the apsidal line: it is the smaller of the
+    periapsis gap |a (1 - e) - (1 - eJ)| and the apoapsis gap
+    |a (1 + e) - (1 + eJ)|.  The test suite pins this against two oracles
+    in ``tests/oracles.py``: ``support_separation``, a refined search over
+    the support-function difference of the two ellipses (agreement to
+    1e-9 relative above rounding), and ``orbit_min_separation``, a dense sampling of both
+    anomalies.  ``e`` is a float or an array; the result has the shape of
+    ``e``, and each entry has the bytes of a scalar call.
+    Returns 0 when the curves cross: the gaps, oriented by
+    :func:`_outer_side`, then differ in sign, and on the whole a = 1 line
+    both vanish.
 
-    On the non-crossing interval the separation is quasi-concave in e:
+    On the non-crossing interval the separation is concave in e, so
     between two eccentricities it never drops below the smaller of their
     two values, which lets the equilibrium scan certify a whole bracket
-    from its ends.  For a > 1 this is exact: each direction's gap
-    h_ast - h_pl, with h_ast = a (-e cos(theta) + sqrt(1 - e^2 sin^2(theta))),
-    is concave in e, and a minimum over directions of concave functions is
-    concave.  For a < 1 each direction's gap is convex in e and no such
-    argument exists; the test suite checks the property there on dense
-    e samples of random cells.
+    from its ends: each oriented gap is linear in e and positive there,
+    and the smaller of two linear functions is concave.
     """
     es = np.asarray(e, dtype=float)
-    ev = es.reshape(-1, 1)
-    if a == 1.0:
-        return 0.0 if es.ndim == 0 else np.zeros(es.shape)
-
-    def support_gap(theta):
-        c = np.cos(theta)
-        s = np.sin(theta)
-        h_ast = -a * ev * c + a * np.sqrt(c * c + (1.0 - ev * ev) * s * s)
-        h_pl = -eJ * c + np.sqrt(c * c + (1.0 - eJ * eJ) * s * s)
-        return h_pl - h_ast if a < 1.0 else h_ast - h_pl
-
-    # Both support functions depend on theta through cos(theta) and
-    # sin^2(theta), so [0, pi] covers all directions, and samples just
-    # outside it mirror samples inside.
-    theta = np.linspace(0.0, math.pi, _N_THETA)
-    gaps = support_gap(theta)
-    rows = np.arange(ev.shape[0])
-    best = theta[np.argmin(gaps, axis=1)][:, None]
-    step = theta[1] - theta[0]
-    offsets = np.linspace(-1.0, 1.0, 33)
-    for _ in range(6):
-        cand = best + step * offsets
-        gaps = support_gap(cand)
-        k = np.argmin(gaps, axis=1)
-        best = cand[rows, k][:, None]
-        sep = gaps[rows, k]
-        step /= 16.0
-    sep = np.maximum(0.0, sep)
-    return float(sep[0]) if es.ndim == 0 else sep.reshape(es.shape)
+    side = _outer_side(a)
+    gap = np.minimum(side * (a * (1.0 - es) - (1.0 - eJ)),
+                     side * (a * (1.0 + es) - (1.0 + eJ)))
+    sep = np.where(gap > 0.0, gap, 0.0)
+    return float(sep) if es.ndim == 0 else sep
 
 
 def aligned_noncrossing_interval(a, eJ):
     """Eccentricity interval (e_lo, e_hi) of non-crossing aligned orbits.
 
-    Two confocal ellipses with coinciding periapsis directions intersect
-    exactly when their periapsis-distance and apoapsis-distance ratios
-    straddle 1, so the non-crossing condition reduces to
-
-        inner (a < 1):  a (1 - e) < 1 - eJ  and  a (1 + e) < 1 + eJ
-        outer (a > 1):  a (1 - e) > 1 - eJ  and  a (1 + e) > 1 + eJ
+    The periapsis distances coincide at e = 1 - (1 - eJ) / a and the
+    apoapsis distances at e = (1 + eJ) / a - 1; the orbits nest strictly
+    between the two (see :func:`_outer_side`): the periapsis root is e_lo
+    on the inner side and e_hi on the outer one.
 
     Returns None when no non-crossing eccentricity exists (always the case
     at a = 1).
     """
-    if a < 1.0:
-        e_lo = max(0.0, 1.0 - (1.0 - eJ) / a)
-        e_hi = min(1.0, (1.0 + eJ) / a - 1.0)
-    elif a > 1.0:
-        e_lo = max(0.0, (1.0 + eJ) / a - 1.0)
-        e_hi = min(1.0, 1.0 - (1.0 - eJ) / a)
-    else:
+    side = _outer_side(a)
+    if side == 0:
         return None
+    e_peri = 1.0 - (1.0 - eJ) / a
+    e_apo = (1.0 + eJ) / a - 1.0
+    lo, hi = (e_apo, e_peri) if side > 0 else (e_peri, e_apo)
+    e_lo = max(0.0, lo)
+    e_hi = min(1.0, hi)
     if e_lo >= e_hi:
         return None
     return e_lo, e_hi

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import orbit_min_separation, poincare_from_delaunay, solve_kepler
+from oracles import (
+    orbit_min_separation,
+    poincare_from_delaunay,
+    solve_kepler,
+    support_separation,
+)
 from secular3bp import kernels
 from secular3bp.geometry import (
     DelaunayElements,
@@ -18,6 +23,9 @@ from secular3bp.geometry import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+# Semi-major axes within 0.01 of the planet's, a = 1 itself excluded.
+NEAR_UNITY_A = st.floats(0.99, 1.01).filter(lambda a: a != 1.0)
 
 
 def kepler_bisection_oracle(l, e, width=1e-14):
@@ -292,9 +300,11 @@ class TestSeparation:
 
     def test_noncrossing_interval_consistency(self):
         rng = np.random.default_rng(12)
-        for _ in range(50):
-            a = rng.uniform(0.1, 0.95) if rng.random() < 0.5 else \
-                rng.uniform(1.05, 3.5)
+        for _ in range(75):
+            # The strip within 0.01 of a = 1 holds the smallest apsidal gaps.
+            u = rng.random()
+            a = rng.uniform(0.1, 0.95) if u < 1 / 3 else \
+                rng.uniform(1.05, 3.5) if u < 2 / 3 else rng.uniform(0.99, 1.01)
             eJ = rng.uniform(0.0, 0.9)
             interval = aligned_noncrossing_interval(a, eJ)
             if interval is None:
@@ -306,13 +316,34 @@ class TestSeparation:
                 e_out = min(0.999, hi + 0.05)
                 assert aligned_separation(a, e_out, eJ) == 0.0
 
+    @given(st.one_of(st.floats(0.01, 8.0), NEAR_UNITY_A), st.floats(0.0, 0.999))
+    @settings(max_examples=200, deadline=None)
+    def test_apsidal_gap_matches_support_form(self, a, eJ):
+        # Dense e over [0, 0.999], crossing eccentricities included (both
+        # forms return 0 there), plus the non-crossing interval itself,
+        # which is narrow near a = 1.  The absolute floor is the rounding
+        # of the oracle's support-function difference, whose terms are of
+        # size max(1, a): at separations that small no relative agreement
+        # is defined.
+        es = [np.linspace(0.0, 0.999, 200)]
+        interval = aligned_noncrossing_interval(a, eJ)
+        if interval is not None:
+            es.append(np.linspace(*interval, 64))
+        e = np.concatenate(es)
+        sep = aligned_separation(a, e, eJ)
+        ref = support_separation(a, e, eJ)
+        floor = 1e-14 * max(1.0, a)
+        assert np.all(np.abs(sep - ref) <= 1e-9 * sep + floor)
+        # A numpy scalar a gives the same bytes.
+        assert aligned_separation(np.float64(a), e, eJ).tobytes() == sep.tobytes()
+
     def test_batch_matches_scalar(self):
         # One batched evaluation gives each e the bytes of a scalar call.
         es = np.array([0.1, 0.2, 0.2, 0.45])
         seps = aligned_separation(0.4, es, 0.3)
         assert seps.tolist() == [aligned_separation(0.4, float(e), 0.3) for e in es]
 
-    @given(st.one_of(st.floats(0.02, 0.99), st.floats(1.01, 5.0)),
+    @given(st.one_of(st.floats(0.02, 0.99), st.floats(1.01, 5.0), NEAR_UNITY_A),
            st.floats(0.0, 0.97))
     @settings(max_examples=200, deadline=None)
     def test_quasi_concave_on_noncrossing_interval(self, a, eJ):
