@@ -12,7 +12,6 @@ from .averaging import (
     AveragedCoefficients,
     QuadratureSpec,
     averaged_coefficients,
-    direct_average_V3d,
 )
 from .equilibrium import (
     EquilibriumRecord,
@@ -25,15 +24,7 @@ from .errors import (
     OrbitCrossingError,
     Secular3bpError,
 )
-from .geometry import (
-    DelaunayElements,
-    OrbitConfig,
-    PoincareState,
-    aligned_noncrossing_interval,
-    delaunay_from_poincare,
-    rotation_matrix,
-    wrap_angle,
-)
+from .geometry import OrbitConfig, aligned_noncrossing_interval
 from .stability import (
     ResonancePoint,
     StabilityRecord,
@@ -49,12 +40,10 @@ __all__ = [
     "AveragedCoefficients",
     "CellResult",
     "DegenerateError",
-    "DelaunayElements",
     "EquilibriumRecord",
     "NonConvergedError",
     "OrbitConfig",
     "OrbitCrossingError",
-    "PoincareState",
     "QuadratureSpec",
     "ResonancePoint",
     "Secular3bpError",
@@ -63,15 +52,11 @@ __all__ = [
     "aligned_noncrossing_interval",
     "averaged_coefficients",
     "classify_spatial",
-    "delaunay_from_poincare",
-    "direct_average_V3d",
     "evaluate_cell",
     "find_equilibrium",
     "frequencies",
     "linearized_matrix",
     "planar_hessian",
-    "rotation_matrix",
     "run_sweep",
     "trace_resonance",
-    "wrap_angle",
 ]

@@ -2,7 +2,7 @@
 
 Computes the doubly averaged disturbing function Rbar and the averaged
 quadratic-form coefficients Abar, Bbar, Cbar that govern out-of-plane
-linear stability, plus a direct 3-D average used as an independent oracle.
+linear stability.
 
 The integrands are analytic and 2*pi-periodic in both eccentric anomalies
 for non-crossing orbit pairs, so an equally spaced (midpoint) tensor grid
@@ -33,20 +33,13 @@ import numpy as np
 
 from . import kernels
 from .errors import NonConvergedError, OrbitCrossingError
-from .geometry import (
-    OrbitConfig,
-    PoincareState,
-    aligned_separation,
-    delaunay_from_poincare,
-    rotation_matrix,
-)
+from .geometry import OrbitConfig, aligned_separation
 
 __all__ = [
     "DEFAULT_SEPARATION_THRESHOLD",
     "QuadratureSpec",
     "AveragedCoefficients",
     "averaged_coefficients",
-    "direct_average_V3d",
 ]
 
 # Below this inter-orbit distance a configuration is treated as crossing:
@@ -193,47 +186,3 @@ def averaged_coefficients(cfg: OrbitConfig, e,
     return AveragedCoefficients(Rbar=float(rbar), Abar=float(abar),
                                 Bbar=float(bbar), Cbar=float(cbar), err=err)
 
-
-def direct_average_V3d(cfg: OrbitConfig, state: PoincareState, n):
-    """Directly averaged 3-D disturbing function at a Poincare phase point.
-
-    Evaluates the full spatial geometry (no small-inclination expansion):
-    the Poincare variables are inverted to Delaunay elements, the orbital
-    plane is rotated to the inertial frame, and V = 1/|r - rJ| is averaged
-    over both mean anomalies.  Finite-difference second derivatives of this
-    function in (p3, q3) at the planar subspace reproduce (2 Abar, 2 Cbar)
-    and a vanishing cross term, which is the package's independent oracle
-    for the quadratic-form coefficients.
-
-    Args:
-        cfg: Problem parameters; state.p1 must equal sqrt((1-mu) a).
-        state: Poincare phase point.
-        n: Node count per anomaly (no doubling; the caller converges it).
-
-    Returns:
-        Vbar at n nodes per anomaly.
-    """
-    L = cfg.L
-    if abs(state.p1 - L) > 1e-9 * L:
-        raise ValueError(
-            f"state.p1 = {state.p1} inconsistent with sqrt((1-mu) a) = {L}"
-        )
-    d = delaunay_from_poincare(state)
-    ratio = min(d.G / d.L, 1.0)
-    e = math.sqrt(max(0.0, 1.0 - ratio * ratio))
-    if not (0.0 <= e < 1.0):
-        raise ValueError(f"implied eccentricity {e} outside [0, 1)")
-    inc = math.acos(max(-1.0, min(1.0, d.H / d.G)))
-    m = rotation_matrix(d.g, inc, d.h)
-    vbar, rsq_min = kernels.vbar_mean(
-        cfg.a, e, cfg.e_J,
-        m[0, 0], m[0, 1], m[1, 0], m[1, 1], m[2, 0], m[2, 1],
-        n, n,
-    )
-    if rsq_min < DEFAULT_SEPARATION_THRESHOLD * DEFAULT_SEPARATION_THRESHOLD:
-        raise OrbitCrossingError(
-            f"sampled 3-D separation below {DEFAULT_SEPARATION_THRESHOLD:g} at "
-            f"a={cfg.a:g}, e={e:g}, e_J={cfg.e_J:g}",
-            separation=math.sqrt(rsq_min),
-        )
-    return vbar

@@ -1,19 +1,16 @@
-"""Exact two-body geometry and canonical-variable conversions.
+"""Problem parameters and the exact geometry of the aligned orbits.
 
 Units: the planet's semi-major axis is the length unit (a_J = 1) and the
-total star+planet mass is the mass unit.  All angles are radians, stored
-reduced to [0, 2*pi).
+total star+planet mass is the mass unit.  All angles are radians.
 
-The canonical sets follow the usual celestial-mechanics conventions:
-Delaunay momenta L = sqrt((1-mu) a), G = L sqrt(1-e^2), H = G cos i with
+The planar canonical chart follows the usual celestial-mechanics
+conventions: Delaunay momenta L = sqrt((1-mu) a), G = L sqrt(1-e^2) with
 angles (l, g, h) = (mean anomaly, argument of periapsis, node), and the
-Poincare pairs
+Poincare pair
 
-    p1 = L                      q1 = l + g + h
     p2 = sqrt(2(L-G)) cos(g+h)  q2 = -sqrt(2(L-G)) sin(g+h)
-    p3 = sqrt(2(G-H)) cos(h)    q3 = -sqrt(2(G-H)) sin(h)
 
-Note the leading minus sign in q2, q3; sign conventions for the Poincare
+Note the leading minus sign in q2; sign conventions for the Poincare
 angles differ across the literature, and this package implements the form
 above consistently everywhere.
 """
@@ -24,32 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TWO_PI",
     "OrbitConfig",
-    "DelaunayElements",
-    "PoincareState",
-    "wrap_angle",
-    "rotation_matrix",
-    "delaunay_from_poincare",
     "aligned_separation",
     "aligned_noncrossing_interval",
 ]
 
-TWO_PI = 2.0 * math.pi
-
-# Relative slack for validating canonical inequalities that may be violated
-# by rounding in round-trip conversions.
-_VALIDATION_SLACK = 1e-9
-
-
-def wrap_angle(x):
-    """Reduce an angle (scalar or array) to [0, 2*pi)."""
-    return np.mod(x, TWO_PI)
-
-
-# ---------------------------------------------------------------------------
-# domain types
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OrbitConfig:
@@ -80,76 +56,6 @@ class OrbitConfig:
     def G_of(self, e):
         """Delaunay momentum G = L sqrt(1-e^2) at eccentricity e."""
         return self.L * math.sqrt(1.0 - e * e)
-
-
-@dataclass(frozen=True)
-class DelaunayElements:
-    """Canonical Delaunay momenta (L, G, H) and conjugate angles (l, g, h)."""
-
-    L: float
-    G: float
-    H: float
-    l: float
-    g: float
-    h: float
-
-    def __post_init__(self):
-        slack = _VALIDATION_SLACK * max(self.L, 1.0)
-        if not (0.0 < self.G <= self.L + slack):
-            raise ValueError(f"need 0 < G <= L, got G={self.G}, L={self.L}")
-        if abs(self.H) > self.G + slack:
-            raise ValueError(f"need |H| <= G, got H={self.H}, G={self.G}")
-        object.__setattr__(self, "G", min(self.G, self.L))
-        object.__setattr__(self, "H", math.copysign(min(abs(self.H), self.G), self.H))
-        for name in ("l", "g", "h"):
-            object.__setattr__(self, name, float(wrap_angle(getattr(self, name))))
-
-
-@dataclass(frozen=True)
-class PoincareState:
-    """Canonical Poincare variables (p1..p3, q1..q3)."""
-
-    p1: float
-    p2: float
-    p3: float
-    q1: float
-    q2: float
-    q3: float
-
-    def __post_init__(self):
-        if not (self.p1 > 0.0):
-            raise ValueError(f"p1 = L must be positive, got {self.p1}")
-        if self.p2**2 + self.q2**2 > 2.0 * self.p1 * (1.0 + _VALIDATION_SLACK):
-            raise ValueError("p2^2 + q2^2 exceeds 2 L: no real eccentricity")
-
-
-def rotation_matrix(omega, i, Omega):
-    """3x2 matrix taking orbital-plane (x', y') to inertial (x, y, z)."""
-    co, so = math.cos(omega), math.sin(omega)
-    ci, si = math.cos(i), math.sin(i)
-    cO, sO = math.cos(Omega), math.sin(Omega)
-    return np.array(
-        [
-            [cO * co - ci * sO * so, -cO * so - ci * sO * co],
-            [sO * co + ci * cO * so, -sO * so + ci * cO * co],
-            [si * so, si * co],
-        ]
-    )
-
-
-def delaunay_from_poincare(p: PoincareState) -> DelaunayElements:
-    """Map Poincare variables to Delaunay elements.
-
-    The momenta are always recovered exactly; on the singular sets e = 0 and
-    i = 0 the angles g+h resp. h are indeterminate and are returned as 0.
-    The map is mu-free.
-    """
-    L = p.p1
-    G = L - 0.5 * (p.p2**2 + p.q2**2)
-    H = G - 0.5 * (p.p3**2 + p.q3**2)
-    gh = 0.0 if p.p2 == 0.0 and p.q2 == 0.0 else math.atan2(-p.q2, p.p2)
-    h = 0.0 if p.p3 == 0.0 and p.q3 == 0.0 else math.atan2(-p.q3, p.p3)
-    return DelaunayElements(L=L, G=G, H=H, l=p.q1 - gh, g=gh - h, h=h)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ Each check pits one production path against an independent evaluation:
                           self-contained unfolded full-domain reference
                           implemented here with plain numpy (independent of
                           the production kernels and of the folding).
-* ``spatial-hessian``   - finite-difference (p3, q3) Hessian of the direct
-                          3-D average against diag(2 Abar, 2 Cbar) with a
-                          vanishing cross term.
+* ``spatial-hessian``   - finite-difference (p3, q3) Hessian of a
+                          plain-numpy tilted-orbit average (full 3-D
+                          geometry, independent of the production kernels)
+                          against diag(2 Abar, 2 Cbar) with a vanishing
+                          cross term.
 * ``mu-scaling``        - coefficients scale exactly as (1-mu)^(-1/2).
 * ``spectrum``          - the assembled 4x4 linearization at located
                           equilibria has purely imaginary eigenvalues
@@ -28,17 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .averaging import (
+    DEFAULT_SEPARATION_THRESHOLD,
     QuadratureSpec,
     _doubling,
     averaged_coefficients,
-    direct_average_V3d,
 )
-from .geometry import (
-    OrbitConfig,
-    PoincareState,
-    aligned_noncrossing_interval,
-    aligned_separation,
-)
+from .errors import OrbitCrossingError
+from .geometry import OrbitConfig, aligned_noncrossing_interval, aligned_separation
 from .stability import linearized_matrix
 from .sweep import evaluate_cell
 
@@ -115,19 +113,23 @@ def sample_noncrossing_points(n, seed):
     return points
 
 
+def _ellipse(n, a, e):
+    """Midpoint nodes (x, y) of an ellipse over [0, 2pi) and their Kepler weight."""
+    E = (np.arange(n) + 0.5) * 2.0 * np.pi / n
+    x = a * (np.cos(E) - e)
+    y = a * math.sqrt(1.0 - e * e) * np.sin(E)
+    return x, y, 1.0 - e * np.cos(E)
+
+
 def unfolded_reference(a, e, eJ, mu, n):
     """Full-domain [0, 2pi)^2 averages of the raw R, A, C coefficients.
 
     Straightforward midpoint rule in plain numpy; intentionally independent
     of the production kernels and of the quarter-domain folding.
     """
-    E = (np.arange(n) + 0.5) * 2.0 * np.pi / n
-    EJ = (np.arange(n) + 0.5) * 2.0 * np.pi / n
-    x = a * (np.cos(E) - e)
-    y = a * math.sqrt(1.0 - e * e) * np.sin(E)
-    xJ = np.cos(EJ) - eJ
-    yJ = math.sqrt(1.0 - eJ * eJ) * np.sin(EJ)
-    w = np.outer(1.0 - e * np.cos(E), 1.0 - eJ * np.cos(EJ))
+    x, y, wi = _ellipse(n, a, e)
+    xJ, yJ, wJ = _ellipse(n, 1.0, eJ)
+    w = np.outer(wi, wJ)
     r1 = np.sqrt((x[:, None] - xJ[None, :]) ** 2 + (y[:, None] - yJ[None, :]) ** 2)
     G = math.sqrt((1.0 - mu) * a * (1.0 - e * e))
     rbar = float(np.mean(w / r1))
@@ -136,8 +138,51 @@ def unfolded_reference(a, e, eJ, mu, n):
     return rbar, abar, cbar
 
 
+def _tilted_average(cfg: OrbitConfig, e, p3, q3, n):
+    """Full-domain [0, 2pi)^2 midpoint mean of w / |r - rJ| on a tilted orbit.
+
+    The asteroid's orbit has eccentricity e and its periapsis on the
+    planet's (q1 = q2 = 0), and is tilted out of the planet's plane by the
+    Poincare pair
+
+        p3 = sqrt(2(G-H)) cos(h)    q3 = -sqrt(2(G-H)) sin(h)
+
+    with the same leading minus sign as q2.  So G - H = (p3^2 + q3^2) / 2,
+    the node is h = atan2(-q3, p3), the argument of periapsis g = -h keeps
+    g + h = 0, and the inclination is acos(H / G); the orbital plane is
+    turned by Rz(h) Rx(i) Rz(-h).  Every grid row is summed on its own
+    and the rows are then added.
+
+    Raises:
+        OrbitCrossingError: The smallest sampled 3-D distance is below
+            DEFAULT_SEPARATION_THRESHOLD.
+    """
+    G = cfg.G_of(e)
+    H = G - 0.5 * (p3 * p3 + q3 * q3)
+    h = math.atan2(-q3, p3)
+    i = math.acos(H / G)
+    ch, sh, ci, si = math.cos(h), math.sin(h), math.cos(i), math.sin(i)
+    xp, yp, wi = _ellipse(n, cfg.a, e)
+    u = ch * xp + sh * yp  # Rz(-h): periapsis frame to the node frame
+    v = ch * yp - sh * xp
+    x = ch * u - sh * ci * v
+    y = sh * u + ch * ci * v
+    z = si * v
+    xJ, yJ, wJ = _ellipse(n, 1.0, cfg.e_J)
+    rsq = (x[:, None] - xJ) ** 2 + (y[:, None] - yJ) ** 2 + (z * z)[:, None]
+    rsq_min = float(rsq.min())
+    if rsq_min < DEFAULT_SEPARATION_THRESHOLD ** 2:
+        raise OrbitCrossingError(
+            f"sampled 3-D separation below {DEFAULT_SEPARATION_THRESHOLD:g} at "
+            f"a={cfg.a:g}, e={e:g}, e_J={cfg.e_J:g}",
+            separation=math.sqrt(rsq_min),
+        )
+    rows = wi * np.einsum("ij,j->i", 1.0 / np.sqrt(rsq), wJ)
+    return float(rows.sum()) / (n * n)
+
+
 def spatial_quadratic_oracle(cfg: OrbitConfig, e, quad: QuadratureSpec):
-    """FD second derivatives of the direct 3-D average in (p3, q3) at 0.
+    """FD second derivatives of the tilted-orbit average in (p3, q3) at 0.
 
     Central differences with Richardson extrapolation over steps h and h/2,
     every evaluation at one frozen node count (chosen by converging the base
@@ -150,22 +195,14 @@ def spatial_quadratic_oracle(cfg: OrbitConfig, e, quad: QuadratureSpec):
         NonConvergedError: The base point does not converge within the
             node cap.
     """
-    L = cfg.L
-    p2s = math.sqrt(max(0.0, 2.0 * (L - cfg.G_of(e))))
-
-    def state(p3, q3):
-        return PoincareState(p1=L, p2=p2s, p3=p3, q1=0.0, q2=0.0, q3=q3)
-
     vals, _, nodes = _doubling(
-        lambda n: (direct_average_V3d(cfg, state(0.0, 0.0), n),),
-        quad, floors=(1e-12,),
-    )
+        lambda n: (_tilted_average(cfg, e, 0.0, 0.0, n),), quad, floors=(1e-12,))
     v0 = float(vals[0])
 
     def vbar(p3, q3):
-        return direct_average_V3d(cfg, state(p3, q3), nodes)
+        return _tilted_average(cfg, e, p3, q3, nodes)
 
-    h = _H_SCALE * math.sqrt(2.0 * L)
+    h = _H_SCALE * math.sqrt(2.0 * cfg.L)
 
     def second(axis):
         def d2(step):
@@ -176,8 +213,7 @@ def spatial_quadratic_oracle(cfg: OrbitConfig, e, quad: QuadratureSpec):
         return (4.0 * d2(h / 2.0) - d2(h)) / 3.0
 
     cross = (vbar(h, h) - vbar(h, -h) - vbar(-h, h) + vbar(-h, -h)) / (4.0 * h * h)
-    return {"d2_p3": second("p"), "d2_q3": second("q"), "cross": cross,
-            "nodes": nodes, "base": v0}
+    return {"d2_p3": second("p"), "d2_q3": second("q"), "cross": cross}
 
 
 def _check_bbar(points, quad, tol):

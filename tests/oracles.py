@@ -5,8 +5,8 @@ None of this is on the package's CLI or pipeline path:
 * ``solve_kepler`` and ``mean_anomaly_rbar`` average over uniform mean
   anomalies, so they check the eccentric-anomaly Jacobian weight the
   kernels use;
-* ``poincare_from_delaunay`` is the forward map that round-trips
-  ``delaunay_from_poincare``;
+* ``rz`` and ``rx`` are the elementary rotations whose matrix product
+  orients a tilted orbit;
 * ``support_separation`` minimizes the support-function difference of the
   two aligned ellipses over directions, the tight (about 1e-11) reference
   for the apsidal-gap closed form ``aligned_separation``;
@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from secular3bp import kernels
-from secular3bp.geometry import TWO_PI, DelaunayElements, PoincareState, wrap_angle
+
+TWO_PI = 2.0 * math.pi
 
 
 def solve_kepler(l, e, tol=1e-14, max_newton=50):
@@ -55,7 +56,7 @@ def solve_kepler(l, e, tol=1e-14, max_newton=50):
     if not np.all(np.isfinite(l_arr)):
         raise ValueError("mean anomaly must be finite")
     scalar = l_arr.ndim == 0
-    lw = wrap_angle(l_arr)
+    lw = np.mod(l_arr, TWO_PI)
     E = lw + e * np.sin(lw)
     resid = E - e * np.sin(E) - lw
     for _ in range(max_newton):
@@ -98,19 +99,16 @@ def mean_anomaly_rbar(a, e, eJ, n=512, g=0.0):
                                         y[:, None] - yJ[None, :])))
 
 
-def poincare_from_delaunay(d: DelaunayElements) -> PoincareState:
-    """Forward map to Poincare variables (exact formulas, no regularization)."""
-    r2 = math.sqrt(max(0.0, 2.0 * (d.L - d.G)))
-    r3 = math.sqrt(max(0.0, 2.0 * (d.G - d.H)))
-    gh = d.g + d.h
-    return PoincareState(
-        p1=d.L,
-        p2=r2 * math.cos(gh),
-        p3=r3 * math.cos(d.h),
-        q1=float(wrap_angle(d.l + d.g + d.h)),
-        q2=-r2 * math.sin(gh),
-        q3=-r3 * math.sin(d.h),
-    )
+def rz(t):
+    """Rotation by t about the z axis."""
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def rx(t):
+    """Rotation by t about the x axis."""
+    c, s = math.cos(t), math.sin(t)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def _golden_min(f, lo, hi, iters=40):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
 import subprocess
@@ -60,6 +61,10 @@ def test_benchmark_selftest_passes():
 # module constant; adding an option means raising this number on purpose.
 MAX_SETTABLE_VALUES = 17
 
+# Names in secular3bp.__all__.  Oracles live in validate.py or tests/, not
+# in the public API; adding a public name means raising this on purpose.
+MAX_PUBLIC_NAMES = 23
+
 
 def _settable_values(tree):
     count = 0
@@ -79,3 +84,19 @@ def test_settable_values_ratchet():
     total = sum(_settable_values(ast.parse(path.read_text()))
                 for path in sorted(src.glob("*.py")))
     assert total <= MAX_SETTABLE_VALUES
+
+
+def test_public_names_ratchet():
+    assert len(secular3bp.__all__) <= MAX_PUBLIC_NAMES
+
+
+def test_package_import_leaves_out_validate():
+    # The oracles stay off the pipeline's import path.
+    src = pathlib.Path(secular3bp.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, secular3bp; print('secular3bp.validate' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

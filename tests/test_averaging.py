@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
-from oracles import mean_anomaly_rbar, rbar_fine
+from oracles import mean_anomaly_rbar, rbar_fine, rx, rz, solve_kepler
 from secular3bp import kernels, validate
 from secular3bp.averaging import (
     N_START,
     AveragedCoefficients,
     QuadratureSpec,
     averaged_coefficients,
-    direct_average_V3d,
 )
 from secular3bp.equilibrium import planar_hessian
 from secular3bp.errors import NonConvergedError, OrbitCrossingError
-from secular3bp.geometry import OrbitConfig, PoincareState, aligned_separation
+from secular3bp.geometry import OrbitConfig, aligned_separation
 from secular3bp.validate import (
     sample_noncrossing_points,
     spatial_quadratic_oracle,
@@ -240,15 +239,52 @@ class TestSeparationGuard:
                                                     info.value.separation)
 
 
+def tilted_mean_anomaly_vbar(cfg, e, p3, q3, n):
+    """Mean of 1/|r - rJ| over n x n mean anomalies, orbit tilted by (p3, q3).
+
+    Positions come from Kepler's equation, so no Jacobian weight enters,
+    and the orbital plane is turned by the matrix product Rz(h) Rx(i) Rz(-h)
+    with p3 = sqrt(2(G-H)) cos h, q3 = -sqrt(2(G-H)) sin h, H = G cos i.
+    """
+    G = cfg.G_of(e)
+    h = math.atan2(-q3, p3)
+    i = math.acos(1.0 - 0.5 * (p3**2 + q3**2) / G)
+    l = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    E = solve_kepler(l, e)
+    EJ = solve_kepler(l, cfg.e_J)
+    plane = np.stack([cfg.a * (np.cos(E) - e),
+                      cfg.a * math.sqrt(1.0 - e * e) * np.sin(E),
+                      np.zeros(n)])
+    x, y, z = rz(h) @ rx(i) @ rz(-h) @ plane
+    xJ = np.cos(EJ) - cfg.e_J
+    yJ = math.sqrt(1.0 - cfg.e_J**2) * np.sin(EJ)
+    r = np.sqrt((x[:, None] - xJ) ** 2 + (y[:, None] - yJ) ** 2 + (z**2)[:, None])
+    return float(np.mean(1.0 / r))
+
+
 class TestDirectAverage3D:
     def test_base_point_equals_rbar(self, quad):
         cfg = OrbitConfig(a=0.4, e_J=0.3)
         e = 0.17
-        L = cfg.L
-        p2 = math.sqrt(2.0 * (L - cfg.G_of(e)))
-        state = PoincareState(p1=L, p2=p2, p3=0.0, q1=0.0, q2=0.0, q3=0.0)
         rbar, _ = averaged_rbar(cfg, e, quad)
-        assert direct_average_V3d(cfg, state, 512) == pytest.approx(rbar, rel=1e-10)
+        assert validate._tilted_average(cfg, e, 0.0, 0.0, 512) == pytest.approx(
+            rbar, rel=1e-10)
+
+    @pytest.mark.parametrize("p3, q3", [(0.05, -0.03), (0.0, 0.08), (0.1, 0.0)])
+    def test_matches_kepler_rotation_reference(self, p3, q3):
+        # Tilted states off both axes, on the q3 axis and on the p3 axis.
+        cfg = OrbitConfig(a=0.4, e_J=0.3)
+        got = validate._tilted_average(cfg, 0.17, p3, q3, 256)
+        want = tilted_mean_anomaly_vbar(cfg, 0.17, p3, q3, 256)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_near_crossing_refused(self, quad):
+        # The aligned gap is about 4e-4; the doubling of the base point
+        # samples the apoapsides closer than the 1e-3 threshold.
+        cfg = OrbitConfig(a=0.72, e_J=0.3)
+        with pytest.raises(OrbitCrossingError) as info:
+            spatial_quadratic_oracle(cfg, 0.805, quad)
+        assert info.value.separation < 1e-3
 
     def test_fd_hessian_matches_coefficients(self, quad):
         # Second derivatives in (p3, q3) of the 3-D average reproduce
@@ -267,9 +303,3 @@ class TestDirectAverage3D:
         capped = QuadratureSpec(max_n=N_START)
         with pytest.raises(NonConvergedError):
             spatial_quadratic_oracle(cfg, 0.17, capped)
-
-    def test_inconsistent_p1_rejected(self):
-        cfg = OrbitConfig(a=0.4, e_J=0.3)
-        state = PoincareState(p1=1.0, p2=0.1, p3=0.0, q1=0.0, q2=0.0, q3=0.0)
-        with pytest.raises(ValueError):
-            direct_average_V3d(cfg, state, 64)

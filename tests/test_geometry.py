@@ -5,21 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (
-    orbit_min_separation,
-    poincare_from_delaunay,
-    solve_kepler,
-    support_separation,
-)
+from oracles import orbit_min_separation, solve_kepler, support_separation
 from secular3bp import kernels
 from secular3bp.geometry import (
-    DelaunayElements,
     OrbitConfig,
     aligned_noncrossing_interval,
     aligned_separation,
-    delaunay_from_poincare,
-    rotation_matrix,
-    wrap_angle,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -139,111 +130,6 @@ class TestAsteroidPlanePosition:
         assert w == pytest.approx(1.1, abs=1e-15)
 
 
-def rotation_oracle(omega, i, Omega):
-    """Compose the three elementary rotations Rz(Omega) Rx(i) Rz(omega)."""
-    def rz(t):
-        return np.array([
-            [math.cos(t), -math.sin(t), 0.0],
-            [math.sin(t), math.cos(t), 0.0],
-            [0.0, 0.0, 1.0],
-        ])
-
-    def rx(t):
-        return np.array([
-            [1.0, 0.0, 0.0],
-            [0.0, math.cos(t), -math.sin(t)],
-            [0.0, math.sin(t), math.cos(t)],
-        ])
-
-    return rz(Omega) @ rx(i) @ rz(omega)
-
-
-class TestRotation:
-    def test_identity(self):
-        assert np.array_equal(rotation_matrix(0.0, 0.0, 0.0),
-                              [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-
-    def test_periapsis_to_pole(self):
-        periapsis = rotation_matrix(math.pi / 2.0, math.pi / 2.0, 0.0)[:, 0]
-        assert np.allclose(periapsis, [0.0, 0.0, 1.0], rtol=0.0, atol=1e-15)
-
-    def test_matrix_product_oracle(self):
-        got = rotation_matrix(0.7, 0.2, 1.1)
-        want = rotation_oracle(0.7, 0.2, 1.1)[:, :2]
-        assert np.allclose(got, want, rtol=0.0, atol=1e-15)
-
-    @given(st.floats(0.0, TWO_PI), st.floats(0.0, math.pi), st.floats(0.0, TWO_PI))
-    @settings(max_examples=200, deadline=None)
-    def test_orthogonality(self, omega, i, Omega):
-        m = rotation_matrix(omega, i, Omega)
-        assert np.allclose(m.T @ m, np.eye(2), rtol=0.0, atol=1e-14)
-
-    def test_zero_inclination_collapse(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            omega, Omega = rng.uniform(0.0, TWO_PI, 2)
-            m = rotation_matrix(omega, 0.0, Omega)
-            assert np.all(m[2] == 0.0)
-            t = omega + Omega
-            assert np.allclose(m[:2], [[math.cos(t), -math.sin(t)],
-                                       [math.sin(t), math.cos(t)]],
-                               rtol=0.0, atol=1e-14)
-
-
-class TestPoincare:
-    def test_circular_planar(self):
-        d = DelaunayElements(L=1.0, G=1.0, H=1.0, l=0.3, g=0.0, h=0.0)
-        p = poincare_from_delaunay(d)
-        assert (p.p2, p.q2, p.p3, p.q3) == (0.0, 0.0, 0.0, 0.0)
-        assert p.p1 == 1.0
-
-    def test_direct_substitution(self):
-        d = DelaunayElements(L=1.0, G=0.8, H=0.8, l=0.0, g=0.0, h=0.0)
-        p = poincare_from_delaunay(d)
-        assert p.p2 == pytest.approx(math.sqrt(0.4), abs=1e-15)
-        assert p.q2 == pytest.approx(0.0, abs=1e-15)
-        assert (p.p3, p.q3) == (0.0, 0.0)
-
-    @given(
-        st.floats(0.2, 3.0),      # L
-        st.floats(0.05, 0.95),    # G/L
-        st.floats(-0.95, 0.95),   # H/G
-        st.floats(0.1, TWO_PI - 0.1),
-        st.floats(0.1, TWO_PI - 0.1),
-        st.floats(0.1, TWO_PI - 0.1),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_round_trip(self, L, g_frac, h_frac, l, g, h):
-        d = DelaunayElements(L=L, G=g_frac * L, H=h_frac * g_frac * L,
-                             l=l, g=g, h=h)
-        p = poincare_from_delaunay(d)
-        back = delaunay_from_poincare(p)
-        assert back.L == pytest.approx(d.L, abs=1e-12)
-        assert back.G == pytest.approx(d.G, abs=1e-12)
-        assert back.H == pytest.approx(d.H, abs=1e-12)
-        for want, got in ((d.l, back.l), (d.g, back.g), (d.h, back.h)):
-            delta = wrap_angle(got - want)
-            assert min(delta, TWO_PI - delta) < 1e-11
-
-    def test_singular_sets(self):
-        # On e = 0 the angle g + h is indeterminate and comes back as 0.
-        circular = poincare_from_delaunay(
-            DelaunayElements(L=1.0, G=1.0, H=0.9, l=0.1, g=0.2, h=0.3))
-        back = delaunay_from_poincare(circular)
-        assert (circular.p2, circular.q2) == (0.0, 0.0)
-        delta = wrap_angle(back.g + back.h)
-        assert min(delta, TWO_PI - delta) < 1e-12
-        assert back.h == pytest.approx(0.3, abs=1e-12)
-
-        # On i = 0 the node h is indeterminate and comes back as 0.
-        planar = poincare_from_delaunay(
-            DelaunayElements(L=1.0, G=0.9, H=0.9, l=0.1, g=0.2, h=0.3))
-        back = delaunay_from_poincare(planar)
-        assert (planar.p3, planar.q3) == (0.0, 0.0)
-        assert back.h == 0.0
-        assert back.G == pytest.approx(0.9, abs=1e-15)
-
-
 class TestTypes:
     def test_orbit_config_validation(self):
         with pytest.raises(ValueError):
@@ -254,19 +140,6 @@ class TestTypes:
             OrbitConfig(a=0.5, e_J=0.2, mu=1.0)
         cfg = OrbitConfig(a=0.25, e_J=0.1)
         assert cfg.L == pytest.approx(0.5)
-
-    def test_angle_normalization(self):
-        d = DelaunayElements(L=1.0, G=0.9, H=0.5, l=2.0 * TWO_PI + 0.1,
-                             g=-0.5, h=7.0)
-        assert 0.0 <= d.g < TWO_PI
-        assert 0.0 <= d.h < TWO_PI
-        assert d.l == pytest.approx(0.1, abs=1e-12)
-
-    def test_delaunay_validation(self):
-        with pytest.raises(ValueError):
-            DelaunayElements(L=1.0, G=1.2, H=0.5, l=0, g=0, h=0)
-        with pytest.raises(ValueError):
-            DelaunayElements(L=1.0, G=0.5, H=0.8, l=0, g=0, h=0)
 
 
 class TestSeparation:

@@ -7,10 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import bbar_mean_reference, quarter_sums_reference, vbar_mean_reference
+from oracles import (
+    bbar_mean_reference,
+    quarter_sums_reference,
+    rx,
+    rz,
+    vbar_mean_reference,
+)
 from secular3bp import kernels
 from secular3bp.averaging import averaged_coefficients
-from secular3bp.geometry import OrbitConfig, aligned_separation, rotation_matrix
+from secular3bp.geometry import OrbitConfig, aligned_separation
 from secular3bp.validate import DEFAULT_SEED, sample_noncrossing_points
 
 # (a, e, eJ): inner, outer, and an inner orbit whose aligned separation
@@ -53,7 +59,7 @@ class TestAgainstReference:
         assert abs(got - bbar_mean_reference(a, e, eJ, n, n)) / four_g <= 1e-14
 
     def test_vbar_mean(self, a, e, eJ, n):
-        m = rotation_matrix(0.7, 0.3, 1.1)
+        m = rz(1.1) @ rx(0.3) @ rz(0.7)
         orient = (m[0, 0], m[0, 1], m[1, 0], m[1, 1], m[2, 0], m[2, 1])
         got = kernels.vbar_mean(a, e, eJ, *orient, n, n)
         want = vbar_mean_reference(a, e, eJ, *orient, n, n)
