@@ -5,7 +5,9 @@ i.e. g = 0) where dRbar/de vanishes.  Roots are located by scanning the
 derivative over the admissible (non-crossing) eccentricity range,
 bracketing sign changes, and refining each with Brent's method; open
 Newton iteration is never used, so a root is never lost outside its
-bracket.
+bracket.  Brent's method is :func:`brentq`, an in-package port of
+scipy's ``brentq`` that evaluates the same iterates and returns the same
+root, kept so that the package import does not pay scipy's 0.4 s.
 
 Derivatives come from differentiating the quadrature under the integral
 sign, in the row pass that gives Rbar, Abar and Cbar
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import kernels
 from .averaging import (
@@ -88,6 +89,10 @@ _ROOT_RESIDUAL_TOL = 1e-11
 # changes which sign changes it sees, and with them borderline verdicts.
 _SCAN_INSET = 1e-4
 
+# Brent's relative tolerance and iteration cap, scipy's brentq defaults.
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumRecord:
@@ -116,6 +121,69 @@ def _derivatives(cfg, e, quad, order=1):
         lambda n: kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n, order=order),
         quad, floors=(_SCALE_FLOOR, 1.0, math.inf, math.inf)[:2 * order],
     )
+
+
+def brentq(f, xa, xb, xtol):
+    """Root of f in [xa, xb] by Brent's method, as scipy.optimize.brentq.
+
+    A line-for-line port of scipy's C ``brentq`` (Brent, *Algorithms for
+    Minimization Without Derivatives*, 1973, ch. 4) at rtol = 4 eps and at
+    most 100 iterations: the same bracket bookkeeping, steps and tests, so
+    it evaluates f at the same points in the same order and returns the
+    same root.  An end where f is 0 is returned as the root.
+
+    Raises:
+        ValueError: f has the same sign at both ends, or f is NaN.
+        RuntimeError: No convergence within 100 iterations.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN; Brent's method cannot continue")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate (inverse quadratic)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge after "
+                       f"{_BRENT_MAXITER} iterations, value is {xcur!r}")
 
 
 def classify_definiteness(hessian):
@@ -322,8 +390,7 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
                 raise NonConvergedError(
                     f"dRbar/de has no sign change on [{e1:.15g}, {e2:.15g}] "
                     f"at n = {n} {where}", nodes=n)
-            e_root = brentq(functools.partial(slope, n), e1, e2, xtol=1e-15,
-                            rtol=4 * np.finfo(float).eps)
+            e_root = brentq(functools.partial(slope, n), e1, e2, 1e-15)
             (_, r_e, r_ee, r_gg), _, nodes = _derivatives(
                 cfg, e_root, quad, order=2)
             resid = abs(float(r_e))

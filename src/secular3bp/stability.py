@@ -16,14 +16,15 @@ level sets (ratio = 2 and ratio = 1/2) are the candidate resonance curves
 traced over the (a, e_J) parameter plane.  Each grid edge that brackets a
 level set is solved by Brent's method on ratio - k, so a curve point costs
 a few pipeline runs and lies within _PARAM_TOL / 2 of the level set along
-its edge.
+its edge.  Brent's method is :func:`equilibrium.brentq`, an in-package port
+of scipy's ``brentq`` with the same iterates, kept so that the package
+import does not pay scipy's 0.4 s.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .averaging import (
     AveragedCoefficients,
@@ -34,6 +35,7 @@ from .equilibrium import (
     EQUILIBRIUM_STATUSES,
     POSITIVE_DEFINITE,
     EquilibriumRecord,
+    brentq,
     find_equilibrium,  # unused here; perfbench wraps stability.find_equilibrium
 )
 from .errors import DegenerateError
@@ -236,7 +238,7 @@ def _solve_edge(grid, k, start, end, r_start, r_end):
         return memo[x] - k
 
     try:
-        x = brentq(f, start[axis], end[axis], xtol=_PARAM_TOL / 2)
+        x = brentq(f, start[axis], end[axis], _PARAM_TOL / 2)
     except _EdgeFailed:
         return None
     return ResonancePoint(*point(x), ratio=float(memo[x]))

@@ -32,6 +32,7 @@ import numpy as np
 from .averaging import (
     DEFAULT_SEPARATION_THRESHOLD,
     QuadratureSpec,
+    _check_separation,
     _doubling,
     averaged_coefficients,
 )
@@ -192,9 +193,12 @@ def spatial_quadratic_oracle(cfg: OrbitConfig, e, quad: QuadratureSpec):
         dict with d2_p3, d2_q3 (match 2*Abar, 2*Cbar) and cross (matches 0).
 
     Raises:
+        OrbitCrossingError: The aligned orbits at e are closer than
+            DEFAULT_SEPARATION_THRESHOLD, or a sampled 3-D distance is.
         NonConvergedError: The base point does not converge within the
             node cap.
     """
+    _check_separation(cfg, e)
     vals, _, nodes = _doubling(
         lambda n: (_tilted_average(cfg, e, 0.0, 0.0, n),), quad, floors=(1e-12,))
     v0 = float(vals[0])

@@ -279,12 +279,21 @@ class TestDirectAverage3D:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_near_crossing_refused(self, quad):
-        # The aligned gap is about 4e-4; the doubling of the base point
-        # samples the apoapsides closer than the 1e-3 threshold.
+        # The aligned gap is about 4e-4, below the 1e-3 threshold.
         cfg = OrbitConfig(a=0.72, e_J=0.3)
         with pytest.raises(OrbitCrossingError) as info:
             spatial_quadratic_oracle(cfg, 0.805, quad)
         assert info.value.separation < 1e-3
+
+    def test_near_crossing_refused_below_sampling_level(self):
+        # The midpoint grid first samples that gap at n = 1024; under a
+        # cap of 512 the closed-form check still refuses the point as a
+        # crossing, not as a non-converged base.
+        cfg = OrbitConfig(a=0.72, e_J=0.3)
+        with pytest.raises(OrbitCrossingError) as info:
+            spatial_quadratic_oracle(cfg, 0.805, QuadratureSpec(max_n=512))
+        assert info.value.separation == pytest.approx(
+            aligned_separation(0.72, 0.805, 0.3))
 
     def test_fd_hessian_matches_coefficients(self, quad):
         # Second derivatives in (p3, q3) of the 3-D average reproduce
