@@ -6,8 +6,9 @@ linear stability.
 
 The integrands are analytic and 2*pi-periodic in both eccentric anomalies
 for non-crossing orbit pairs, so an equally spaced (midpoint) tensor grid
-converges geometrically; accuracy is controlled by node doubling until two
-consecutive levels agree to the requested relative tolerance.
+converges geometrically; accuracy is controlled by node doubling until the
+remaining error estimated from the last level changes clears the requested
+relative tolerance (see ``_doubling``).
 
 For the aligned planar configuration (g = 0, i = 0) the reflection symmetry
 of both ellipses about the x axis folds the full [0, 2*pi)^2 averages onto
@@ -59,9 +60,11 @@ _SCALE_FLOOR = 1e-300
 class QuadratureSpec:
     """Tensor-grid quadrature control.
 
-    Both anomalies start at N_START nodes and are doubled together until two
-    consecutive levels agree to relative tolerance ``tol`` (reported as the
-    convergence estimate) or the count would exceed ``max_n``.
+    Both anomalies start at N_START nodes and are doubled together until a
+    level is certified to relative tolerance ``tol`` or the count would
+    exceed ``max_n``: the last level-to-level change, extrapolated at the
+    rate the changes shrink (at most 1/2 per level), must clear ``tol``.
+    The change itself is reported as the convergence estimate.
     """
 
     tol: float = 1e-10
@@ -102,19 +105,28 @@ def _check_separation(cfg: OrbitConfig, e):
 
 
 def _doubling(eval_at, quad: QuadratureSpec, floors):
-    """Run node doubling until consecutive levels agree; returns level data.
+    """Run node doubling until a level is certified; returns level data.
 
     ``eval_at(n)`` must return a tuple of floats from n nodes per anomaly.
-    Component i is converged when its level-to-level change is at most
-    tol * max(|value_i|, floors_i); a floor of ~1 turns the test absolute
-    at ``tol``, which is what identically-zero quantities (Bbar) need.
-    Returns (values, errors, n) at the first converged level.  At the node
-    cap, NonConvergedError carries the largest component of the last
-    level-to-level change (nan when the cap allows no doubling).
+    At each level, component i has changed by c from the level before,
+    and by c_prev between the two levels before that.  Its changes shrink
+    at the ratio r = min(c / c_prev, 1/2) (1/2 without a previous change
+    or when c_prev = 0 < c, 0 when c = 0), so c r / (1 - r) estimates its
+    remaining error.  A level is accepted when that estimate is at most
+    tol * max(|value_i|, floors_i) for every component; a floor of ~1
+    turns the test absolute at ``tol``, which is what identically-zero
+    quantities (Bbar) and the derivatives need.  With r = 1/2 the estimate
+    is c itself, the plain agreement of two levels.
+    Returns (values, errors, n) at the first accepted level, the errors
+    being the last changes c, never below the estimate because
+    r / (1 - r) <= 1.  At the node cap, NonConvergedError carries
+    the largest component of the last level-to-level change (nan when the
+    cap allows no doubling).
     """
     n = N_START
     prev = np.asarray(eval_at(n), dtype=float)
     floors = np.asarray(floors, dtype=float)
+    last_change = None
     last_error = math.nan
     while True:
         if 2 * n > quad.max_n:
@@ -127,10 +139,63 @@ def _doubling(eval_at, quad: QuadratureSpec, floors):
         n *= 2
         cur = np.asarray(eval_at(n), dtype=float)
         err = np.abs(cur - prev)
-        if np.all(err <= quad.tol * np.maximum(np.abs(cur), floors)):
+        ratio = np.full_like(err, 0.5)
+        if last_change is not None:
+            # Divide only where the quotient is below 1/2: c_prev > 0
+            # there, and nothing overflows.
+            np.divide(err, last_change, out=ratio,
+                      where=err < 0.5 * last_change)
+        ratio[err == 0.0] = 0.0
+        estimate = err * (ratio / (1.0 - ratio))
+        if np.all(estimate <= quad.tol * np.maximum(np.abs(cur), floors)):
             return cur, err, n
         prev = cur
+        last_change = err
         last_error = float(np.max(err))
+
+
+def _coefficient_sums(cfg: OrbitConfig, e, n, sums):
+    """(a_mean, c_mean, b_mean) of one level, with the pointwise Abar check.
+
+    ``sums`` is a scalar ``kernels.quarter_sums`` result at order 0 or 2,
+    whose last three entries are (a_mean, c_mean, min_factor); the
+    full-domain Bbar mean is evaluated at the same n.
+    """
+    a_mean, c_mean, min_factor = sums[-3:]
+    if min_factor < 0.0:
+        raise RuntimeError(
+            "internal error: the Abar kernel factor 1/r1^3 - 1/r2^3 "
+            f"went negative ({min_factor:.3e}) on the quarter grid"
+        )
+    return a_mean, c_mean, kernels.bbar_mean(cfg.a, e, cfg.e_J, n, n)
+
+
+# Convergence floors of (a_mean, c_mean, b_mean).  Bbar is identically
+# zero: it converges absolutely at tol, on the natural O(1) scale of the
+# disturbing function.
+_COEFFICIENT_FLOORS = (_SCALE_FLOOR, _SCALE_FLOOR, 1.0)
+
+
+def _coefficients(cfg: OrbitConfig, e, values, errors) -> AveragedCoefficients:
+    """AveragedCoefficients from converged (Rbar, a_mean, c_mean, b_mean)
+    and their last level changes; raises RuntimeError unless Abar < 0."""
+    rbar, a_mean, c_mean, b_mean = values
+    G = cfg.G_of(e)
+    abar = -a_mean / G
+    if not abar < 0.0:
+        raise RuntimeError(
+            f"internal error: Abar = {abar} is not negative for a "
+            "non-crossing configuration"
+        )
+    err = {
+        "Rbar": float(errors[0]),
+        "Abar": float(errors[1] / G),
+        "Cbar": float(errors[2] / G),
+        "Bbar": float(errors[3] / (4.0 * G)),
+    }
+    return AveragedCoefficients(Rbar=float(rbar), Abar=float(abar),
+                                Bbar=float(-b_mean / (4.0 * G)),
+                                Cbar=float(-c_mean / G), err=err)
 
 
 def averaged_coefficients(cfg: OrbitConfig, e,
@@ -140,7 +205,9 @@ def averaged_coefficients(cfg: OrbitConfig, e,
     Rbar, Abar, Cbar come from one quarter-domain evaluation; Bbar (whose
     exact value is 0 by symmetry) is evaluated over the full domain at the
     same resolution.  Bbar is a numerical invariant: callers assert that it
-    sits below the quadrature tolerance.
+    sits below the quadrature tolerance.  A located equilibrium's root
+    quadrature gives the same coefficients from its own row pass
+    (``equilibrium.find_equilibrium``).
 
     Raises:
         OrbitCrossingError: Orbits closer than the separation threshold.
@@ -152,37 +219,11 @@ def averaged_coefficients(cfg: OrbitConfig, e,
     if not (0.0 <= e < 1.0):
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
     _check_separation(cfg, e)
-    G = cfg.G_of(e)
 
     def eval_all(n):
-        rbar, a_mean, c_mean, min_factor = kernels.quarter_sums(
-            cfg.a, e, cfg.e_J, n, n)
-        if min_factor < 0.0:
-            raise RuntimeError(
-                "internal error: the Abar kernel factor 1/r1^3 - 1/r2^3 "
-                f"went negative ({min_factor:.3e}) on the quarter grid"
-            )
-        return rbar, a_mean, c_mean, kernels.bbar_mean(cfg.a, e, cfg.e_J, n, n)
+        sums = kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n)
+        return (sums[0], *_coefficient_sums(cfg, e, n, sums))
 
-    # Bbar is identically zero: converge it absolutely at tol, on the
-    # natural O(1) scale of the disturbing function.
     vals, errs, _ = _doubling(
-        eval_all, quad, floors=(_SCALE_FLOOR, _SCALE_FLOOR, _SCALE_FLOOR, 1.0))
-    rbar, a_mean, c_mean, b_mean = vals
-    abar = -a_mean / G
-    cbar = -c_mean / G
-    bbar = -b_mean / (4.0 * G)
-    err = {
-        "Rbar": float(errs[0]),
-        "Abar": float(errs[1] / G),
-        "Cbar": float(errs[2] / G),
-        "Bbar": float(errs[3] / (4.0 * G)),
-    }
-    if not abar < 0.0:
-        raise RuntimeError(
-            f"internal error: Abar = {abar} is not negative for a "
-            "non-crossing configuration"
-        )
-    return AveragedCoefficients(Rbar=float(rbar), Abar=float(abar),
-                                Bbar=float(bbar), Cbar=float(cbar), err=err)
-
+        eval_all, quad, floors=(_SCALE_FLOOR, *_COEFFICIENT_FLOORS))
+    return _coefficients(cfg, e, vals, errs)

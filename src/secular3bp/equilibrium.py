@@ -17,11 +17,15 @@ geometrically for them as it does for Rbar, with no finite-difference
 step to choose.
 Brent runs at one frozen node count per cell, which keeps the derivative
 it solves a single analytic function of e.  The scan needs only signs and
-runs one doubling level below, where the probe that froze the count has
-already seen the two levels agree; Brent and the root stay at the frozen
-level or finer.  The residual and the planar Hessian come from one
+runs one doubling level below, where the probe that froze the count saw
+the two levels differ by its last change; Brent and the root stay at the
+frozen level or finer.  The residual and the planar Hessian come from one
 quadrature converged at the root itself, and a root whose residual fails
-there is solved again at that level.
+there is solved again at that level.  The same quadrature folds in the
+root's spatial coefficients: the order-2 row pass also gives the Abar and
+Cbar sums, so one doubling converges the Hessian terms and Rbar, Abar,
+Bbar and Cbar together, and the record carries them for
+``stability.classify_spatial``.
 """
 
 import functools
@@ -32,11 +36,15 @@ import numpy as np
 
 from . import kernels
 from .averaging import (
+    _COEFFICIENT_FLOORS,
     _SCALE_FLOOR,
     DEFAULT_SEPARATION_THRESHOLD,
     N_START,
+    AveragedCoefficients,
     QuadratureSpec,
     _check_separation,
+    _coefficient_sums,
+    _coefficients,
     _doubling,
 )
 from .errors import NonConvergedError
@@ -89,6 +97,12 @@ _ROOT_RESIDUAL_TOL = 1e-11
 # changes which sign changes it sees, and with them borderline verdicts.
 _SCAN_INSET = 1e-4
 
+# Convergence floors of (R, R_e, R_ee, R_gg): R relative, its derivatives
+# absolute at tol on the O(1) scale of the disturbing function.  R_e
+# vanishes at the roots; R_ee and R_gg make the Hessian and are certified
+# like the rest.
+_DERIVATIVE_FLOORS = (_SCALE_FLOOR, 1.0, 1.0, 1.0)
+
 # Brent's relative tolerance and iteration cap, scipy's brentq defaults.
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 _BRENT_MAXITER = 100
@@ -96,13 +110,18 @@ _BRENT_MAXITER = 100
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumRecord:
-    """Located planar equilibrium with residual, Hessian, and status."""
+    """Located planar equilibrium with residual, Hessian, and status.
+
+    ``coefficients`` are the spatial coefficients at e_star, converged in
+    the root's own quadrature; None when no stable root was located.
+    """
 
     e_star: float
     residual: float
     hessian: np.ndarray | None
     hessian_definite: str
     status: str
+    coefficients: AveragedCoefficients | None
     all_roots: tuple = field(default_factory=tuple)
     message: str = ""
 
@@ -110,17 +129,40 @@ class EquilibriumRecord:
 def _derivatives(cfg, e, quad, order=1):
     """Converged (R, R_e), plus (R_ee, R_gg) at ``order`` 2, at g = 0.
 
-    Returns (values, errors, nodes).  Node doubling stops once R agrees to
-    the relative tolerance and R_e, which vanishes at the roots, to the
-    same tolerance in absolute terms; the second derivatives are read at
-    that level (their floor of inf leaves the stopping test to R and R_e).
+    Returns (values, errors, nodes).  Node doubling stops once R is
+    certified to the relative tolerance and each derivative to the same
+    tolerance in absolute terms (``_DERIVATIVE_FLOORS``).
     """
     if not (0.0 <= e < 1.0):
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
     return _doubling(
-        lambda n: kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n, order=order),
-        quad, floors=(_SCALE_FLOOR, 1.0, math.inf, math.inf)[:2 * order],
+        lambda n: kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n,
+                                       order=order)[:2 * order],
+        quad, floors=_DERIVATIVE_FLOORS[:2 * order],
     )
+
+
+def _root_quadrature(cfg, e, quad):
+    """(R_e, R_ee, R_gg) and the AveragedCoefficients at (e, g = 0).
+
+    One doubling of the order-2 row pass, with the full-domain Bbar mean
+    at each level, converges the derivatives as :func:`_derivatives` does
+    and Rbar, Abar, Bbar and Cbar as ``averaged_coefficients`` does, with
+    its checks: the exact 1e-3 separation, the sign of the Abar kernel
+    factor at every level and Abar < 0.  Where both stop at one level the
+    coefficients are its bytes.  Returns (derivatives, coefficients,
+    nodes).
+    """
+    _check_separation(cfg, e)
+
+    def eval_at(n):
+        sums = kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n, order=2)
+        return (*sums[:4], *_coefficient_sums(cfg, e, n, sums))
+
+    vals, errs, nodes = _doubling(
+        eval_at, quad, floors=_DERIVATIVE_FLOORS + _COEFFICIENT_FLOORS)
+    coeffs = _coefficients(cfg, e, (vals[0], *vals[4:]), (errs[0], *errs[4:]))
+    return vals[1:4], coeffs, nodes
 
 
 def brentq(f, xa, xb, xtol):
@@ -259,8 +301,9 @@ def planar_hessian(cfg: OrbitConfig, e_star, quad: QuadratureSpec):
         hess_pq = 0
 
     exactly (R is even in g, so R_eg vanishes at g = 0); it holds at any
-    e_star, not only at a root.  R_e, R_ee and R_gg are converged
-    quadratures at e_star (see :func:`kernels.quarter_sums`).
+    e_star, not only at a root.  R_e, R_ee and R_gg come from the root
+    quadrature of :func:`find_equilibrium` at e_star, so at a located root
+    this is the record's Hessian (see :func:`kernels.quarter_sums`).
 
     The mass fraction enters the canonical chart only through the overall
     scale L = sqrt((1-mu) a), so the chain rule is applied in the mu-free
@@ -277,8 +320,7 @@ def planar_hessian(cfg: OrbitConfig, e_star, quad: QuadratureSpec):
     """
     if not (0.0 < e_star < 1.0):
         raise ValueError(f"eccentricity must be in (0, 1), got {e_star}")
-    _check_separation(cfg, e_star)
-    (_, r_e, r_ee, r_gg), _, _ = _derivatives(cfg, e_star, quad, order=2)
+    (r_e, r_ee, r_gg), _, _ = _root_quadrature(cfg, e_star, quad)
     return _chain_rule_hessian(cfg, e_star, r_e, r_ee, r_gg)
 
 
@@ -289,12 +331,14 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
     admissible (non-crossing) part of ``DEFAULT_E_BRACKET`` in one batched
     kernel call one doubling level below the cell's frozen node count,
     brackets sign changes and refines each with Brent's method at the
-    frozen count.  At each root the first and second derivatives are then
-    converged afresh in one quadrature: the magnitude of the first is the
-    reported residual, which must be below 1e-11, and all of them give the
-    root's planar Hessian.  A root whose residual fails at a level above
-    the one Brent used is solved again on its bracket at that level.  The
-    positive-definite root is reported as the stable equilibrium.
+    frozen count.  At each root the first and second derivatives and the
+    spatial coefficients are then converged afresh in one quadrature: the
+    magnitude of the first derivative is the reported residual, which must
+    be below 1e-11, the derivatives give the root's planar Hessian, and
+    the coefficients ride on the record.  A root whose residual fails at a
+    level above the one Brent used is solved again on its bracket at that
+    level.  The positive-definite root is reported as the stable
+    equilibrium.
 
     Status semantics: FOUND for a single root with positive-definite
     Hessian; MULTIPLE_ROOTS when several roots exist (e_star then points at
@@ -320,13 +364,15 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
         return EquilibriumRecord(
             e_star=math.nan, residual=math.nan, hessian=None,
             hessian_definite=DEGENERATE, status=STATUS_ORBIT_CROSSING,
+            coefficients=None,
             message="entire eccentricity bracket crosses (or nearly crosses) "
                     "the planet orbit",
         )
 
     # One frozen node count per cell keeps Brent's derivative an analytic
     # function of e; probe at the best-separated admissible point.  The
-    # probe saw n_frozen // 2 agree with n_frozen, so the scan runs there.
+    # probe saw n_frozen // 2 differ from n_frozen by its last change only,
+    # so the scan, which needs signs, runs there.
     scan, mask, e_probe = certified
     _, _, n_frozen = _derivatives(cfg, e_probe, quad)
 
@@ -369,6 +415,7 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
         return EquilibriumRecord(
             e_star=math.nan, residual=math.nan, hessian=None,
             hessian_definite=DEGENERATE, status=STATUS_NO_ROOT,
+            coefficients=None,
             message="dRbar/de has no sign change on the admissible bracket",
         )
 
@@ -391,25 +438,27 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
                     f"dRbar/de has no sign change on [{e1:.15g}, {e2:.15g}] "
                     f"at n = {n} {where}", nodes=n)
             e_root = brentq(functools.partial(slope, n), e1, e2, 1e-15)
-            (_, r_e, r_ee, r_gg), _, nodes = _derivatives(
-                cfg, e_root, quad, order=2)
+            (r_e, r_ee, r_gg), coeffs, nodes = _root_quadrature(
+                cfg, e_root, quad)
             resid = abs(float(r_e))
         hess = _chain_rule_hessian(cfg, e_root, r_e, r_ee, r_gg)
-        records.append((e_root, resid, hess, classify_definiteness(hess)))
+        records.append(
+            (e_root, resid, hess, classify_definiteness(hess), coeffs))
 
     stable = [r for r in records if r[3] == POSITIVE_DEFINITE]
     all_roots = tuple(r[0] for r in records)
     if not stable:
         return EquilibriumRecord(
             e_star=math.nan, residual=math.nan, hessian=None,
-            hessian_definite=records[0][3],
-            status=STATUS_NO_ROOT, all_roots=all_roots,
+            hessian_definite=records[0][3], status=STATUS_NO_ROOT,
+            coefficients=None, all_roots=all_roots,
             message="roots located but none has a positive-definite Hessian",
         )
     # Prefer the smallest residual among stable roots.
-    e_star, resid, hess, definite = min(stable, key=lambda r: r[1])
+    e_star, resid, hess, definite, coeffs = min(stable, key=lambda r: r[1])
     status = STATUS_FOUND if len(records) == 1 else STATUS_MULTIPLE_ROOTS
     return EquilibriumRecord(
         e_star=e_star, residual=resid, hessian=hess,
-        hessian_definite=definite, status=status, all_roots=all_roots,
+        hessian_definite=definite, status=status, coefficients=coeffs,
+        all_roots=all_roots,
     )

@@ -83,8 +83,11 @@ def quarter_sums(a, e, eJ, n1, n2, order=0):
       with y, yJ > 0 at every midpoint of (0, pi) the sign of the Abar
       integrand factor (r2^3 - r1^3) y yJ.
     * 1: (R, R_e), Rbar and its derivative in e, for the equilibrium search.
-    * 2: (R, R_e, R_ee, R_gg), g being the asteroid's periapsis angle; R is
-      even in g, and the mirror images that fold R fold R_gg as well.
+    * 2: (R, R_e, R_ee, R_gg, a_mean, c_mean, min_factor), g being the
+      asteroid's periapsis angle; R is even in g, and the mirror images
+      that fold R fold R_gg as well.  The last three are order 0's, from
+      the same row pass: the root of an equilibrium converges its Hessian
+      and its spatial coefficients in one doubling.
 
     Per row the order-0 sums are wi * sum wJ (1/r1 + 1/r2),
     wi y * sum wJ yJ (1/r1^3 - 1/r2^3) and wi x * sum wJ xJ (1/r1^3 + 1/r2^3);
@@ -99,7 +102,7 @@ def quarter_sums(a, e, eJ, n1, n2, order=0):
     xJ, yJ, wJ = _ellipse_nodes(_midpoints(n2, np.pi), 1.0, eJ)
     wx, wy = wJ * xJ, wJ * yJ
     E_row = _midpoints(n1, np.pi)
-    rows = np.empty((3 if order == 0 else 2 * order, ev.size * n1))
+    rows = np.empty(((3, 2, 6)[order], ev.size * n1))
     mins = np.full(ev.size, np.inf)
     # The ev.size * n1 grid rows (e-major) are visited in chunks whose node
     # arrays are reused in place; each buffer's meaning is noted where it
@@ -129,13 +132,14 @@ def quarter_sums(a, e, eJ, n1, n2, order=0):
         np.subtract(v1, v2, out=dv)
         s_px, s_my = _rowsum(pv, wx), _rowsum(dv, wy)
         out[0] = wi * s_u
-        if order == 0:
-            out[1] = wi * y * s_my
-            out[2] = wi * x * s_px
+        if order != 1:
+            out[-2] = wi * y * s_my
+            out[-1] = wi * x * s_px
             # The chunk's rows of one e are contiguous; one flat min each.
             for j in range(lo // n1, (hi - 1) // n1 + 1):
                 seg = dv[max(j * n1, lo) - lo:(j + 1) * n1 - lo]
                 mins[j] = min(mins[j], seg.min())
+        if order == 0:
             continue
         cE = np.cos(E)
         b2 = 1.0 - ek * ek
@@ -179,8 +183,8 @@ def quarter_sums(a, e, eJ, n1, n2, order=0):
         s_t = _rowsum(t1, wJ)
         out[3] = wi * (-x * s_px - y * s_my + 3.0 * s_t)
     sums = rows.reshape(len(rows), ev.size, n1).sum(axis=2) * (0.5 / (n1 * n2))
-    if order == 0:
-        sums[1:] *= 0.5  # Abar and Cbar carry 1/4, Rbar 1/2; exact in binary
+    if order != 1:
+        sums[-2:] *= 0.5  # Abar and Cbar carry 1/4, Rbar 1/2; exact in binary
         sums = (*sums, mins)
     if es.ndim == 0:
         return tuple(float(s[0]) for s in sums)

@@ -156,9 +156,11 @@ def classify_spatial(cfg: OrbitConfig, eq: EquilibriumRecord,
                      quad: QuadratureSpec) -> StabilityRecord:
     """Spatial linear-stability verdict at a located planar equilibrium.
 
-    Evaluates (Abar, Cbar) at (a, e*, e_J) and requires the sign margins to
+    Reads (Abar, Cbar) at (a, e*, e_J) from the equilibrium record, where
+    the root's quadrature converged them, and requires the sign margins to
     exceed three times the quadrature error; a borderline result triggers
-    one automatic refinement at tol/10 before settling on INCONCLUSIVE.
+    one automatic refinement by ``averaged_coefficients`` at tol/10 before
+    settling on INCONCLUSIVE.
     Frequencies are attached when the verdict is LINEARLY_STABLE and the
     planar Hessian is positive definite.
 
@@ -174,7 +176,7 @@ def classify_spatial(cfg: OrbitConfig, eq: EquilibriumRecord,
     if eq.status not in EQUILIBRIUM_STATUSES:
         raise ValueError(f"cannot classify equilibrium with status {eq.status}")
 
-    coeffs = averaged_coefficients(cfg, eq.e_star, quad)
+    coeffs = eq.coefficients
     verdict = sign_verdict(coeffs.Abar, coeffs.Cbar,
                            coeffs.err["Abar"], coeffs.err["Cbar"])
     if verdict == INCONCLUSIVE:

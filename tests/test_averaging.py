@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -8,14 +9,26 @@ from scipy.special import ellipk
 from oracles import mean_anomaly_rbar, rbar_fine, rx, rz, solve_kepler
 from secular3bp import kernels, validate
 from secular3bp.averaging import (
+    _COEFFICIENT_FLOORS,
+    _SCALE_FLOOR,
     N_START,
     AveragedCoefficients,
     QuadratureSpec,
+    _doubling,
     averaged_coefficients,
 )
-from secular3bp.equilibrium import planar_hessian
+from secular3bp.equilibrium import (
+    _DERIVATIVE_FLOORS,
+    _SAFE_SEPARATION,
+    _root_quadrature,
+    planar_hessian,
+)
 from secular3bp.errors import NonConvergedError, OrbitCrossingError
-from secular3bp.geometry import OrbitConfig, aligned_separation
+from secular3bp.geometry import (
+    OrbitConfig,
+    aligned_noncrossing_interval,
+    aligned_separation,
+)
 from secular3bp.validate import (
     sample_noncrossing_points,
     spatial_quadratic_oracle,
@@ -166,7 +179,154 @@ class TestAveragedB:
         assert set(coeffs.err) == {"Rbar", "Abar", "Bbar", "Cbar"}
 
 
+def synthetic_levels(changes, start=1.0):
+    """eval_at for _doubling whose level-to-level changes are ``changes``.
+
+    ``changes`` gives, level by level above N_START, the change of each
+    component; the level values are running sums from ``start``.  Returns
+    the eval_at function and the dict (n -> values) it reads.
+    """
+    values = {N_START: np.atleast_1d(np.asarray(start, dtype=float))}
+    n = N_START
+    for change in changes:
+        values[2 * n] = values[n] + np.asarray(change, dtype=float)
+        n *= 2
+    return (lambda n: tuple(values[n])), values
+
+
+def first_plain_level(values, tol):
+    """The first n at which two levels agree to tol (the un-extrapolated test)."""
+    n = 2 * N_START
+    while not np.all(np.abs(values[n] - values[n // 2])
+                     <= tol * np.abs(values[n])):
+        n *= 2
+    return n
+
+
+def accepted_level(monkeypatch, run):
+    """Run ``run()`` and return the node count of its accepted level.
+
+    Both the root and the coefficient doublings evaluate the Bbar mean
+    once per level, so the last such call is at the accepted level.
+    """
+    seen = []
+    kernel = kernels.bbar_mean
+
+    def wrapped(a, e, eJ, n1, n2):
+        seen.append(n1)
+        return kernel(a, e, eJ, n1, n2)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "bbar_mean", wrapped)
+        run()
+    return seen[-1]
+
+
+def level_values(a, e, eJ, n, order):
+    """Doubling components at one level: the kernel sums but min_factor, and
+    the Bbar mean."""
+    sums = kernels.quarter_sums(a, e, eJ, n, n, order=order)
+    return np.array((*sums[:-1], kernels.bbar_mean(a, e, eJ, n, n)))
+
+
+def near_end_points(n, seed):
+    """(a, e, eJ) triples 1e-3 to 1e-1 inside an end of the non-crossing
+    interval, at an aligned separation the equilibrium scan admits."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < n:
+        a = float(rng.uniform(0.1, 0.95) if len(points) % 2
+                  else rng.uniform(1.05, 3.5))
+        eJ = float(rng.uniform(0.0, 0.9))
+        interval = aligned_noncrossing_interval(a, eJ)
+        if interval is None:
+            continue
+        step = 10.0 ** rng.uniform(-3.0, -1.0)
+        e = interval[0] + step if rng.uniform() < 0.5 else interval[1] - step
+        if (0.0 < e < 0.95 and aligned_separation(a, e, eJ)
+                >= _SAFE_SEPARATION * max(1.0, a)):
+            points.append((a, e, eJ))
+    return points
+
+
 class TestDoublingControl:
+    def test_fast_decay_accepted_one_level_early(self):
+        # Changes shrink tenfold: the extrapolated remaining error c / 9
+        # clears tol at the 1e-7 change, one level before the change itself
+        # does, and the reported error is that last change.
+        quad = QuadratureSpec(tol=2e-8)
+        eval_at, values = synthetic_levels([1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+        vals, errs, n = _doubling(eval_at, quad, floors=(_SCALE_FLOOR,))
+        assert n == 256 and first_plain_level(values, quad.tol) == 512
+        assert vals[0] == values[256][0]
+        assert errs[0] == abs(values[256][0] - values[128][0])
+
+    @pytest.mark.parametrize("factor", [0.5, 0.8])
+    def test_slow_decay_is_the_plain_test(self, factor):
+        # A ratio of 1/2 or more gives an estimate equal to the change:
+        # the level is the first whose change clears tol.
+        quad = QuadratureSpec(tol=1e-8, max_n=1 << 40)
+        eval_at, values = synthetic_levels([1e-6 * factor ** k for k in range(40)])
+        _, errs, n = _doubling(eval_at, quad, floors=(_SCALE_FLOOR,))
+        assert n == first_plain_level(values, quad.tol)
+        assert errs[0] == abs(values[n][0] - values[n // 2][0])
+
+    def test_change_after_exact_agreement_is_the_plain_test(self):
+        # c_prev = 0 < c carries no rate: the estimate is c itself, so the
+        # first component's 1.5e-8 change after an exact agreement holds
+        # the doubling at n = 256 although the second has converged.
+        quad = QuadratureSpec(tol=1e-8)
+        eval_at, _ = synthetic_levels(
+            [(1e-4, 1e-3), (0.0, 5e-4), (1.5e-8, 1e-12), (1e-9, 0.0),
+             (0.0, 0.0)], start=(1.0, 1.0))
+        _, _, n = _doubling(eval_at, quad, floors=(_SCALE_FLOOR, _SCALE_FLOOR))
+        assert n == 512
+
+    def test_equal_levels_raise_no_warning(self):
+        # A component that never changes (c = c_prev = 0, here also v = 0)
+        # beside one that converges: no 0/0 on the way.
+        quad = QuadratureSpec(tol=1e-10)
+        eval_at, values = synthetic_levels(
+            [(0.0, 1e-4 * 0.1 ** k) for k in range(8)], start=(0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, errs, n = _doubling(eval_at, quad,
+                                      floors=(_SCALE_FLOOR, _SCALE_FLOOR))
+        assert n > 2 * N_START and vals[0] == 0.0 and errs[0] == 0.0
+
+    def test_cap_carries_last_change(self):
+        # Changes that never shrink: at the cap the error is the largest
+        # component of the last change.
+        quad = QuadratureSpec(tol=1e-10, max_n=256)
+        eval_at, values = synthetic_levels(
+            [(1e-3, 2e-3), (3e-3, 1e-3), (1e-3, 4e-3)], start=(1.0, 1.0))
+        with pytest.raises(NonConvergedError) as info:
+            _doubling(eval_at, quad, floors=(_SCALE_FLOOR, _SCALE_FLOOR))
+        assert info.value.last_error == float(
+            np.max(np.abs(values[256] - values[128])))
+        assert info.value.nodes == 256
+
+    def test_unconverged_r_gg_keeps_root_doubling(self, quad, monkeypatch):
+        # R_gg, planted with an alternating 1e-6 offset up to n = 256, holds
+        # the root's doubling until two clean levels agree; its floor of 1
+        # leaves it no way out through the other components.
+        cfg = OrbitConfig(a=0.4, e_J=0.3)
+        e = 0.22
+        _, _, clean_n = _root_quadrature(cfg, e, quad)
+        kernel = kernels.quarter_sums
+
+        def planted(a, e, eJ, n1, n2, order=0):
+            out = kernel(a, e, eJ, n1, n2, order=order)
+            if order == 2 and n1 <= 256:
+                offset = 1e-6 if n1.bit_length() % 2 else -1e-6
+                out = out[:3] + (out[3] + offset,) + out[4:]
+            return out
+
+        monkeypatch.setattr(kernels, "quarter_sums", planted)
+        (_, _, planted_gg), _, n = _root_quadrature(cfg, e, quad)
+        assert clean_n <= 128 and n == 1024
+        assert planted_gg == kernel(cfg.a, e, cfg.e_J, n, n, order=2)[3]
+
     def test_reported_error_is_conservative(self, quad):
         cfg = OrbitConfig(a=0.5, e_J=0.2)
         rbar, err = averaged_rbar(cfg, 0.1, quad)
@@ -209,6 +369,32 @@ class TestDoublingControl:
                            ("Cbar", -c_mean / G)]:
             value = getattr(c, name)
             assert abs(value - fine) <= 3.0 * c.err[name] + 4.0 * eps * abs(value)
+
+    def test_accepted_levels_are_honest(self, quad, monkeypatch):
+        # 200 seeded triples, half 1e-3 to 1e-1 inside an end of the
+        # non-crossing interval; 100 run the root doubling and 100 the
+        # coefficient doubling.  Every accepted component lies within
+        # tol * max(|v|, floor) of the same kernel at four times the nodes.
+        root = sample_noncrossing_points(50, seed=20261019) + near_end_points(
+            50, seed=20261019)
+        coeff = sample_noncrossing_points(50, seed=20261020) + near_end_points(
+            50, seed=20261020)
+        worst = 0.0
+        for points, order, floors, run in (
+                (root, 2, _DERIVATIVE_FLOORS + _COEFFICIENT_FLOORS,
+                 _root_quadrature),
+                (coeff, 0, (_SCALE_FLOOR, *_COEFFICIENT_FLOORS),
+                 averaged_coefficients)):
+            for a, e, eJ in points:
+                cfg = OrbitConfig(a=a, e_J=eJ)
+                n = accepted_level(monkeypatch, lambda: run(cfg, e, quad))
+                got = level_values(a, e, eJ, n, order)
+                fine = level_values(a, e, eJ, 4 * n, order)
+                ratio = np.abs(got - fine) / (
+                    quad.tol * np.maximum(np.abs(got), floors))
+                worst = max(worst, float(ratio.max()))
+                assert np.all(ratio <= 1.0), (a, e, eJ, n, ratio)
+        print(f"worst |v(n) - v(4n)| / (tol max(|v|, floor)) = {worst:.3g}")
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(ValueError):

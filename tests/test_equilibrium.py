@@ -12,13 +12,18 @@ from oracles import (
     richardson_second,
 )
 from secular3bp import kernels
-from secular3bp.averaging import DEFAULT_SEPARATION_THRESHOLD, N_START
+from secular3bp.averaging import (
+    DEFAULT_SEPARATION_THRESHOLD,
+    N_START,
+    averaged_coefficients,
+)
 from secular3bp.equilibrium import (
     POSITIVE_DEFINITE,
     STATUS_FOUND,
     STATUS_NO_ROOT,
     STATUS_ORBIT_CROSSING,
     _derivatives,
+    _root_quadrature,
     _scan_grid,
     find_equilibrium,
     planar_hessian,
@@ -26,6 +31,7 @@ from secular3bp.equilibrium import (
 from secular3bp.errors import NonConvergedError
 from secular3bp.geometry import OrbitConfig, aligned_separation
 from secular3bp.sweep import evaluate_cell
+from test_averaging import accepted_level
 
 
 def analytic_derivatives(cfg, e, quad, order=1):
@@ -425,6 +431,42 @@ class TestPlanarHessian:
 
         want = richardson_second(f, 0.0, 1e-3)
         assert planar_hessian(cfg, e0, quad)[1, 1] == pytest.approx(want, rel=1e-6)
+
+
+class TestFoldedCoefficients:
+    @pytest.mark.parametrize("a, eJ", [(0.4, 0.3), (2.5, 0.4), (0.9, 0.8)])
+    def test_bytes_of_averaged_coefficients(self, quad, monkeypatch, a, eJ):
+        # The root's quadrature and averaged_coefficients at e_star accept
+        # one level here; the record then carries the latter's bytes.
+        cfg = OrbitConfig(a=a, e_J=eJ)
+        rec = find_equilibrium(cfg, quad)
+        want = averaged_coefficients(cfg, rec.e_star, quad)
+        assert accepted_level(
+            monkeypatch, lambda: _root_quadrature(cfg, rec.e_star, quad)) == \
+            accepted_level(
+                monkeypatch, lambda: averaged_coefficients(cfg, rec.e_star, quad))
+        assert rec.coefficients == want
+        for name in ("Rbar", "Abar", "Bbar", "Cbar"):
+            assert getattr(rec.coefficients, name).hex() == \
+                getattr(want, name).hex()
+
+    @pytest.mark.parametrize("index, match", [
+        (6, "went negative"),  # min_factor
+        (4, "is not negative"),  # a_mean, giving Abar >= 0
+    ])
+    def test_planted_sign_defects_raise(self, quad, monkeypatch, index, match):
+        # The folded path keeps averaged_coefficients' two sign checks.
+        kernel = kernels.quarter_sums
+
+        def planted(a, e, eJ, n1, n2, order=0):
+            out = kernel(a, e, eJ, n1, n2, order=order)
+            if order == 2:
+                out = out[:index] + (-abs(out[index]) - 1.0,) + out[index + 1:]
+            return out
+
+        monkeypatch.setattr(kernels, "quarter_sums", planted)
+        with pytest.raises(RuntimeError, match=match):
+            find_equilibrium(OrbitConfig(a=0.4, e_J=0.3), quad)
 
 
 class TestPlanarState:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -105,6 +106,31 @@ class TestClassify:
             factor, rel=1e-9)
         assert alt.stability.omega_plane / base.stability.omega_plane == \
             pytest.approx(factor, rel=1e-9)
+
+
+    def test_refinement_is_the_only_coefficient_call(self, quad, monkeypatch):
+        # The verdict reads the root's coefficients; averaged_coefficients
+        # runs only for the tol / 10 refinement of an INCONCLUSIVE one.
+        calls = []
+        real = stability.averaged_coefficients
+
+        def counting(cfg, e, q):
+            calls.append((e, q.tol))
+            return real(cfg, e, q)
+
+        monkeypatch.setattr(stability, "averaged_coefficients", counting)
+        cfg = OrbitConfig(a=0.4, e_J=0.3)
+        eq = find_equilibrium(cfg, quad)
+        rec = classify_spatial(cfg, eq, quad)
+        assert rec.spatial_verdict == LINEARLY_STABLE
+        assert rec.coefficients is eq.coefficients and calls == []
+        coeffs = eq.coefficients
+        loose = dataclasses.replace(
+            coeffs, err={**coeffs.err, "Abar": abs(coeffs.Abar)})
+        rec = classify_spatial(
+            cfg, dataclasses.replace(eq, coefficients=loose), quad)
+        assert calls == [(eq.e_star, quad.tol / 10.0)]
+        assert rec.spatial_verdict == LINEARLY_STABLE
 
 
 class TestLinearizedMatrix:

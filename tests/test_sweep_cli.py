@@ -185,18 +185,25 @@ class TestSweep:
         col = {name: k for k, name in enumerate(CSV_COLUMNS)}
         eps = np.finfo(float).eps
         for got, want in zip(rows[1:], golden[1:]):
-            assert got[:3] == want[:3]
-            assert [x == "" for x in got] == [x == "" for x in want]
-            for name in ("e_star", "hess_pp", "hess_qq", "hess_pq"):
-                if want[col[name]]:
-                    assert math.isclose(float(got[col[name]]),
-                                        float(want[col[name]]), rel_tol=1e-9)
-            for name, err in (("Rbar", "err_R"), ("Abar", "err_A"),
-                              ("Cbar", "err_C")):
-                if want[col[name]]:
-                    value = float(want[col[name]])
+            cell = f"{name}.csv cell (a, e_J) = ({want[0]}, {want[1]})"
+            assert got[:3] == want[:3], f"{cell}: {got[:3]} != {want[:3]}"
+            assert [x == "" for x in got] == [x == "" for x in want], (
+                f"{cell}: empty fields differ")
+            for column in ("e_star", "hess_pp", "hess_qq", "hess_pq"):
+                if want[col[column]]:
+                    value, moved = float(want[col[column]]), float(got[col[column]])
+                    move = moved - value
+                    assert math.isclose(moved, value, rel_tol=1e-9), (
+                        f"{cell} {column}: moved {move:.3e}, bound 1e-9 "
+                        f"relative ({1e-9 * abs(value):.3e})")
+            for column, err in (("Rbar", "err_R"), ("Abar", "err_A"),
+                                ("Cbar", "err_C")):
+                if want[col[column]]:
+                    value = float(want[col[column]])
                     bound = 3.0 * max(float(want[col[err]]), 4.0 * eps * abs(value))
-                    assert abs(float(got[col[name]]) - value) <= bound
+                    move = float(got[col[column]]) - value
+                    assert abs(move) <= bound, (
+                        f"{cell} {column}: moved {move:.3e}, bound {bound:.3e}")
 
     def test_golden_resonance_trace(self, quad):
         # The k = 2 trace of a focus window against its stored resonance.csv,
