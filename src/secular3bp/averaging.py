@@ -55,6 +55,10 @@ N_START = 32
 # exactly-zero values.
 _SCALE_FLOOR = 1e-300
 
+# Reported errors are at least this many ulps of the value: the rounding
+# of the sums themselves.
+_ROUNDING_ULPS = 4.0 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -64,7 +68,7 @@ class QuadratureSpec:
     level is certified to relative tolerance ``tol`` or the count would
     exceed ``max_n``: the last level-to-level change, extrapolated at the
     rate the changes shrink (at most 1/2 per level), must clear ``tol``.
-    The change itself is reported as the convergence estimate.
+    That extrapolated error is reported as the convergence estimate.
     """
 
     tol: float = 1e-10
@@ -118,10 +122,10 @@ def _doubling(eval_at, quad: QuadratureSpec, floors):
     quantities (Bbar) and the derivatives need.  With r = 1/2 the estimate
     is c itself, the plain agreement of two levels.
     Returns (values, errors, n) at the first accepted level, the errors
-    being the last changes c, never below the estimate because
-    r / (1 - r) <= 1.  At the node cap, NonConvergedError carries
-    the largest component of the last level-to-level change (nan when the
-    cap allows no doubling).
+    being the estimates the level was accepted on, raised to
+    4 eps |value| for rounding.  At the node cap, NonConvergedError
+    carries the largest component of the last level-to-level change (nan
+    when the cap allows no doubling).
     """
     n = N_START
     prev = np.asarray(eval_at(n), dtype=float)
@@ -148,7 +152,7 @@ def _doubling(eval_at, quad: QuadratureSpec, floors):
         ratio[err == 0.0] = 0.0
         estimate = err * (ratio / (1.0 - ratio))
         if np.all(estimate <= quad.tol * np.maximum(np.abs(cur), floors)):
-            return cur, err, n
+            return cur, np.maximum(estimate, _ROUNDING_ULPS * np.abs(cur)), n
         prev = cur
         last_change = err
         last_error = float(np.max(err))
@@ -178,7 +182,7 @@ _COEFFICIENT_FLOORS = (_SCALE_FLOOR, _SCALE_FLOOR, 1.0)
 
 def _coefficients(cfg: OrbitConfig, e, values, errors) -> AveragedCoefficients:
     """AveragedCoefficients from converged (Rbar, a_mean, c_mean, b_mean)
-    and their last level changes; raises RuntimeError unless Abar < 0."""
+    and their doubling errors; raises RuntimeError unless Abar < 0."""
     rbar, a_mean, c_mean, b_mean = values
     G = cfg.G_of(e)
     abar = -a_mean / G

@@ -17,11 +17,11 @@ geometrically for them as it does for Rbar, with no finite-difference
 step to choose.
 Brent runs at one frozen node count per cell, which keeps the derivative
 it solves a single analytic function of e.  The scan needs only signs and
-runs one doubling level below, where the probe that froze the count saw
-the two levels differ by its last change; Brent and the root stay at the
-frozen level or finer.  The residual and the planar Hessian come from one
-quadrature converged at the root itself, and a root whose residual fails
-there is solved again at that level.  The same quadrature folds in the
+runs one doubling level below when the probe that froze the count saw the
+two levels agree to the tolerance, at the frozen level otherwise; Brent
+and the root stay at the frozen level or finer.  The residual and the
+planar Hessian come from one quadrature converged at the root itself, and
+a root whose residual fails there is solved again at that level.  The same quadrature folds in the
 root's spatial coefficients: the order-2 row pass also gives the Abar and
 Cbar sums, so one doubling converges the Hessian terms and Rbar, Abar,
 Bbar and Cbar together, and the record carries them for
@@ -39,7 +39,6 @@ from .averaging import (
     _COEFFICIENT_FLOORS,
     _SCALE_FLOOR,
     DEFAULT_SEPARATION_THRESHOLD,
-    N_START,
     AveragedCoefficients,
     QuadratureSpec,
     _check_separation,
@@ -102,6 +101,7 @@ _SCAN_INSET = 1e-4
 # vanishes at the roots; R_ee and R_gg make the Hessian and are certified
 # like the rest.
 _DERIVATIVE_FLOORS = (_SCALE_FLOOR, 1.0, 1.0, 1.0)
+_SLOPE_FLOORS = _DERIVATIVE_FLOORS[:2]
 
 # Brent's relative tolerance and iteration cap, scipy's brentq defaults.
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
@@ -126,27 +126,35 @@ class EquilibriumRecord:
     message: str = ""
 
 
-def _derivatives(cfg, e, quad, order=1):
-    """Converged (R, R_e), plus (R_ee, R_gg) at ``order`` 2, at g = 0.
+def _derivatives(cfg, e, quad):
+    """Converged (R, R_e) at g = 0 and the level a sign scan may use.
 
-    Returns (values, errors, nodes).  Node doubling stops once R is
-    certified to the relative tolerance and each derivative to the same
-    tolerance in absolute terms (``_DERIVATIVE_FLOORS``).
+    Returns (values, errors, nodes, scan_nodes).  Node doubling stops once
+    R is certified to the relative tolerance and R_e to the same tolerance
+    in absolute terms.  ``scan_nodes`` is the level below ``nodes`` when
+    R_e there is within that tolerance of R_e at ``nodes`` (the plain
+    agreement of two levels), and ``nodes`` itself when the doubling
+    stopped on an extrapolated estimate before the two agreed.
     """
     if not (0.0 <= e < 1.0):
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    return _doubling(
-        lambda n: kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n,
-                                       order=order)[:2 * order],
-        quad, floors=_DERIVATIVE_FLOORS[:2 * order],
-    )
+    levels = {}
+
+    def eval_at(n):
+        levels[n] = kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n, order=1)
+        return levels[n][:2]
+
+    values, errors, nodes = _doubling(eval_at, quad, floors=_SLOPE_FLOORS)
+    change = abs(levels[nodes // 2][1] - values[1])
+    agree = change <= quad.tol * max(abs(values[1]), _SLOPE_FLOORS[1])
+    return values, errors, nodes, nodes // 2 if agree else nodes
 
 
 def _root_quadrature(cfg, e, quad):
     """(R_e, R_ee, R_gg) and the AveragedCoefficients at (e, g = 0).
 
     One doubling of the order-2 row pass, with the full-domain Bbar mean
-    at each level, converges the derivatives as :func:`_derivatives` does
+    at each level, converges the derivatives absolutely at the tolerance
     and Rbar, Abar, Bbar and Cbar as ``averaged_coefficients`` does, with
     its checks: the exact 1e-3 separation, the sign of the Abar kernel
     factor at every level and Abar < 0.  Where both stop at one level the
@@ -329,10 +337,12 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
 
     Evaluates the analytic derivative on an eccentricity grid over the
     admissible (non-crossing) part of ``DEFAULT_E_BRACKET`` in one batched
-    kernel call one doubling level below the cell's frozen node count,
-    brackets sign changes and refines each with Brent's method at the
-    frozen count.  At each root the first and second derivatives and the
-    spatial coefficients are then converged afresh in one quadrature: the
+    kernel call, one doubling level below the cell's frozen node count
+    when the probe saw that level agree with the frozen one to the
+    tolerance and at the frozen count otherwise, brackets sign changes and
+    refines each with Brent's method at the frozen count.  At each root
+    the first and second derivatives and the spatial coefficients are
+    then converged afresh in one quadrature: the
     magnitude of the first derivative is the reported residual, which must
     be below 1e-11, the derivatives give the root's planar Hessian, and
     the coefficients ride on the record.  A root whose residual fails at a
@@ -371,10 +381,10 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
 
     # One frozen node count per cell keeps Brent's derivative an analytic
     # function of e; probe at the best-separated admissible point.  The
-    # probe saw n_frozen // 2 differ from n_frozen by its last change only,
-    # so the scan, which needs signs, runs there.
+    # scan, which needs signs, runs one level below where the probe saw
+    # that level agree with n_frozen to the tolerance, else at n_frozen.
     scan, mask, e_probe = certified
-    _, _, n_frozen = _derivatives(cfg, e_probe, quad)
+    _, _, n_frozen, n_scan = _derivatives(cfg, e_probe, quad)
 
     def brackets_at(n):
         values = np.full(scan.shape, math.nan)
@@ -406,7 +416,7 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
 
     # A bracket whose ends lose their sign change at n_frozen sends the
     # cell back to a scan at n_frozen itself.
-    brackets = brackets_at(max(N_START, n_frozen // 2))
+    brackets = brackets_at(n_scan)
     batch_ends(n_frozen, [e for bracket in brackets for e in bracket])
     if any(ends[n_frozen, e1] * ends[n_frozen, e2] > 0.0
            for (e1, e2) in brackets):

@@ -253,13 +253,25 @@ class TestDoublingControl:
     def test_fast_decay_accepted_one_level_early(self):
         # Changes shrink tenfold: the extrapolated remaining error c / 9
         # clears tol at the 1e-7 change, one level before the change itself
-        # does, and the reported error is that last change.
+        # does, and the reported error is that estimate.
         quad = QuadratureSpec(tol=2e-8)
         eval_at, values = synthetic_levels([1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
         vals, errs, n = _doubling(eval_at, quad, floors=(_SCALE_FLOOR,))
         assert n == 256 and first_plain_level(values, quad.tol) == 512
         assert vals[0] == values[256][0]
-        assert errs[0] == abs(values[256][0] - values[128][0])
+        c = abs(values[256][0] - values[128][0])
+        r = c / abs(values[128][0] - values[64][0])
+        assert errs[0] == c * (r / (1.0 - r))
+        assert errs[0] == pytest.approx(c / 9.0, rel=1e-6)
+
+    def test_reported_error_floor_is_rounding(self):
+        # A change of 1e-12 after 1e-3 extrapolates to about 1e-21, below
+        # the rounding of the value: the reported error is 4 eps |v|.
+        quad = QuadratureSpec(tol=1e-10)
+        eval_at, _ = synthetic_levels([1e-3, 1e-12])
+        vals, errs, n = _doubling(eval_at, quad, floors=(_SCALE_FLOOR,))
+        assert n == 128
+        assert errs[0] == 4.0 * np.finfo(float).eps * abs(vals[0])
 
     @pytest.mark.parametrize("factor", [0.5, 0.8])
     def test_slow_decay_is_the_plain_test(self, factor):
@@ -358,8 +370,8 @@ class TestDoublingControl:
         "a, e, eJ", sample_noncrossing_points(24, seed=20261018)
         + [(0.7, 0.707, 0.2)])
     def test_errors_bound_fine_grid(self, a, e, eJ, quad):
-        # Each reported error, the change between the last two levels,
-        # bounds the distance to a 2048-node grid, rounding aside.
+        # Each reported error, the extrapolated error its level was accepted
+        # on, bounds the distance to a 2048-node grid, rounding aside.
         cfg = OrbitConfig(a=a, e_J=eJ)
         c = averaged_coefficients(cfg, e, quad)
         rbar, a_mean, c_mean, _ = kernels.quarter_sums(a, e, eJ, 2048, 2048)
@@ -374,27 +386,39 @@ class TestDoublingControl:
         # 200 seeded triples, half 1e-3 to 1e-1 inside an end of the
         # non-crossing interval; 100 run the root doubling and 100 the
         # coefficient doubling.  Every accepted component lies within
-        # tol * max(|v|, floor) of the same kernel at four times the nodes.
+        # tol * max(|v|, floor) of the same kernel at four times the nodes,
+        # and Rbar, Abar and Cbar within three times their reported error
+        # (the margin of the sign verdict).
         root = sample_noncrossing_points(50, seed=20261019) + near_end_points(
             50, seed=20261019)
         coeff = sample_noncrossing_points(50, seed=20261020) + near_end_points(
             50, seed=20261020)
-        worst = 0.0
+        worst = worst_err = 0.0
         for points, order, floors, run in (
                 (root, 2, _DERIVATIVE_FLOORS + _COEFFICIENT_FLOORS,
-                 _root_quadrature),
+                 lambda *args: _root_quadrature(*args)[1]),
                 (coeff, 0, (_SCALE_FLOOR, *_COEFFICIENT_FLOORS),
                  averaged_coefficients)):
             for a, e, eJ in points:
                 cfg = OrbitConfig(a=a, e_J=eJ)
-                n = accepted_level(monkeypatch, lambda: run(cfg, e, quad))
+                out = []
+                n = accepted_level(monkeypatch,
+                                   lambda: out.append(run(cfg, e, quad)))
                 got = level_values(a, e, eJ, n, order)
                 fine = level_values(a, e, eJ, 4 * n, order)
                 ratio = np.abs(got - fine) / (
                     quad.tol * np.maximum(np.abs(got), floors))
                 worst = max(worst, float(ratio.max()))
                 assert np.all(ratio <= 1.0), (a, e, eJ, n, ratio)
-        print(f"worst |v(n) - v(4n)| / (tol max(|v|, floor)) = {worst:.3g}")
+                # (Rbar, a_mean, c_mean) sit just before the Bbar mean.
+                G, err = cfg.G_of(e), out[0].err
+                reported = np.array((err["Rbar"], err["Abar"] * G,
+                                     err["Cbar"] * G))
+                err_ratio = np.abs(got - fine)[[0, -3, -2]] / reported
+                worst_err = max(worst_err, float(err_ratio.max()))
+                assert np.all(err_ratio <= 3.0), (a, e, eJ, n, err_ratio)
+        print(f"worst |v(n) - v(4n)| / (tol max(|v|, floor)) = {worst:.3g}, "
+              f"/ reported error = {worst_err:.3g}")
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(ValueError):

@@ -34,9 +34,9 @@ from secular3bp.sweep import evaluate_cell
 from test_averaging import accepted_level
 
 
-def analytic_derivatives(cfg, e, quad, order=1):
-    """Converged (R, R_e[, R_ee, R_gg]) and their doubling errors."""
-    vals, errs, _ = _derivatives(cfg, e, quad, order=order)
+def analytic_derivatives(cfg, e, quad):
+    """Converged (R, R_e) and their doubling errors."""
+    vals, errs, _, _ = _derivatives(cfg, e, quad)
     return vals, errs
 
 
@@ -75,7 +75,7 @@ class TestDerivative:
     @pytest.mark.parametrize("a, eJ, e0", [(0.4, 0.3, 0.22), (2.5, 0.4, 0.18)])
     def test_second_derivatives_against_richardson(self, quad, a, eJ, e0):
         cfg = OrbitConfig(a=a, e_J=eJ)
-        (_, _, r_ee, r_gg), _ = analytic_derivatives(cfg, e0, quad, order=2)
+        (_, r_ee, r_gg), _, _ = _root_quadrature(cfg, e0, quad)
         want_ee = richardson_second(lambda e: rbar_fine(cfg, e), e0, 1e-3)
         want_gg = richardson_second(lambda g: rbar_fine(cfg, e0, g=g), 0.0, 1e-3)
         assert r_ee == pytest.approx(want_ee, rel=1e-6)
@@ -274,6 +274,21 @@ class TestScanLevel:
         assert n_frozen in brent
         assert brent <= {n_frozen, max(root)}
 
+    def test_extrapolated_probe_scans_at_frozen_level(self, quad, monkeypatch):
+        # At (0.85, 0.2) the probe stops at n = 128 on an extrapolated
+        # estimate, before R_e at n = 64 agrees with it to tol: the scan
+        # runs at 128 itself, so its signs are as good as the frozen level.
+        cfg = OrbitConfig(a=0.85, e_J=0.2)
+        _, _, e_probe = _scan_grid(cfg)
+        (_, r_e), _, n_frozen, n_scan = _derivatives(cfg, e_probe, quad)
+        below = kernels.quarter_sums(cfg.a, e_probe, cfg.e_J, 64, 64,
+                                     order=1)[1]
+        assert n_frozen == n_scan == 128
+        assert abs(below - r_e) > quad.tol * max(abs(r_e), 1.0)
+        calls = recording_derivatives(monkeypatch, cfg)
+        assert find_equilibrium(cfg, quad).status == STATUS_FOUND
+        assert [n for scan, n, _ in calls if scan] == [128]
+
     def test_bracket_ends_in_one_batched_call(self, quad, monkeypatch):
         # (0.4, 0.3) has one bracket, solved at n_frozen = 64: its two ends
         # come from one batched call, and Brent reads them from it.
@@ -355,8 +370,7 @@ class TestScanLevel:
         for a, eJ in cells:
             cfg = OrbitConfig(a=float(a), e_J=float(eJ))
             scan, mask, e_probe = _scan_grid(cfg)
-            n_frozen = _derivatives(cfg, e_probe, quad)[2]
-            n_scan = max(N_START, n_frozen // 2)
+            _, _, n_frozen, n_scan = _derivatives(cfg, e_probe, quad)
             coarse = np.full(scan.shape, math.nan)
             coarse[mask] = kernels.quarter_sums(
                 cfg.a, scan[mask], cfg.e_J, n_scan, n_scan, order=1)[1]
