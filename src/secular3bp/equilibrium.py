@@ -15,17 +15,17 @@ sign, in the row pass that gives Rbar, Abar and Cbar
 integrands stay analytic and periodic, so the midpoint rule converges
 geometrically for them as it does for Rbar, with no finite-difference
 step to choose.
-Brent runs at one frozen node count per cell, which keeps the derivative
-it solves a single analytic function of e.  The scan needs only signs and
-runs one doubling level below when the probe that froze the count saw the
-two levels agree to the tolerance, at the frozen level otherwise; Brent
-and the root stay at the frozen level or finer.  The residual and the
-planar Hessian come from one quadrature converged at the root itself, and
-a root whose residual fails there is solved again at that level.  The same quadrature folds in the
-root's spatial coefficients: the order-2 row pass also gives the Abar and
-Cbar sums, so one doubling converges the Hessian terms and Rbar, Abar,
-Bbar and Cbar together, and the record carries them for
-``stability.classify_spatial``.
+Brent runs at one frozen node count n_frozen per cell, which keeps the
+derivative it solves a single analytic function of e; Brent and the root
+stay at that level or finer.  The scan needs only signs: each point takes
+the first level n >= max(N_START, n_frozen / 8) where |R_e| exceeds three
+times its change from n / 2, or n_frozen (:func:`_certified_scan`).  The
+residual and the planar Hessian come from one quadrature converged at the
+root itself, and a root whose residual fails there is solved again at
+that level.  The same quadrature folds in the root's spatial coefficients:
+the order-2 row pass also gives the Abar and Cbar sums, so one doubling
+converges the Hessian terms and Rbar, Abar, Bbar and Cbar together, and
+the record carries them for ``stability.classify_spatial``.
 """
 
 import functools
@@ -39,6 +39,7 @@ from .averaging import (
     _COEFFICIENT_FLOORS,
     _SCALE_FLOOR,
     DEFAULT_SEPARATION_THRESHOLD,
+    N_START,
     AveragedCoefficients,
     QuadratureSpec,
     _check_separation,
@@ -103,6 +104,11 @@ _SCAN_INSET = 1e-4
 _DERIVATIVE_FLOORS = (_SCALE_FLOOR, 1.0, 1.0, 1.0)
 _SLOPE_FLOORS = _DERIVATIVE_FLOORS[:2]
 
+# The scan's rule (see _certified_scan).  Below n_frozen / 8, R_e can sit on
+# a plateau (at (0.97, 0.5) and e = 0.50005: +0.264 at n = 32, -0.174 at 256).
+_SIGN_MARGIN = 3.0
+_SCAN_LEVEL_DIVISOR = 8
+
 # Brent's relative tolerance and iteration cap, scipy's brentq defaults.
 _BRENT_RTOL = 4.0 * np.finfo(float).eps
 _BRENT_MAXITER = 100
@@ -127,27 +133,38 @@ class EquilibriumRecord:
 
 
 def _derivatives(cfg, e, quad):
-    """Converged (R, R_e) at g = 0 and the level a sign scan may use.
+    """Converged (R, R_e) at g = 0: (values, errors, nodes).
 
-    Returns (values, errors, nodes, scan_nodes).  Node doubling stops once
-    R is certified to the relative tolerance and R_e to the same tolerance
-    in absolute terms.  ``scan_nodes`` is the level below ``nodes`` when
-    R_e there is within that tolerance of R_e at ``nodes`` (the plain
-    agreement of two levels), and ``nodes`` itself when the doubling
-    stopped on an extrapolated estimate before the two agreed.
+    Node doubling stops once R is certified to the relative tolerance and
+    R_e to the same tolerance in absolute terms.
     """
     if not (0.0 <= e < 1.0):
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    levels = {}
 
     def eval_at(n):
-        levels[n] = kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n, order=1)
-        return levels[n][:2]
+        return kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n, order=1)[:2]
 
-    values, errors, nodes = _doubling(eval_at, quad, floors=_SLOPE_FLOORS)
-    change = abs(levels[nodes // 2][1] - values[1])
-    agree = change <= quad.tol * max(abs(values[1]), _SLOPE_FLOORS[1])
-    return values, errors, nodes, nodes // 2 if agree else nodes
+    return _doubling(eval_at, quad, floors=_SLOPE_FLOORS)
+
+
+def _certified_scan(cfg, es, n_frozen):
+    """R_e at each e of ``es``, each at the level that certifies its sign.
+
+    The points double together from n = N_START / 2, one batched call per
+    level.  A point takes the first level n >= max(N_START, n_frozen / 8)
+    where |R_e(n)| > 3 |R_e(n) - R_e(n / 2)|, or n_frozen if none does.
+    Once the midpoint rule converges geometrically the remaining error is
+    below the last change, so a certified sign is right.
+    """
+    values, todo, prev = np.empty(es.shape), np.arange(es.size), 0.0
+    n, floor = N_START // 2, max(N_START, n_frozen // _SCAN_LEVEL_DIVISOR)
+    while todo.size:
+        cur = kernels.quarter_sums(cfg.a, es[todo], cfg.e_J, n, n, order=1)[1]
+        done = (n >= n_frozen) | ((n >= floor) & (
+            np.abs(cur) > _SIGN_MARGIN * np.abs(cur - prev)))
+        values[todo[done]] = cur[done]
+        todo, prev, n = todo[~done], cur[~done], 2 * n
+    return values
 
 
 def _root_quadrature(cfg, e, quad):
@@ -336,19 +353,18 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
     """Locate planar equilibria: roots of dRbar/de = 0 at g = 0.
 
     Evaluates the analytic derivative on an eccentricity grid over the
-    admissible (non-crossing) part of ``DEFAULT_E_BRACKET`` in one batched
-    kernel call, one doubling level below the cell's frozen node count
-    when the probe saw that level agree with the frozen one to the
-    tolerance and at the frozen count otherwise, brackets sign changes and
-    refines each with Brent's method at the frozen count.  At each root
-    the first and second derivatives and the spatial coefficients are
-    then converged afresh in one quadrature: the
-    magnitude of the first derivative is the reported residual, which must
-    be below 1e-11, the derivatives give the root's planar Hessian, and
-    the coefficients ride on the record.  A root whose residual fails at a
-    level above the one Brent used is solved again on its bracket at that
-    level.  The positive-definite root is reported as the stable
-    equilibrium.
+    admissible (non-crossing) part of ``DEFAULT_E_BRACKET``, each point at
+    the first level no lower than max(N_START, n_frozen / 8) where its
+    value exceeds three times its change from the level below, or at the
+    cell's frozen node count n_frozen; brackets sign changes and refines
+    each with Brent's method at n_frozen.  At each root the first and
+    second derivatives and the spatial coefficients are then converged
+    afresh in one quadrature: the magnitude of the first derivative is the
+    reported residual, which must be below 1e-11, the derivatives give the
+    root's planar Hessian, and the coefficients ride on the record.  A root
+    whose residual fails at a level above the one Brent used is solved
+    again on its bracket at that level.  The positive-definite root is
+    reported as the stable equilibrium.
 
     Status semantics: FOUND for a single root with positive-definite
     Hessian; MULTIPLE_ROOTS when several roots exist (e_star then points at
@@ -380,23 +396,17 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
         )
 
     # One frozen node count per cell keeps Brent's derivative an analytic
-    # function of e; probe at the best-separated admissible point.  The
-    # scan, which needs signs, runs one level below where the probe saw
-    # that level agree with n_frozen to the tolerance, else at n_frozen.
+    # function of e; probe at the best-separated admissible point.
     scan, mask, e_probe = certified
-    _, _, n_frozen, n_scan = _derivatives(cfg, e_probe, quad)
+    _, _, n_frozen = _derivatives(cfg, e_probe, quad)
 
-    def brackets_at(n):
+    def brackets_of(scanned):
         values = np.full(scan.shape, math.nan)
-        values[mask] = kernels.quarter_sums(cfg.a, scan[mask], cfg.e_J, n, n,
-                                            order=1)[1]
+        values[mask] = scanned
         neg = values < 0.0
-        return [
-            (float(scan[k]), float(scan[k + 1]))
-            for k in range(len(scan) - 1)
-            if mask[k] and mask[k + 1]
-            and (values[k] == 0.0 or neg[k] != neg[k + 1])
-        ]
+        return [(float(scan[k]), float(scan[k + 1]))
+                for k in range(len(scan) - 1) if mask[k] and mask[k + 1]
+                and (values[k] == 0.0 or neg[k] != neg[k + 1])]
 
     # dRbar/de at bracket ends, keyed (n, e); the ends a level needs are
     # evaluated in one batched call, which Brent's first two steps read.
@@ -416,11 +426,12 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
 
     # A bracket whose ends lose their sign change at n_frozen sends the
     # cell back to a scan at n_frozen itself.
-    brackets = brackets_at(n_scan)
+    brackets = brackets_of(_certified_scan(cfg, scan[mask], n_frozen))
     batch_ends(n_frozen, [e for bracket in brackets for e in bracket])
     if any(ends[n_frozen, e1] * ends[n_frozen, e2] > 0.0
            for (e1, e2) in brackets):
-        brackets = brackets_at(n_frozen)
+        brackets = brackets_of(kernels.quarter_sums(
+            cfg.a, scan[mask], cfg.e_J, n_frozen, n_frozen, order=1)[1])
     if not brackets:
         return EquilibriumRecord(
             e_star=math.nan, residual=math.nan, hessian=None,

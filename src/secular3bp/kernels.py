@@ -12,7 +12,12 @@ periapsis on the +x axis, ``xJ = cos(EJ) - eJ``, ``yJ = sqrt(1-eJ^2) sin(EJ)``;
 the asteroid orbital-plane ellipse is ``x' = a (cos E - e)``,
 ``y' = a sqrt(1-e^2) sin E``.  Averages over mean anomalies are evaluated in
 eccentric anomalies with the Jacobian weight ``(1 - e cos E)(1 - eJ cos EJ)``.
+
+The planet's node table per ``(n, span, eJ)`` and the row anomalies' cosines
+and sines per ``(n, span)`` are cached as read-only arrays.
 """
+
+import functools
 
 import numpy as np
 
@@ -33,14 +38,39 @@ BACKEND = "numpy"
 # faster per node than 4M-node chunks of fresh temporaries.
 _CHUNK_NODES = 1 << 16
 
+# Tables per cache: a cell visits at most 9 levels on 2 spans, <= 160 KiB each.
+_TABLE_CACHE_SIZE = 32
+
 
 def _ellipse_nodes(E, a, e):
     """Orbital-plane position (x, y) and Kepler weight 1 - e cos E at anomalies E.
 
     With ``a = 1`` and ``e = eJ`` this is the planet's ellipse.
     """
-    c = np.cos(E)
-    return a * (c - e), a * np.sqrt(1.0 - e * e) * np.sin(E), 1.0 - e * c
+    return _ellipse_at(np.cos(E), np.sin(E), a, e)
+
+
+def _ellipse_at(c, s, a, e):
+    """:func:`_ellipse_nodes` from the anomalies' cosines c and sines s."""
+    return a * (c - e), a * np.sqrt(1.0 - e * e) * s, 1.0 - e * c
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _row_anomalies(n, span):
+    """Read-only rows (cos E, sin E) at n midpoints on [0, span)."""
+    E = _midpoints(n, span)
+    table = np.array([np.cos(E), np.sin(E)])
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _planet_nodes(n, span, eJ):
+    """Read-only rows (xJ, yJ, wJ, wJ xJ, wJ yJ), n midpoints on [0, span)."""
+    xJ, yJ, wJ = _ellipse_at(*_row_anomalies(n, span), 1.0, eJ)
+    table = np.array([xJ, yJ, wJ, wJ * xJ, wJ * yJ])
+    table.flags.writeable = False
+    return table
 
 
 def _midpoints(n, span):
@@ -99,20 +129,20 @@ def quarter_sums(a, e, eJ, n1, n2, order=0):
         raise ValueError(f"order must be 0, 1 or 2, got {order}")
     es = np.asarray(e, dtype=float)
     ev = es.reshape(-1)
-    xJ, yJ, wJ = _ellipse_nodes(_midpoints(n2, np.pi), 1.0, eJ)
-    wx, wy = wJ * xJ, wJ * yJ
-    E_row = _midpoints(n1, np.pi)
+    xJ, yJ, wJ, wx, wy = _planet_nodes(n2, np.pi, eJ)
+    # The ev.size * n1 grid rows, e-major (row j * n1 + i has e = ev[j] and
+    # the i-th anomaly), are visited in chunks whose node arrays are reused
+    # in place; each buffer's meaning is noted where it changes.
+    e_rows = np.repeat(ev, n1)
+    cos_rows, sin_rows = (t[None].repeat(ev.size, axis=0).ravel()
+                          for t in _row_anomalies(n1, np.pi))
+    x_rows, y_rows, w_rows = _ellipse_at(cos_rows, sin_rows, a, e_rows)
     rows = np.empty(((3, 2, 6)[order], ev.size * n1))
     mins = np.full(ev.size, np.inf)
-    # The ev.size * n1 grid rows (e-major) are visited in chunks whose node
-    # arrays are reused in place; each buffer's meaning is noted where it
-    # changes.
     for lo, hi, (dx2, s1, s2, u1, u2, dv) in _row_blocks(ev.size * n1, n2, 6):
         out = rows[:, lo:hi]
-        k = np.arange(lo, hi)
-        ek = ev[k // n1]
-        E = E_row[k % n1]
-        x, y, wi = _ellipse_nodes(E, a, ek)
+        ek, x, y = e_rows[lo:hi], x_rows[lo:hi], y_rows[lo:hi]
+        wi = w_rows[lo:hi]
         np.subtract.outer(x, xJ, out=dx2)
         dx2 *= dx2
         np.subtract.outer(y, yJ, out=s1)
@@ -141,7 +171,7 @@ def quarter_sums(a, e, eJ, n1, n2, order=0):
                 mins[j] = min(mins[j], seg.min())
         if order == 0:
             continue
-        cE = np.cos(E)
+        cE = cos_rows[lo:hi]
         b2 = 1.0 - ek * ek
         ye = -ek * y / b2  # dy/de; dx/de = -a
         s_p = _rowsum(pv, wJ)
@@ -200,9 +230,8 @@ def bbar_mean(a, e, eJ, n1, n2):
 
     Per row: wi * (x * sum wJ yJ / r1^3 + y * sum wJ xJ / r1^3).
     """
-    xJ, yJ, wJ = _ellipse_nodes(_midpoints(n2, 2.0 * np.pi), 1.0, eJ)
-    wx, wy = wJ * xJ, wJ * yJ
-    x, y, wi = _ellipse_nodes(_midpoints(n1, 2.0 * np.pi), a, e)
+    xJ, yJ, _, wx, wy = _planet_nodes(n2, 2.0 * np.pi, eJ)
+    x, y, wi = _ellipse_at(*_row_anomalies(n1, 2.0 * np.pi), a, e)
     rows = np.empty(n1)
     for lo, hi, (s, t) in _row_blocks(n1, n2, 2):
         np.subtract.outer(x[lo:hi], xJ, out=s)
@@ -235,8 +264,8 @@ def vbar_mean(a, e, eJ, m00, m01, m10, m11, m20, m21, n1, n2):
     inertial (x, y, z).  Also returns the smallest sampled r^2.  Per row:
     wi * sum wJ / r.
     """
-    xJ, yJ, wJ = _ellipse_nodes(_midpoints(n2, 2.0 * np.pi), 1.0, eJ)
-    xp, yp, wi = _ellipse_nodes(_midpoints(n1, 2.0 * np.pi), a, e)
+    xJ, yJ, wJ, _, _ = _planet_nodes(n2, 2.0 * np.pi, eJ)
+    xp, yp, wi = _ellipse_at(*_row_anomalies(n1, 2.0 * np.pi), a, e)
     x = m00 * xp + m01 * yp
     y = m10 * xp + m11 * yp
     z = m20 * xp + m21 * yp

@@ -91,16 +91,16 @@ class ResonancePoint:
     ratio: float
 
 
-def _effective_error(value, err):
-    if not math.isfinite(err):
-        return math.inf  # an unknown error certifies no sign
-    return max(err, 4.0 * np.finfo(float).eps * abs(value))
+def _effective_error(err):
+    # The doubling already reports at least 4 eps |value|; an unknown
+    # error certifies no sign.
+    return err if math.isfinite(err) else math.inf
 
 
 def sign_verdict(abar, cbar, err_a, err_c):
     """Classify stability from coefficient signs with error margins."""
-    err_a = _effective_error(abar, err_a)
-    err_c = _effective_error(cbar, err_c)
+    err_a = _effective_error(err_a)
+    err_c = _effective_error(err_c)
     if abar < -MARGIN_FACTOR * err_a and cbar < -MARGIN_FACTOR * err_c:
         return LINEARLY_STABLE
     if abar > MARGIN_FACTOR * err_a or cbar > MARGIN_FACTOR * err_c:

@@ -65,6 +65,10 @@ MAX_SETTABLE_VALUES = 16
 # in the public API; adding a public name means raising this on purpose.
 MAX_PUBLIC_NAMES = 23
 
+# Lines in src/secular3bp/*.py, as ``wc -l`` counts them.  Adding lines means
+# raising this on purpose; a change that removes lines may lower it.
+MAX_SRC_LINES = 2422
+
 
 def _settable_values(tree):
     count = 0
@@ -88,6 +92,12 @@ def test_settable_values_ratchet():
 
 def test_public_names_ratchet():
     assert len(secular3bp.__all__) <= MAX_PUBLIC_NAMES
+
+
+def test_src_lines_ratchet():
+    src = pathlib.Path(secular3bp.__file__).resolve().parent
+    total = sum(path.read_text().count("\n") for path in sorted(src.glob("*.py")))
+    assert total <= MAX_SRC_LINES
 
 
 def test_package_import_leaves_out_validate():

@@ -11,7 +11,7 @@ from oracles import (
     richardson_first,
     richardson_second,
 )
-from secular3bp import kernels
+from secular3bp import equilibrium, kernels
 from secular3bp.averaging import (
     DEFAULT_SEPARATION_THRESHOLD,
     N_START,
@@ -22,6 +22,7 @@ from secular3bp.equilibrium import (
     STATUS_FOUND,
     STATUS_NO_ROOT,
     STATUS_ORBIT_CROSSING,
+    _certified_scan,
     _derivatives,
     _root_quadrature,
     _scan_grid,
@@ -36,7 +37,7 @@ from test_averaging import accepted_level
 
 def analytic_derivatives(cfg, e, quad):
     """Converged (R, R_e) and their doubling errors."""
-    vals, errs, _, _ = _derivatives(cfg, e, quad)
+    vals, errs, _ = _derivatives(cfg, e, quad)
     return vals, errs
 
 
@@ -221,73 +222,132 @@ def sign_changes(values):
 
 
 def recording_derivatives(monkeypatch, cfg, alter=None):
-    """Record (scan, n, order) for every derivative call of quarter_sums.
+    """Record (scan, n, order, points) for every derivative call of quarter_sums.
 
-    ``scan`` marks a batched call over the cell's admissible scan points,
-    as opposed to a call over bracket ends or at a single e.
-    ``alter(calls, scan, n, out)`` may return replaced outputs; ``calls``
-    holds the calls made before this one.
+    ``scan`` marks a call of the certified scan or a rescan over all the
+    cell's admissible scan points, as opposed to a call over bracket ends
+    or at a single e; ``points`` is the number of e values in the call.
+    ``alter(calls, scan, n, e, out)`` may return replaced outputs;
+    ``calls`` holds the calls made before this one.
     """
     scan_grid, mask, _ = _scan_grid(cfg)
     calls = []
+    scanning = []
     kernel = kernels.quarter_sums
+    certified_scan = equilibrium._certified_scan
 
     def wrapped(a, e, eJ, n1, n2, order=0):
         out = kernel(a, e, eJ, n1, n2, order=order)
         if order:
-            scan = np.ndim(e) > 0 and np.array_equal(e, scan_grid[mask])
+            scan = bool(scanning) or (
+                np.ndim(e) > 0 and np.array_equal(e, scan_grid[mask]))
             if alter is not None:
-                out = alter(calls, scan, n1, out)
-            calls.append((scan, n1, order))
+                out = alter(calls, scan, n1, e, out)
+            calls.append((scan, n1, order, np.size(e)))
         return out
 
+    def recorded_scan(*args):
+        scanning.append(True)
+        try:
+            return certified_scan(*args)
+        finally:
+            scanning.pop()
+
     monkeypatch.setattr(kernels, "quarter_sums", wrapped)
+    monkeypatch.setattr(equilibrium, "_certified_scan", recorded_scan)
     return calls
 
 
-def flip_one(out):
-    """Kernel outputs with R_e negated at the third-last scan point.
-
-    For (a, e_J) = (0.4, 0.3) that point lies far above the root, so the
-    flip adds two spurious sign changes.
-    """
+def flip_at(target, e, out):
+    """Kernel outputs with R_e negated wherever the call's e equals target."""
     r_e = out[1].copy()
-    r_e[-3] = -r_e[-3]
+    r_e[np.asarray(e) == target] *= -1.0
     return (out[0], r_e) + out[2:]
 
 
+def far_scan_point(cfg):
+    """The third-last admissible scan point.
+
+    For (a, e_J) = (0.4, 0.3) it lies far above the root, so negating R_e
+    there adds two spurious sign changes.
+    """
+    scan, mask, _ = _scan_grid(cfg)
+    return scan[mask][-3]
+
+
+def scan_levels(cfg, es, n_frozen):
+    """R_e at the scan points on every level the certified scan may visit."""
+    levels, n = {}, N_START // 2
+    while n <= n_frozen:
+        levels[n] = kernels.quarter_sums(cfg.a, es, cfg.e_J, n, n, order=1)[1]
+        n *= 2
+    return levels
+
+
+def certified_level(levels, i, n_frozen):
+    """The level at which the scan rule certifies point i, or n_frozen."""
+    n = max(N_START, n_frozen // 8)
+    while n < n_frozen:
+        v, below = levels[n][i], levels[n // 2][i]
+        if abs(v) > 3.0 * abs(v - below):
+            break
+        n *= 2
+    return n
+
+
 class TestScanLevel:
-    @pytest.mark.parametrize("a, eJ, n_frozen", [(0.4, 0.3, 64), (0.9, 0.8, 128)])
-    def test_scan_runs_one_level_below_brent(self, quad, monkeypatch, a, eJ,
-                                             n_frozen):
+    @pytest.mark.parametrize("a, eJ, n_frozen, at_frozen",
+                             [(0.4, 0.3, 64, 0), (0.9, 0.8, 128, 1)])
+    def test_scan_certifies_each_point_at_its_own_level(
+            self, quad, monkeypatch, a, eJ, n_frozen, at_frozen):
+        # Each scan point takes its value at the first level no lower than
+        # max(N_START, n_frozen / 8) where |R_e| > 3 |change from the level
+        # below|, or at n_frozen; the scan makes one call per level over
+        # the points not yet certified, and never goes above n_frozen.  At
+        # (0.9, 0.8) one point is still uncertified at 64 and takes its
+        # value at n_frozen = 128.
         cfg = OrbitConfig(a=a, e_J=eJ)
+        scan, mask, _ = _scan_grid(cfg)
+        es = scan[mask]
+        levels = scan_levels(cfg, es, n_frozen)
+        own = [certified_level(levels, i, n_frozen) for i in range(es.size)]
+        got = _certified_scan(cfg, es, n_frozen)
+        assert got.tobytes() == np.array(
+            [levels[n][i] for i, n in enumerate(own)]).tobytes()
+        assert own.count(n_frozen) == at_frozen
         calls = recording_derivatives(monkeypatch, cfg)
         rec = find_equilibrium(cfg, quad)
         assert rec.status == STATUS_FOUND
         scans = [k for k, call in enumerate(calls) if call[0]]
-        assert len(scans) == 1
         k = scans[0]
-        assert max(n for _, n, _ in calls[:k]) == n_frozen  # the probe
-        assert calls[k][1] == max(N_START, n_frozen // 2)
-        brent = {n for _, n, order in calls[k + 1:] if order == 1}
-        root = {n for _, n, order in calls[k + 1:] if order == 2}
+        assert scans == list(range(k, k + len(scans)))
+        assert max(n for _, n, _, _ in calls[:k]) == n_frozen  # the probe
+        assert [(n, size) for _, n, _, size in calls[k:k + len(scans)]] == [
+            (n, sum(m >= n for m in own)) for n in levels if n <= max(own)]
+        brent = {n for _, n, order, _ in calls[k + len(scans):] if order == 1}
+        root = {n for _, n, order, _ in calls[k + len(scans):] if order == 2}
         assert n_frozen in brent
         assert brent <= {n_frozen, max(root)}
 
     def test_extrapolated_probe_scans_at_frozen_level(self, quad, monkeypatch):
         # At (0.85, 0.2) the probe stops at n = 128 on an extrapolated
-        # estimate, before R_e at n = 64 agrees with it to tol: the scan
-        # runs at 128 itself, so its signs are as good as the frozen level.
+        # estimate, before R_e at n = 64 agrees with it to tol.  The scan
+        # needs no level near it: every point's R_e at n = 32 clears three
+        # times its change from n = 16, so all are certified there.
         cfg = OrbitConfig(a=0.85, e_J=0.2)
-        _, _, e_probe = _scan_grid(cfg)
-        (_, r_e), _, n_frozen, n_scan = _derivatives(cfg, e_probe, quad)
+        scan, mask, e_probe = _scan_grid(cfg)
+        (_, r_e), _, n_frozen = _derivatives(cfg, e_probe, quad)
         below = kernels.quarter_sums(cfg.a, e_probe, cfg.e_J, 64, 64,
                                      order=1)[1]
-        assert n_frozen == n_scan == 128
+        assert n_frozen == 128
         assert abs(below - r_e) > quad.tol * max(abs(r_e), 1.0)
+        levels = scan_levels(cfg, scan[mask], 32)
+        assert np.all(np.abs(levels[32]) > 3.0 * np.abs(levels[32] - levels[16]))
+        got = _certified_scan(cfg, scan[mask], n_frozen)
+        assert got.tobytes() == levels[32].tobytes()
         calls = recording_derivatives(monkeypatch, cfg)
         assert find_equilibrium(cfg, quad).status == STATUS_FOUND
-        assert [n for scan, n, _ in calls if scan] == [128]
+        assert [n for scan, n, _, _ in calls if scan] == [16, 32]
 
     def test_bracket_ends_in_one_batched_call(self, quad, monkeypatch):
         # (0.4, 0.3) has one bracket, solved at n_frozen = 64: its two ends
@@ -311,18 +371,20 @@ class TestScanLevel:
 
     def test_spurious_scan_sign_change_rescans_at_frozen_level(
             self, quad, monkeypatch):
-        # Flip one scan value far from the root at n = 32 only: the two
-        # spurious brackets lose their sign change at n_frozen = 64, so the
-        # cell scans again at 64 and returns the unpatched record.
+        # Negate R_e at one scan point far from the root at n = 16 and 32,
+        # so the scan certifies the wrong sign there: the two spurious
+        # brackets lose their sign change at n_frozen = 64, so the cell
+        # scans again at 64 and returns the unpatched record.
         cfg = OrbitConfig(a=0.4, e_J=0.3)
         want = find_equilibrium(cfg, quad)
+        target = far_scan_point(cfg)
 
-        def flip(calls, scan, n, out):
-            return flip_one(out) if scan and n == 32 else out
+        def flip(calls, scan, n, e, out):
+            return flip_at(target, e, out) if scan and n <= 32 else out
 
         calls = recording_derivatives(monkeypatch, cfg, flip)
         got = find_equilibrium(cfg, quad)
-        assert [n for scan, n, _ in calls if scan] == [32, 64]
+        assert [n for scan, n, _, _ in calls if scan] == [16, 32, 64]
         assert got.status == want.status == STATUS_FOUND
         assert got.e_star == want.e_star
         assert got.residual == want.residual
@@ -331,17 +393,18 @@ class TestScanLevel:
     @pytest.mark.parametrize("missing", ["root", "spurious"])
     def test_sign_change_missing_at_frozen_level(self, quad, monkeypatch,
                                                  missing):
-        # "root": after the probe, dRbar/de at n_frozen = 64 has no sign
-        # change at all, so the rescan finds none.  "spurious": both scans
-        # show a sign change that the bracket ends at 64 do not.  Either
-        # way the cell must not report a root.
+        # "root": after the scan starts, dRbar/de at n_frozen = 64 has no
+        # sign change at all, so the rescan finds none.  "spurious": both
+        # scans show a sign change that the bracket ends at 64 do not.
+        # Either way the cell must not report a root.
         cfg = OrbitConfig(a=0.4, e_J=0.3)
+        target = far_scan_point(cfg)
 
-        def alter(calls, scan, n, out):
+        def alter(calls, scan, n, e, out):
             if missing == "root" and n == 64 and any(c[0] for c in calls):
                 return (out[0], np.abs(out[1])) + out[2:]
             if missing == "spurious" and scan:
-                return flip_one(out)
+                return flip_at(target, e, out)
             return out
 
         calls = recording_derivatives(monkeypatch, cfg, alter)
@@ -350,15 +413,15 @@ class TestScanLevel:
         else:
             with pytest.raises(NonConvergedError, match="no sign change"):
                 find_equilibrium(cfg, quad)
-        assert [n for scan, n, _ in calls if scan] == [32, 64]
+        assert [n for scan, n, _, _ in calls if scan] == [16, 32, 64]
 
-    def test_half_level_scan_hides_no_root(self, quad):
-        # The 21-point scan one level below n_frozen against a 301-point scan
-        # at n_frozen over the same admissible segments: the same number of
-        # sign changes, each dense one inside a coarse bracket.  The
-        # near-planet cells freeze at n = 128-512; a dense scan at n = 1024
-        # alone would take about 6 s, and the near-planet golden window
-        # holds cells at that level to the stored statuses and roots.
+    def test_certified_scan_hides_no_root(self, quad):
+        # The 21-point certified scan against a 301-point scan at n_frozen
+        # over the same admissible segments: the same number of sign
+        # changes, each dense one inside a coarse bracket.  The near-planet
+        # cells freeze at n = 128-512; a dense scan at n = 1024 alone would
+        # take about 6 s, and the near-planet golden window holds cells at
+        # that level to the stored statuses and roots.
         rng = np.random.default_rng(20261021)
         cells = [(rng.uniform(0.05, 0.55), rng.uniform(0.05, 0.85))
                  for _ in range(11)]
@@ -370,10 +433,9 @@ class TestScanLevel:
         for a, eJ in cells:
             cfg = OrbitConfig(a=float(a), e_J=float(eJ))
             scan, mask, e_probe = _scan_grid(cfg)
-            _, _, n_frozen, n_scan = _derivatives(cfg, e_probe, quad)
+            _, _, n_frozen = _derivatives(cfg, e_probe, quad)
             coarse = np.full(scan.shape, math.nan)
-            coarse[mask] = kernels.quarter_sums(
-                cfg.a, scan[mask], cfg.e_J, n_scan, n_scan, order=1)[1]
+            coarse[mask] = _certified_scan(cfg, scan[mask], n_frozen)
             brackets = {k for k in sign_changes(coarse)
                         if mask[k] and mask[k + 1]}
             segments = [k for k in range(len(scan) - 1) if mask[k] and mask[k + 1]]
@@ -387,6 +449,39 @@ class TestScanLevel:
             assert set(dense_changes) <= brackets, (a, eJ)
             found += len(brackets) > 0
         assert found >= 20
+
+    def test_plateau_point_certifies_below_it(self, quad):
+        # At (0.97, 0.5), e = 0.50005, R_e sits on a positive plateau before
+        # it settles negative.  A rule on the change alone would certify
+        # +0.264 at n = 32; with n_frozen = 512 the first level the scan
+        # may certify at is 64, and the sign it certifies is the n = 256
+        # value's.
+        cfg = OrbitConfig(a=0.97, e_J=0.5)
+        scan, mask, e_probe = _scan_grid(cfg)
+        e = 0.50005
+        assert e in scan[mask]
+        assert _derivatives(cfg, e_probe, quad)[2] == 512
+        levels = scan_levels(cfg, np.array([e]), 256)
+        assert [round(float(levels[n][0]), 4) for n in levels] == [
+            0.3374, 0.2643, 0.0095, -0.1629, -0.174]
+        assert abs(levels[32][0]) > 3.0 * abs(levels[32][0] - levels[16][0])
+        got = _certified_scan(cfg, np.array([e]), 512)
+        assert got[0] == levels[256][0] < 0.0
+
+    def test_slow_point_takes_the_sign_of_a_fine_level(self, quad):
+        # At (0.473, 0.52), e = 2e-4 (separation 0.0068), R_e at n = 32 is
+        # 28% off its n = 1024 value; the scan certifies the sign of that
+        # value.
+        cfg = OrbitConfig(a=0.473, e_J=0.52)
+        scan, mask, e_probe = _scan_grid(cfg)
+        e = 2e-4
+        assert e in scan[mask]
+        fine = kernels.quarter_sums(cfg.a, e, cfg.e_J, 1024, 1024, order=1)[1]
+        coarse = kernels.quarter_sums(cfg.a, e, cfg.e_J, 32, 32, order=1)[1]
+        assert 0.27 < abs(coarse - fine) / abs(fine) < 0.29
+        _, _, n_frozen = _derivatives(cfg, e_probe, quad)
+        got = _certified_scan(cfg, np.array([e]), n_frozen)
+        assert np.sign(got[0]) == np.sign(fine)
 
 
 class TestPlanarHessian:

@@ -114,3 +114,45 @@ def _peak_bytes(fn, *args, **kwargs):
 def test_working_set_below_8_mib(fn, args, kwargs):
     # One call at n = 1024 keeps its temporaries in cache-sized chunks.
     assert _peak_bytes(fn, *args, **kwargs) < 8 * 2**20
+
+
+CACHES = [kernels._planet_nodes, kernels._row_anomalies]
+
+
+def _all_kernels(e):
+    """Every kernel's output at a near-planet (a, eJ), as bytes."""
+    a, _, eJ = NEAR_PLANET
+    outs = [kernels.quarter_sums(a, e, eJ, 64, 64, order=order)
+            for order in (0, 1, 2)]
+    if np.ndim(e) == 0:
+        outs.append((kernels.bbar_mean(a, e, eJ, 64, 64),))
+        outs.append(kernels.rbar_rotated_mean(a, e, eJ, 0.6, 0.8, 64, 64))
+    return [np.asarray(v).tobytes() for out in outs for v in out]
+
+
+class TestNodeTableCache:
+    def test_tables_are_read_only(self):
+        tables = (*kernels._planet_nodes(64, np.pi, 0.3),
+                  *kernels._row_anomalies(64, 2.0 * np.pi))
+        assert all(not t.flags.writeable for t in tables)
+        with pytest.raises(ValueError, match="read-only"):
+            tables[0][0] = 1.0
+
+    @pytest.mark.parametrize("e", [NEAR_PLANET[1], np.linspace(0.02, 0.75, 21)],
+                             ids=["scalar", "batch-21"])
+    def test_cold_and_warm_cache_give_the_same_bytes(self, e):
+        for cache in CACHES:
+            cache.cache_clear()
+        cold = _all_kernels(e)
+        assert all(cache.cache_info().currsize > 0 for cache in CACHES)
+        warm = _all_kernels(e)
+        assert all(cache.cache_info().hits > 0 for cache in CACHES)
+        assert warm == cold
+
+    def test_caches_are_bounded(self):
+        for eJ in np.linspace(0.0, 0.9, 3 * kernels._TABLE_CACHE_SIZE):
+            kernels.quarter_sums(0.4, 0.17, float(eJ), 16, 16)
+        for cache in CACHES:
+            info = cache.cache_info()
+            assert info.maxsize == kernels._TABLE_CACHE_SIZE
+            assert info.currsize <= info.maxsize
