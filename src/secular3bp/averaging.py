@@ -25,6 +25,8 @@ identically; ``averaged_coefficients`` evaluates it over the full domain
 as a numerical invariant.  On the quarter domain (r2^3 - r1^3) y yJ >= 0
 pointwise, which forces Abar < 0.  With y, yJ > 0 at every midpoint this
 is the sign of 1/r1^3 - 1/r2^3, asserted at every node of each evaluation.
+One doubling, ``_point_quadrature``, converges the coefficients both for
+``averaged_coefficients`` and, with the derivatives, at an equilibrium.
 """
 
 import math
@@ -158,48 +160,59 @@ def _doubling(eval_at, quad: QuadratureSpec, floors):
         last_error = float(np.max(err))
 
 
-def _coefficient_sums(cfg: OrbitConfig, e, n, sums):
-    """(a_mean, c_mean, b_mean) of one level, with the pointwise Abar check.
+# Convergence floors of each doubling, keyed by kernels.quarter_sums order:
+# its sums in kernel order without min_factor, then the Bbar mean at orders
+# 0 and 2.  R and the coefficient means are relative; the derivatives (R_e
+# vanishes at the roots) and the identically-zero Bbar are absolute at tol,
+# on the natural O(1) scale of the disturbing function.
+_FLOORS = {
+    0: (_SCALE_FLOOR, _SCALE_FLOOR, _SCALE_FLOOR, 1.0),
+    1: (_SCALE_FLOOR, 1.0),
+    2: (_SCALE_FLOOR, 1.0, 1.0, 1.0, _SCALE_FLOOR, _SCALE_FLOOR, 1.0),
+}
 
-    ``sums`` is a scalar ``kernels.quarter_sums`` result at order 0 or 2,
-    whose last three entries are (a_mean, c_mean, min_factor); the
-    full-domain Bbar mean is evaluated at the same n.
+
+def _point_quadrature(cfg: OrbitConfig, e, quad: QuadratureSpec, order):
+    """Derivatives and AveragedCoefficients at (e, g = 0) from one doubling.
+
+    Each level is one ``kernels.quarter_sums`` row pass at ``order`` 0 or
+    2 and the full-domain Bbar mean at the same n, converged together
+    under ``_FLOORS[order]``.  Checks: the exact 1e-3 separation, the sign
+    of the Abar kernel factor (min_factor) at every level and Abar < 0.
+    Returns (derivatives, coefficients, nodes), derivatives being
+    (R_e, R_ee, R_gg) at order 2 and () at order 0.
     """
-    a_mean, c_mean, min_factor = sums[-3:]
-    if min_factor < 0.0:
-        raise RuntimeError(
-            "internal error: the Abar kernel factor 1/r1^3 - 1/r2^3 "
-            f"went negative ({min_factor:.3e}) on the quarter grid"
-        )
-    return a_mean, c_mean, kernels.bbar_mean(cfg.a, e, cfg.e_J, n, n)
+    _check_separation(cfg, e)
 
+    def eval_at(n):
+        *sums, min_factor = kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n,
+                                                 order=order)
+        if min_factor < 0.0:
+            raise RuntimeError(
+                "internal error: the Abar kernel factor 1/r1^3 - 1/r2^3 "
+                f"went negative ({min_factor:.3e}) on the quarter grid"
+            )
+        return (*sums, kernels.bbar_mean(cfg.a, e, cfg.e_J, n, n))
 
-# Convergence floors of (a_mean, c_mean, b_mean).  Bbar is identically
-# zero: it converges absolutely at tol, on the natural O(1) scale of the
-# disturbing function.
-_COEFFICIENT_FLOORS = (_SCALE_FLOOR, _SCALE_FLOOR, 1.0)
-
-
-def _coefficients(cfg: OrbitConfig, e, values, errors) -> AveragedCoefficients:
-    """AveragedCoefficients from converged (Rbar, a_mean, c_mean, b_mean)
-    and their doubling errors; raises RuntimeError unless Abar < 0."""
-    rbar, a_mean, c_mean, b_mean = values
+    vals, errs, nodes = _doubling(eval_at, quad, _FLOORS[order])
+    # (Rbar, ..., a_mean, c_mean, b_mean): Abar, Cbar, Bbar from the last three.
     G = cfg.G_of(e)
-    abar = -a_mean / G
+    abar = -vals[-3] / G
     if not abar < 0.0:
         raise RuntimeError(
             f"internal error: Abar = {abar} is not negative for a "
             "non-crossing configuration"
         )
     err = {
-        "Rbar": float(errors[0]),
-        "Abar": float(errors[1] / G),
-        "Cbar": float(errors[2] / G),
-        "Bbar": float(errors[3] / (4.0 * G)),
+        "Rbar": float(errs[0]),
+        "Abar": float(errs[-3] / G),
+        "Cbar": float(errs[-2] / G),
+        "Bbar": float(errs[-1] / (4.0 * G)),
     }
-    return AveragedCoefficients(Rbar=float(rbar), Abar=float(abar),
-                                Bbar=float(-b_mean / (4.0 * G)),
-                                Cbar=float(-c_mean / G), err=err)
+    coeffs = AveragedCoefficients(Rbar=float(vals[0]), Abar=float(abar),
+                                  Bbar=float(-vals[-1] / (4.0 * G)),
+                                  Cbar=float(-vals[-2] / G), err=err)
+    return tuple(vals[1:-3]), coeffs, nodes
 
 
 def averaged_coefficients(cfg: OrbitConfig, e,
@@ -209,9 +222,10 @@ def averaged_coefficients(cfg: OrbitConfig, e,
     Rbar, Abar, Cbar come from one quarter-domain evaluation; Bbar (whose
     exact value is 0 by symmetry) is evaluated over the full domain at the
     same resolution.  Bbar is a numerical invariant: callers assert that it
-    sits below the quadrature tolerance.  A located equilibrium's root
-    quadrature gives the same coefficients from its own row pass
-    (``equilibrium.find_equilibrium``).
+    sits below the quadrature tolerance.  This is ``_point_quadrature`` at
+    order 0; a located equilibrium's root runs it at order 2
+    (``equilibrium.find_equilibrium``) and gets these coefficients from
+    its own row pass.
 
     Raises:
         OrbitCrossingError: Orbits closer than the separation threshold.
@@ -222,12 +236,4 @@ def averaged_coefficients(cfg: OrbitConfig, e,
     """
     if not (0.0 <= e < 1.0):
         raise ValueError(f"eccentricity must be in [0, 1), got {e}")
-    _check_separation(cfg, e)
-
-    def eval_all(n):
-        sums = kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n)
-        return (sums[0], *_coefficient_sums(cfg, e, n, sums))
-
-    vals, errs, _ = _doubling(
-        eval_all, quad, floors=(_SCALE_FLOOR, *_COEFFICIENT_FLOORS))
-    return _coefficients(cfg, e, vals, errs)
+    return _point_quadrature(cfg, e, quad, 0)[1]

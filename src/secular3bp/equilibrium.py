@@ -22,10 +22,11 @@ the first level n >= max(N_START, n_frozen / 8) where |R_e| exceeds three
 times its change from n / 2, or n_frozen (:func:`_certified_scan`).  The
 residual and the planar Hessian come from one quadrature converged at the
 root itself, and a root whose residual fails there is solved again at
-that level.  The same quadrature folds in the root's spatial coefficients:
-the order-2 row pass also gives the Abar and Cbar sums, so one doubling
-converges the Hessian terms and Rbar, Abar, Bbar and Cbar together, and
-the record carries them for ``stability.classify_spatial``.
+that level.  That quadrature is ``averaging._point_quadrature`` at order
+2, the doubling ``averaged_coefficients`` runs at order 0: the order-2 row
+pass also gives the Abar and Cbar sums, so one doubling converges the
+Hessian terms and Rbar, Abar, Bbar and Cbar together, and the record
+carries them for ``stability.classify_spatial``.
 """
 
 import functools
@@ -36,16 +37,13 @@ import numpy as np
 
 from . import kernels
 from .averaging import (
-    _COEFFICIENT_FLOORS,
-    _SCALE_FLOOR,
+    _FLOORS,
     DEFAULT_SEPARATION_THRESHOLD,
     N_START,
     AveragedCoefficients,
     QuadratureSpec,
-    _check_separation,
-    _coefficient_sums,
-    _coefficients,
     _doubling,
+    _point_quadrature,
 )
 from .errors import NonConvergedError
 from .geometry import (
@@ -97,13 +95,6 @@ _ROOT_RESIDUAL_TOL = 1e-11
 # changes which sign changes it sees, and with them borderline verdicts.
 _SCAN_INSET = 1e-4
 
-# Convergence floors of (R, R_e, R_ee, R_gg): R relative, its derivatives
-# absolute at tol on the O(1) scale of the disturbing function.  R_e
-# vanishes at the roots; R_ee and R_gg make the Hessian and are certified
-# like the rest.
-_DERIVATIVE_FLOORS = (_SCALE_FLOOR, 1.0, 1.0, 1.0)
-_SLOPE_FLOORS = _DERIVATIVE_FLOORS[:2]
-
 # The scan's rule (see _certified_scan).  Below n_frozen / 8, R_e can sit on
 # a plateau (at (0.97, 0.5) and e = 0.50005: +0.264 at n = 32, -0.174 at 256).
 _SIGN_MARGIN = 3.0
@@ -144,7 +135,7 @@ def _derivatives(cfg, e, quad):
     def eval_at(n):
         return kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n, order=1)[:2]
 
-    return _doubling(eval_at, quad, floors=_SLOPE_FLOORS)
+    return _doubling(eval_at, quad, floors=_FLOORS[1])
 
 
 def _certified_scan(cfg, es, n_frozen):
@@ -165,29 +156,6 @@ def _certified_scan(cfg, es, n_frozen):
         values[todo[done]] = cur[done]
         todo, prev, n = todo[~done], cur[~done], 2 * n
     return values
-
-
-def _root_quadrature(cfg, e, quad):
-    """(R_e, R_ee, R_gg) and the AveragedCoefficients at (e, g = 0).
-
-    One doubling of the order-2 row pass, with the full-domain Bbar mean
-    at each level, converges the derivatives absolutely at the tolerance
-    and Rbar, Abar, Bbar and Cbar as ``averaged_coefficients`` does, with
-    its checks: the exact 1e-3 separation, the sign of the Abar kernel
-    factor at every level and Abar < 0.  Where both stop at one level the
-    coefficients are its bytes.  Returns (derivatives, coefficients,
-    nodes).
-    """
-    _check_separation(cfg, e)
-
-    def eval_at(n):
-        sums = kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n, order=2)
-        return (*sums[:4], *_coefficient_sums(cfg, e, n, sums))
-
-    vals, errs, nodes = _doubling(
-        eval_at, quad, floors=_DERIVATIVE_FLOORS + _COEFFICIENT_FLOORS)
-    coeffs = _coefficients(cfg, e, (vals[0], *vals[4:]), (errs[0], *errs[4:]))
-    return vals[1:4], coeffs, nodes
 
 
 def brentq(f, xa, xb, xtol):
@@ -326,9 +294,9 @@ def planar_hessian(cfg: OrbitConfig, e_star, quad: QuadratureSpec):
         hess_pq = 0
 
     exactly (R is even in g, so R_eg vanishes at g = 0); it holds at any
-    e_star, not only at a root.  R_e, R_ee and R_gg come from the root
-    quadrature of :func:`find_equilibrium` at e_star, so at a located root
-    this is the record's Hessian (see :func:`kernels.quarter_sums`).
+    e_star, not only at a root.  R_e, R_ee and R_gg come from the order-2
+    ``_point_quadrature`` at e_star, as in :func:`find_equilibrium`, so at
+    a located root this is the record's Hessian.
 
     The mass fraction enters the canonical chart only through the overall
     scale L = sqrt((1-mu) a), so the chain rule is applied in the mu-free
@@ -345,7 +313,7 @@ def planar_hessian(cfg: OrbitConfig, e_star, quad: QuadratureSpec):
     """
     if not (0.0 < e_star < 1.0):
         raise ValueError(f"eccentricity must be in (0, 1), got {e_star}")
-    (r_e, r_ee, r_gg), _, _ = _root_quadrature(cfg, e_star, quad)
+    (r_e, r_ee, r_gg), _, _ = _point_quadrature(cfg, e_star, quad, 2)
     return _chain_rule_hessian(cfg, e_star, r_e, r_ee, r_gg)
 
 
@@ -459,8 +427,8 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
                     f"dRbar/de has no sign change on [{e1:.15g}, {e2:.15g}] "
                     f"at n = {n} {where}", nodes=n)
             e_root = brentq(functools.partial(slope, n), e1, e2, 1e-15)
-            (r_e, r_ee, r_gg), coeffs, nodes = _root_quadrature(
-                cfg, e_root, quad)
+            (r_e, r_ee, r_gg), coeffs, nodes = _point_quadrature(
+                cfg, e_root, quad, 2)
             resid = abs(float(r_e))
         hess = _chain_rule_hessian(cfg, e_root, r_e, r_ee, r_gg)
         records.append(

@@ -42,16 +42,12 @@ _CHUNK_NODES = 1 << 16
 _TABLE_CACHE_SIZE = 32
 
 
-def _ellipse_nodes(E, a, e):
-    """Orbital-plane position (x, y) and Kepler weight 1 - e cos E at anomalies E.
+def _ellipse_at(c, s, a, e):
+    """Orbital-plane position (x, y) and Kepler weight 1 - e cos E at the
+    anomalies E with cosines c and sines s.
 
     With ``a = 1`` and ``e = eJ`` this is the planet's ellipse.
     """
-    return _ellipse_at(np.cos(E), np.sin(E), a, e)
-
-
-def _ellipse_at(c, s, a, e):
-    """:func:`_ellipse_nodes` from the anomalies' cosines c and sines s."""
     return a * (c - e), a * np.sqrt(1.0 - e * e) * s, 1.0 - e * c
 
 
@@ -138,7 +134,7 @@ def quarter_sums(a, e, eJ, n1, n2, order=0):
                           for t in _row_anomalies(n1, np.pi))
     x_rows, y_rows, w_rows = _ellipse_at(cos_rows, sin_rows, a, e_rows)
     rows = np.empty(((3, 2, 6)[order], ev.size * n1))
-    mins = np.full(ev.size, np.inf)
+    mins = np.full(ev.size, np.inf) if order != 1 else None
     for lo, hi, (dx2, s1, s2, u1, u2, dv) in _row_blocks(ev.size * n1, n2, 6):
         out = rows[:, lo:hi]
         ek, x, y = e_rows[lo:hi], x_rows[lo:hi], y_rows[lo:hi]

@@ -21,7 +21,8 @@ None of this is on the package's CLI or pipeline path:
 * ``quarter_sums_reference``, ``bbar_mean_reference`` and
   ``vbar_mean_reference`` evaluate the coefficient integrands node by node
   over whole 2-D grids in the forms the formulas are written in, the
-  reference for the row-reduced kernels in ``kernels``.
+  reference for the row-reduced kernels in ``kernels``; ``ellipse_nodes``
+  feeds them the kernels' own ellipse sampler at given anomalies.
 """
 
 import math
@@ -308,14 +309,19 @@ class PlanarState:
         return abs(lhs - rhs) <= tol * max(1.0, abs(rhs))
 
 
+def ellipse_nodes(E, a, e):
+    """``kernels._ellipse_at`` at the anomalies E: (x, y, 1 - e cos E)."""
+    return kernels._ellipse_at(np.cos(E), np.sin(E), a, e)
+
+
 def quarter_sums_reference(a, e, eJ, n1, n2):
     """``kernels.quarter_sums`` from whole-grid temporaries.
 
     Its min_factor is the smallest sampled (r2^3 - r1^3) y yJ, the Abar
     integrand factor itself.
     """
-    xJ, yJ, wJ = kernels._ellipse_nodes(kernels._midpoints(n2, np.pi), 1.0, eJ)
-    x, y, wi = kernels._ellipse_nodes(kernels._midpoints(n1, np.pi), a, e)
+    xJ, yJ, wJ = ellipse_nodes(kernels._midpoints(n2, np.pi), 1.0, eJ)
+    x, y, wi = ellipse_nodes(kernels._midpoints(n1, np.pi), a, e)
     w = np.outer(wi, wJ)
     dx = x[:, None] - xJ[None, :]
     r1 = np.sqrt(dx**2 + (y[:, None] - yJ[None, :]) ** 2)
@@ -333,9 +339,8 @@ def quarter_sums_reference(a, e, eJ, n1, n2):
 
 def bbar_mean_reference(a, e, eJ, n1, n2):
     """``kernels.bbar_mean`` from whole-grid temporaries."""
-    xJ, yJ, wJ = kernels._ellipse_nodes(
-        kernels._midpoints(n2, 2.0 * np.pi), 1.0, eJ)
-    x, y, wi = kernels._ellipse_nodes(kernels._midpoints(n1, 2.0 * np.pi), a, e)
+    xJ, yJ, wJ = ellipse_nodes(kernels._midpoints(n2, 2.0 * np.pi), 1.0, eJ)
+    x, y, wi = ellipse_nodes(kernels._midpoints(n1, 2.0 * np.pi), a, e)
     w = np.outer(wi, wJ)
     r1 = np.sqrt((x[:, None] - xJ[None, :]) ** 2 + (y[:, None] - yJ[None, :]) ** 2)
     return float(np.sum(w * (np.outer(x, yJ) + np.outer(y, xJ)) / r1**3)) / (n1 * n2)
@@ -343,10 +348,8 @@ def bbar_mean_reference(a, e, eJ, n1, n2):
 
 def vbar_mean_reference(a, e, eJ, m00, m01, m10, m11, m20, m21, n1, n2):
     """``kernels.vbar_mean`` from whole-grid temporaries."""
-    xJ, yJ, wJ = kernels._ellipse_nodes(
-        kernels._midpoints(n2, 2.0 * np.pi), 1.0, eJ)
-    xp, yp, wi = kernels._ellipse_nodes(
-        kernels._midpoints(n1, 2.0 * np.pi), a, e)
+    xJ, yJ, wJ = ellipse_nodes(kernels._midpoints(n2, 2.0 * np.pi), 1.0, eJ)
+    xp, yp, wi = ellipse_nodes(kernels._midpoints(n1, 2.0 * np.pi), a, e)
     x = m00 * xp + m01 * yp
     y = m10 * xp + m11 * yp
     z = m20 * xp + m21 * yp

@@ -9,20 +9,16 @@ from scipy.special import ellipk
 from oracles import mean_anomaly_rbar, rbar_fine, rx, rz, solve_kepler
 from secular3bp import kernels, validate
 from secular3bp.averaging import (
-    _COEFFICIENT_FLOORS,
+    _FLOORS,
     _SCALE_FLOOR,
     N_START,
     AveragedCoefficients,
     QuadratureSpec,
     _doubling,
+    _point_quadrature,
     averaged_coefficients,
 )
-from secular3bp.equilibrium import (
-    _DERIVATIVE_FLOORS,
-    _SAFE_SEPARATION,
-    _root_quadrature,
-    planar_hessian,
-)
+from secular3bp.equilibrium import _SAFE_SEPARATION, planar_hessian
 from secular3bp.errors import NonConvergedError, OrbitCrossingError
 from secular3bp.geometry import (
     OrbitConfig,
@@ -324,7 +320,7 @@ class TestDoublingControl:
         # leaves it no way out through the other components.
         cfg = OrbitConfig(a=0.4, e_J=0.3)
         e = 0.22
-        _, _, clean_n = _root_quadrature(cfg, e, quad)
+        _, _, clean_n = _point_quadrature(cfg, e, quad, 2)
         kernel = kernels.quarter_sums
 
         def planted(a, e, eJ, n1, n2, order=0):
@@ -335,7 +331,7 @@ class TestDoublingControl:
             return out
 
         monkeypatch.setattr(kernels, "quarter_sums", planted)
-        (_, _, planted_gg), _, n = _root_quadrature(cfg, e, quad)
+        (_, _, planted_gg), _, n = _point_quadrature(cfg, e, quad, 2)
         assert clean_n <= 128 and n == 1024
         assert planted_gg == kernel(cfg.a, e, cfg.e_J, n, n, order=2)[3]
 
@@ -395,10 +391,9 @@ class TestDoublingControl:
             50, seed=20261020)
         worst = worst_err = 0.0
         for points, order, floors, run in (
-                (root, 2, _DERIVATIVE_FLOORS + _COEFFICIENT_FLOORS,
-                 lambda *args: _root_quadrature(*args)[1]),
-                (coeff, 0, (_SCALE_FLOOR, *_COEFFICIENT_FLOORS),
-                 averaged_coefficients)):
+                (root, 2, _FLOORS[2],
+                 lambda *args: _point_quadrature(*args, 2)[1]),
+                (coeff, 0, _FLOORS[0], averaged_coefficients)):
             for a, e, eJ in points:
                 cfg = OrbitConfig(a=a, e_J=eJ)
                 out = []

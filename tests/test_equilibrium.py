@@ -15,6 +15,7 @@ from secular3bp import equilibrium, kernels
 from secular3bp.averaging import (
     DEFAULT_SEPARATION_THRESHOLD,
     N_START,
+    _point_quadrature,
     averaged_coefficients,
 )
 from secular3bp.equilibrium import (
@@ -24,7 +25,6 @@ from secular3bp.equilibrium import (
     STATUS_ORBIT_CROSSING,
     _certified_scan,
     _derivatives,
-    _root_quadrature,
     _scan_grid,
     find_equilibrium,
     planar_hessian,
@@ -76,7 +76,7 @@ class TestDerivative:
     @pytest.mark.parametrize("a, eJ, e0", [(0.4, 0.3, 0.22), (2.5, 0.4, 0.18)])
     def test_second_derivatives_against_richardson(self, quad, a, eJ, e0):
         cfg = OrbitConfig(a=a, e_J=eJ)
-        (_, r_ee, r_gg), _, _ = _root_quadrature(cfg, e0, quad)
+        (_, r_ee, r_gg), _, _ = _point_quadrature(cfg, e0, quad, 2)
         want_ee = richardson_second(lambda e: rbar_fine(cfg, e), e0, 1e-3)
         want_gg = richardson_second(lambda g: rbar_fine(cfg, e0, g=g), 0.0, 1e-3)
         assert r_ee == pytest.approx(want_ee, rel=1e-6)
@@ -551,7 +551,7 @@ class TestFoldedCoefficients:
         rec = find_equilibrium(cfg, quad)
         want = averaged_coefficients(cfg, rec.e_star, quad)
         assert accepted_level(
-            monkeypatch, lambda: _root_quadrature(cfg, rec.e_star, quad)) == \
+            monkeypatch, lambda: _point_quadrature(cfg, rec.e_star, quad, 2)) == \
             accepted_level(
                 monkeypatch, lambda: averaged_coefficients(cfg, rec.e_star, quad))
         assert rec.coefficients == want
@@ -559,23 +559,33 @@ class TestFoldedCoefficients:
             assert getattr(rec.coefficients, name).hex() == \
                 getattr(want, name).hex()
 
-    @pytest.mark.parametrize("index, match", [
-        (6, "went negative"),  # min_factor
-        (4, "is not negative"),  # a_mean, giving Abar >= 0
+    @pytest.mark.parametrize("order, index, match", [
+        pytest.param(2, 6, "went negative", id="6-went negative"),  # min_factor
+        # a_mean, giving Abar >= 0
+        pytest.param(2, 4, "is not negative", id="4-is not negative"),
+        pytest.param(0, 3, "went negative", id="order0-3-went negative"),
+        pytest.param(0, 1, "is not negative", id="order0-1-is not negative"),
     ])
-    def test_planted_sign_defects_raise(self, quad, monkeypatch, index, match):
-        # The folded path keeps averaged_coefficients' two sign checks.
+    def test_planted_sign_defects_raise(self, quad, monkeypatch, order, index,
+                                        match):
+        # Both orders of the point quadrature keep the two sign checks: the
+        # root's order 2 through find_equilibrium, order 0 through
+        # averaged_coefficients.
         kernel = kernels.quarter_sums
+        cfg = OrbitConfig(a=0.4, e_J=0.3)
 
-        def planted(a, e, eJ, n1, n2, order=0):
-            out = kernel(a, e, eJ, n1, n2, order=order)
-            if order == 2:
+        def planted(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            if kwargs.get("order", 0) == order:
                 out = out[:index] + (-abs(out[index]) - 1.0,) + out[index + 1:]
             return out
 
         monkeypatch.setattr(kernels, "quarter_sums", planted)
         with pytest.raises(RuntimeError, match=match):
-            find_equilibrium(OrbitConfig(a=0.4, e_J=0.3), quad)
+            if order == 2:
+                find_equilibrium(cfg, quad)
+            else:
+                averaged_coefficients(cfg, 0.17, quad)
 
 
 class TestPlanarState:

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import orbit_min_separation, solve_kepler, support_separation
-from secular3bp import kernels
+from oracles import (
+    ellipse_nodes,
+    orbit_min_separation,
+    solve_kepler,
+    support_separation,
+)
 from secular3bp.geometry import (
     OrbitConfig,
     aligned_noncrossing_interval,
@@ -80,12 +84,13 @@ class TestSolveKepler:
 
 def ellipse_node(E, a, e):
     """One node (x, y, w) of the kernels' shared ellipse sampler."""
-    x, y, w = kernels._ellipse_nodes(np.array([E]), a, e)
+    x, y, w = ellipse_nodes(np.array([E]), a, e)
     return float(x[0]), float(y[0]), float(w[0])
 
 
 class TestPlanetPosition:
-    """The planet's ellipse is the kernels' node sampler with a = 1."""
+    """The planet's ellipse is the kernels' node sampler, ``_ellipse_at``,
+    with a = 1."""
 
     def test_periapsis(self):
         xJ, yJ, wJ = ellipse_node(0.0, 1.0, 0.2)
@@ -106,14 +111,14 @@ class TestPlanetPosition:
         rng = np.random.default_rng(3)
         EJ = rng.uniform(0.0, TWO_PI, 200)
         for eJ in rng.uniform(0.0, 0.95, 5):
-            xJ, yJ, wJ = kernels._ellipse_nodes(EJ, 1.0, eJ)
+            xJ, yJ, wJ = ellipse_nodes(EJ, 1.0, eJ)
             assert np.max(np.abs(np.hypot(xJ, yJ) - wJ)) < 1e-13
 
     def test_ellipse_equation(self):
         rng = np.random.default_rng(4)
         EJ = rng.uniform(0.0, TWO_PI, 100)
         for eJ in rng.uniform(0.0, 0.9, 5):
-            xJ, yJ, _ = kernels._ellipse_nodes(EJ, 1.0, eJ)
+            xJ, yJ, _ = ellipse_nodes(EJ, 1.0, eJ)
             lhs = (xJ + eJ) ** 2 + yJ**2 / (1.0 - eJ**2)
             assert np.max(np.abs(lhs - 1.0)) < 1e-12
 

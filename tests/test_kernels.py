@@ -75,8 +75,8 @@ class TestAbarFactorCheck:
     def test_negative_factor_is_internal_error(self, monkeypatch, quad):
         real = kernels.quarter_sums
 
-        def negative_factor(*args):
-            return real(*args)[:3] + (-1e-3,)
+        def negative_factor(*args, **kwargs):
+            return real(*args, **kwargs)[:3] + (-1e-3,)
 
         monkeypatch.setattr(kernels, "quarter_sums", negative_factor)
         with pytest.raises(RuntimeError, match="^internal error: "):
