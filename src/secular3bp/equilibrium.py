@@ -19,19 +19,21 @@ Brent runs at one frozen node count n_frozen per cell, which keeps the
 derivative it solves a single analytic function of e; Brent and the root
 stay at that level or finer.  The scan needs only signs: each point takes
 the first level n >= max(N_START, n_frozen / 8) where |R_e| exceeds three
-times its change from n / 2, or n_frozen (:func:`_certified_scan`).  The
-residual and the planar Hessian come from one quadrature converged at the
-root itself, and a root whose residual fails there is solved again at
-that level.  That quadrature is ``averaging._point_quadrature`` at order
-2, the doubling ``averaged_coefficients`` runs at order 0: the order-2 row
-pass also gives the Abar and Cbar sums, so one doubling converges the
-Hessian terms and Rbar, Abar, Bbar and Cbar together, and the record
-carries them for ``stability.classify_spatial``.
+times its change from n / 2, or n_frozen (:func:`_certified_scan`).  Every
+R_e of the cell comes from one evaluator (:func:`_slopes`) that computes
+each (n, e) once, so Brent's first two evaluations read the bracket ends
+back and a rescan reuses the values held at n_frozen.  The residual and
+the planar Hessian come from one quadrature converged at the root itself,
+and a root whose residual fails there is solved again at that level.
+That quadrature is ``averaging._point_quadrature`` at order 2, the
+doubling ``averaged_coefficients`` runs at order 0: the order-2 row pass
+also gives the Abar and Cbar sums, so one doubling converges the Hessian
+terms and Rbar, Abar, Bbar and Cbar together, and the record carries
+them for ``stability.classify_spatial``.
 """
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,38 +121,54 @@ class EquilibriumRecord:
     hessian_definite: str
     status: str
     coefficients: AveragedCoefficients | None
-    all_roots: tuple = field(default_factory=tuple)
-    message: str = ""
+    all_roots: tuple
+    message: str
 
 
-def _derivatives(cfg, e, quad):
-    """Converged (R, R_e) at g = 0: (values, errors, nodes).
+def _unlocated(status, definite, all_roots, message):
+    """The record of a cell with no located stable root."""
+    return EquilibriumRecord(
+        e_star=math.nan, residual=math.nan, hessian=None,
+        hessian_definite=definite, status=status, coefficients=None,
+        all_roots=all_roots, message=message)
 
-    Node doubling stops once R is certified to the relative tolerance and
-    R_e to the same tolerance in absolute terms.
+
+def _slopes(cfg):
+    """The cell's one source of (R, R_e) at g = 0, each (n, e) computed once.
+
+    ``at(n, es)`` returns the rows (R, R_e) at each e of ``es`` with n nodes
+    per anomaly.  The pairs not yet held are computed in one batched
+    ``kernels.quarter_sums`` call and kept; a value's bytes do not depend
+    on the rest of the batch, so a kept value is the one a fresh call gives.
     """
-    if not (0.0 <= e < 1.0):
-        raise ValueError(f"eccentricity must be in [0, 1), got {e}")
+    levels = {}
 
-    def eval_at(n):
-        return kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n, order=1)[:2]
+    def at(n, es):
+        held = levels.setdefault(n, {})
+        es = np.asarray(es, dtype=float).tolist()
+        new = [e for e in dict.fromkeys(es) if e not in held]
+        if new:
+            sums = kernels.quarter_sums(cfg.a, np.array(new), cfg.e_J, n, n,
+                                        order=1)
+            held.update(zip(new, zip(*(s.tolist() for s in sums))))
+        return np.array([held[e] for e in es]).reshape(-1, 2).T
 
-    return _doubling(eval_at, quad, floors=_FLOORS[1])
+    return at
 
 
-def _certified_scan(cfg, es, n_frozen):
+def _certified_scan(at, es, n_frozen):
     """R_e at each e of ``es``, each at the level that certifies its sign.
 
-    The points double together from n = N_START / 2, one batched call per
-    level.  A point takes the first level n >= max(N_START, n_frozen / 8)
-    where |R_e(n)| > 3 |R_e(n) - R_e(n / 2)|, or n_frozen if none does.
+    The points double together from n = N_START / 2, one request to the
+    cell's ``at`` per level.  A point takes the first level n >= max(N_START,
+    n_frozen / 8) where |R_e(n)| > 3 |R_e(n) - R_e(n / 2)|, or n_frozen.
     Once the midpoint rule converges geometrically the remaining error is
     below the last change, so a certified sign is right.
     """
     values, todo, prev = np.empty(es.shape), np.arange(es.size), 0.0
     n, floor = N_START // 2, max(N_START, n_frozen // _SCAN_LEVEL_DIVISOR)
     while todo.size:
-        cur = kernels.quarter_sums(cfg.a, es[todo], cfg.e_J, n, n, order=1)[1]
+        cur = at(n, es[todo])[1]
         done = (n >= n_frozen) | ((n >= floor) & (
             np.abs(cur) > _SIGN_MARGIN * np.abs(cur - prev)))
         values[todo[done]] = cur[done]
@@ -355,18 +373,19 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
     """
     certified = _scan_grid(cfg)
     if certified is None:
-        return EquilibriumRecord(
-            e_star=math.nan, residual=math.nan, hessian=None,
-            hessian_definite=DEGENERATE, status=STATUS_ORBIT_CROSSING,
-            coefficients=None,
-            message="entire eccentricity bracket crosses (or nearly crosses) "
-                    "the planet orbit",
-        )
+        return _unlocated(
+            STATUS_ORBIT_CROSSING, DEGENERATE, (),
+            "entire eccentricity bracket crosses (or nearly crosses) the "
+            "planet orbit")
 
     # One frozen node count per cell keeps Brent's derivative an analytic
-    # function of e; probe at the best-separated admissible point.
+    # function of e; probe at the best-separated admissible point.  The
+    # scan's level N_START holds every point, the probe's first level too.
     scan, mask, e_probe = certified
-    _, _, n_frozen = _derivatives(cfg, e_probe, quad)
+    at = _slopes(cfg)
+    at(N_START, scan[mask])
+    _, _, n_frozen = _doubling(lambda n: at(n, [e_probe])[:, 0], quad,
+                               floors=_FLOORS[1])
 
     def brackets_of(scanned):
         values = np.full(scan.shape, math.nan)
@@ -376,37 +395,16 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
                 for k in range(len(scan) - 1) if mask[k] and mask[k + 1]
                 and (values[k] == 0.0 or neg[k] != neg[k + 1])]
 
-    # dRbar/de at bracket ends, keyed (n, e); the ends a level needs are
-    # evaluated in one batched call, which Brent's first two steps read.
-    ends = {}
-
-    def batch_ends(n, es):
-        es = sorted({e for e in es if (n, e) not in ends})
-        if es:
-            r_e = kernels.quarter_sums(cfg.a, np.array(es), cfg.e_J, n, n,
-                                       order=1)[1]
-            ends.update(((n, e), float(v)) for e, v in zip(es, r_e))
-
-    def slope(n, e):
-        if (n, e) in ends:
-            return ends[n, e]
-        return kernels.quarter_sums(cfg.a, e, cfg.e_J, n, n, order=1)[1]
-
     # A bracket whose ends lose their sign change at n_frozen sends the
     # cell back to a scan at n_frozen itself.
-    brackets = brackets_of(_certified_scan(cfg, scan[mask], n_frozen))
-    batch_ends(n_frozen, [e for bracket in brackets for e in bracket])
-    if any(ends[n_frozen, e1] * ends[n_frozen, e2] > 0.0
-           for (e1, e2) in brackets):
-        brackets = brackets_of(kernels.quarter_sums(
-            cfg.a, scan[mask], cfg.e_J, n_frozen, n_frozen, order=1)[1])
+    brackets = brackets_of(_certified_scan(at, scan[mask], n_frozen))
+    ends = at(n_frozen, [e for bracket in brackets for e in bracket])[1]
+    if np.any(ends[::2] * ends[1::2] > 0.0):
+        brackets = brackets_of(at(n_frozen, scan[mask])[1])
     if not brackets:
-        return EquilibriumRecord(
-            e_star=math.nan, residual=math.nan, hessian=None,
-            hessian_definite=DEGENERATE, status=STATUS_NO_ROOT,
-            coefficients=None,
-            message="dRbar/de has no sign change on the admissible bracket",
-        )
+        return _unlocated(
+            STATUS_NO_ROOT, DEGENERATE, (),
+            "dRbar/de has no sign change on the admissible bracket")
 
     records = []
     where = f"(a={cfg.a:g}, e_J={cfg.e_J:g})"
@@ -421,12 +419,12 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
                     f"{where}, converged at n = {nodes} after a solve at "
                     f"n = {n}", last_error=resid, nodes=nodes)
             n = nodes
-            batch_ends(n, (e1, e2))
-            if ends[n, e1] * ends[n, e2] > 0.0:
+            r_e1, r_e2 = at(n, (e1, e2))[1]
+            if r_e1 * r_e2 > 0.0:
                 raise NonConvergedError(
                     f"dRbar/de has no sign change on [{e1:.15g}, {e2:.15g}] "
                     f"at n = {n} {where}", nodes=n)
-            e_root = brentq(functools.partial(slope, n), e1, e2, 1e-15)
+            e_root = brentq(lambda e: at(n, [e])[1, 0], e1, e2, 1e-15)
             (r_e, r_ee, r_gg), coeffs, nodes = _point_quadrature(
                 cfg, e_root, quad, 2)
             resid = abs(float(r_e))
@@ -437,17 +435,14 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
     stable = [r for r in records if r[3] == POSITIVE_DEFINITE]
     all_roots = tuple(r[0] for r in records)
     if not stable:
-        return EquilibriumRecord(
-            e_star=math.nan, residual=math.nan, hessian=None,
-            hessian_definite=records[0][3], status=STATUS_NO_ROOT,
-            coefficients=None, all_roots=all_roots,
-            message="roots located but none has a positive-definite Hessian",
-        )
+        return _unlocated(
+            STATUS_NO_ROOT, records[0][3], all_roots,
+            "roots located but none has a positive-definite Hessian")
     # Prefer the smallest residual among stable roots.
     e_star, resid, hess, definite, coeffs = min(stable, key=lambda r: r[1])
     status = STATUS_FOUND if len(records) == 1 else STATUS_MULTIPLE_ROOTS
     return EquilibriumRecord(
         e_star=e_star, residual=resid, hessian=hess,
         hessian_definite=definite, status=status, coefficients=coeffs,
-        all_roots=all_roots,
+        all_roots=all_roots, message="",
     )

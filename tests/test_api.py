@@ -59,7 +59,7 @@ def test_benchmark_selftest_passes():
 # Settable values in the package: parameters with a default plus dataclass
 # fields with a default.  A value only one caller ever passes belongs in a
 # module constant; adding an option means raising this number on purpose.
-MAX_SETTABLE_VALUES = 16
+MAX_SETTABLE_VALUES = 14
 
 # Names in secular3bp.__all__.  Oracles live in validate.py or tests/, not
 # in the public API; adding a public name means raising this on purpose.
@@ -67,7 +67,7 @@ MAX_PUBLIC_NAMES = 23
 
 # Lines in src/secular3bp/*.py, as ``wc -l`` counts them.  Adding lines means
 # raising this on purpose; a change that removes lines may lower it.
-MAX_SRC_LINES = 2392
+MAX_SRC_LINES = 2387
 
 
 def _settable_values(tree):

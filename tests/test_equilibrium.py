@@ -13,8 +13,10 @@ from oracles import (
 )
 from secular3bp import equilibrium, kernels
 from secular3bp.averaging import (
+    _FLOORS,
     DEFAULT_SEPARATION_THRESHOLD,
     N_START,
+    _doubling,
     _point_quadrature,
     averaged_coefficients,
 )
@@ -24,8 +26,8 @@ from secular3bp.equilibrium import (
     STATUS_NO_ROOT,
     STATUS_ORBIT_CROSSING,
     _certified_scan,
-    _derivatives,
     _scan_grid,
+    _slopes,
     find_equilibrium,
     planar_hessian,
 )
@@ -35,9 +37,15 @@ from secular3bp.sweep import evaluate_cell
 from test_averaging import accepted_level
 
 
+def probe(cfg, e, quad):
+    """The cell's probe doubling of (R, R_e) at e: (values, errors, nodes)."""
+    at = _slopes(cfg)
+    return _doubling(lambda n: at(n, [e])[:, 0], quad, floors=_FLOORS[1])
+
+
 def analytic_derivatives(cfg, e, quad):
     """Converged (R, R_e) and their doubling errors."""
-    vals, errs, _ = _derivatives(cfg, e, quad)
+    vals, errs, _ = probe(cfg, e, quad)
     return vals, errs
 
 
@@ -67,8 +75,6 @@ class TestDerivative:
 
     def test_domain_error(self, quad):
         cfg = OrbitConfig(a=0.3, e_J=0.4)
-        with pytest.raises(ValueError):
-            analytic_derivatives(cfg, 1.5, quad)
         for e in (0.0, 1.5):
             with pytest.raises(ValueError):
                 planar_hessian(cfg, e, quad)
@@ -83,16 +89,24 @@ class TestDerivative:
         assert r_gg == pytest.approx(want_gg, rel=1e-6)
 
     def test_batch_matches_single_calls(self):
-        # At n = 1024 every e spans several kernel chunks.
+        # At n = 1024 every e spans several kernel chunks.  The cell's
+        # evaluator (_slopes) keeps order-1 values from batches of any size
+        # and reads them back for single points, so every order must give
+        # the same bytes for a scalar, a one-element array and a batch.
         a, eJ, n = 0.4, 0.3, 1024
         es = np.array([0.05, 0.12, 0.2, 0.31, 0.44])
         assert n * n > kernels._CHUNK_NODES
-        for order in (0, 2):
+        for order in (0, 1, 2):
             batch = kernels.quarter_sums(a, es, eJ, n, n, order=order)
-            single = [kernels.quarter_sums(a, float(e), eJ, n, n, order=order)
-                      for e in es]
-            for k in range(4):
-                assert np.array_equal(batch[k], [s[k] for s in single])
+            assert len(batch) == (4, 2, 7)[order]
+            for j, e in enumerate(es):
+                scalar = kernels.quarter_sums(a, float(e), eJ, n, n,
+                                              order=order)
+                one = kernels.quarter_sums(a, es[j:j + 1], eJ, n, n,
+                                           order=order)
+                for k, values in enumerate(batch):
+                    assert np.float64(scalar[k]).tobytes() == \
+                        values[j].tobytes() == one[k].tobytes()
 
     @pytest.mark.parametrize("n", [128, 1024])
     def test_second_leaves_first_rows_unchanged(self, n):
@@ -221,30 +235,43 @@ def sign_changes(values):
             if values[k] == 0.0 or neg[k] != neg[k + 1]]
 
 
-def recording_derivatives(monkeypatch, cfg, alter=None):
-    """Record (scan, n, order, points) for every derivative call of quarter_sums.
+def recording_requests(monkeypatch, cfg, alter=None):
+    """Record the cell's requests at its evaluator and its kernel calls.
 
-    ``scan`` marks a call of the certified scan or a rescan over all the
-    cell's admissible scan points, as opposed to a call over bracket ends
-    or at a single e; ``points`` is the number of e values in the call.
-    ``alter(calls, scan, n, e, out)`` may return replaced outputs;
-    ``calls`` holds the calls made before this one.
+    Returns (requests, calls).  A request at ``at`` (see
+    ``equilibrium._slopes``) is recorded as (kind, n, points): kind "scan"
+    inside the certified scan, "all" outside it for a request over all the
+    cell's admissible scan points (the first level before the probe, and
+    the rescan), else "other" (the probe, bracket ends and Brent).  A
+    derivative call of quarter_sums is recorded as (n, order, points).
+    ``alter(requests, kind, n, es, out)`` may replace the rows (R, R_e) a
+    request returns; ``requests`` holds the requests made before this one.
     """
     scan_grid, mask, _ = _scan_grid(cfg)
-    calls = []
-    scanning = []
+    requests, calls, scanning = [], [], []
     kernel = kernels.quarter_sums
+    slopes = equilibrium._slopes
     certified_scan = equilibrium._certified_scan
 
     def wrapped(a, e, eJ, n1, n2, order=0):
-        out = kernel(a, e, eJ, n1, n2, order=order)
         if order:
-            scan = bool(scanning) or (
-                np.ndim(e) > 0 and np.array_equal(e, scan_grid[mask]))
+            calls.append((n1, order, np.size(e)))
+        return kernel(a, e, eJ, n1, n2, order=order)
+
+    def recorded_slopes(cfg):
+        at = slopes(cfg)
+
+        def recorded_at(n, es):
+            es = np.asarray(es, dtype=float)
+            out = at(n, es)
+            kind = ("scan" if scanning else "all"
+                    if np.array_equal(es, scan_grid[mask]) else "other")
             if alter is not None:
-                out = alter(calls, scan, n1, e, out)
-            calls.append((scan, n1, order, np.size(e)))
-        return out
+                out = alter(requests, kind, n, es, out)
+            requests.append((kind, n, es.size))
+            return out
+
+        return recorded_at
 
     def recorded_scan(*args):
         scanning.append(True)
@@ -254,15 +281,16 @@ def recording_derivatives(monkeypatch, cfg, alter=None):
             scanning.pop()
 
     monkeypatch.setattr(kernels, "quarter_sums", wrapped)
+    monkeypatch.setattr(equilibrium, "_slopes", recorded_slopes)
     monkeypatch.setattr(equilibrium, "_certified_scan", recorded_scan)
-    return calls
+    return requests, calls
 
 
-def flip_at(target, e, out):
-    """Kernel outputs with R_e negated wherever the call's e equals target."""
-    r_e = out[1].copy()
-    r_e[np.asarray(e) == target] *= -1.0
-    return (out[0], r_e) + out[2:]
+def flip_at(target, es, out):
+    """Rows (R, R_e) with R_e negated wherever the request's e is target."""
+    out = out.copy()
+    out[1, es == target] *= -1.0
+    return out
 
 
 def far_scan_point(cfg):
@@ -302,7 +330,7 @@ class TestScanLevel:
             self, quad, monkeypatch, a, eJ, n_frozen, at_frozen):
         # Each scan point takes its value at the first level no lower than
         # max(N_START, n_frozen / 8) where |R_e| > 3 |change from the level
-        # below|, or at n_frozen; the scan makes one call per level over
+        # below|, or at n_frozen; the scan makes one request per level over
         # the points not yet certified, and never goes above n_frozen.  At
         # (0.9, 0.8) one point is still uncertified at 64 and takes its
         # value at n_frozen = 128.
@@ -311,21 +339,22 @@ class TestScanLevel:
         es = scan[mask]
         levels = scan_levels(cfg, es, n_frozen)
         own = [certified_level(levels, i, n_frozen) for i in range(es.size)]
-        got = _certified_scan(cfg, es, n_frozen)
+        got = _certified_scan(_slopes(cfg), es, n_frozen)
         assert got.tobytes() == np.array(
             [levels[n][i] for i, n in enumerate(own)]).tobytes()
         assert own.count(n_frozen) == at_frozen
-        calls = recording_derivatives(monkeypatch, cfg)
+        requests, calls = recording_requests(monkeypatch, cfg)
         rec = find_equilibrium(cfg, quad)
         assert rec.status == STATUS_FOUND
-        scans = [k for k, call in enumerate(calls) if call[0]]
+        scans = [k for k, req in enumerate(requests) if req[0] == "scan"]
         k = scans[0]
         assert scans == list(range(k, k + len(scans)))
-        assert max(n for _, n, _, _ in calls[:k]) == n_frozen  # the probe
-        assert [(n, size) for _, n, _, size in calls[k:k + len(scans)]] == [
+        assert requests[0] == ("all", N_START, es.size)
+        assert max(n for _, n, _ in requests[1:k]) == n_frozen  # the probe
+        assert [(n, size) for _, n, size in requests[k:k + len(scans)]] == [
             (n, sum(m >= n for m in own)) for n in levels if n <= max(own)]
-        brent = {n for _, n, order, _ in calls[k + len(scans):] if order == 1}
-        root = {n for _, n, order, _ in calls[k + len(scans):] if order == 2}
+        brent = {n for _, n, _ in requests[k + len(scans):]}
+        root = {n for n, order, _ in calls if order == 2}
         assert n_frozen in brent
         assert brent <= {n_frozen, max(root)}
 
@@ -336,18 +365,19 @@ class TestScanLevel:
         # times its change from n = 16, so all are certified there.
         cfg = OrbitConfig(a=0.85, e_J=0.2)
         scan, mask, e_probe = _scan_grid(cfg)
-        (_, r_e), _, n_frozen = _derivatives(cfg, e_probe, quad)
+        (_, r_e), _, n_frozen = probe(cfg, e_probe, quad)
         below = kernels.quarter_sums(cfg.a, e_probe, cfg.e_J, 64, 64,
                                      order=1)[1]
         assert n_frozen == 128
         assert abs(below - r_e) > quad.tol * max(abs(r_e), 1.0)
         levels = scan_levels(cfg, scan[mask], 32)
         assert np.all(np.abs(levels[32]) > 3.0 * np.abs(levels[32] - levels[16]))
-        got = _certified_scan(cfg, scan[mask], n_frozen)
+        got = _certified_scan(_slopes(cfg), scan[mask], n_frozen)
         assert got.tobytes() == levels[32].tobytes()
-        calls = recording_derivatives(monkeypatch, cfg)
+        requests, _ = recording_requests(monkeypatch, cfg)
         assert find_equilibrium(cfg, quad).status == STATUS_FOUND
-        assert [n for scan, n, _, _ in calls if scan] == [16, 32]
+        assert [(kind, n) for kind, n, _ in requests if kind != "other"] == [
+            ("all", 32), ("scan", 16), ("scan", 32)]
 
     def test_bracket_ends_in_one_batched_call(self, quad, monkeypatch):
         # (0.4, 0.3) has one bracket, solved at n_frozen = 64: its two ends
@@ -369,6 +399,45 @@ class TestScanLevel:
         assert e1 < rec.e_star < e2
         assert not any(es in ([e1], [e2]) for es in at_64)
 
+    @pytest.mark.parametrize("a, eJ, planted", [
+        (0.4, 0.3, False), (0.9, 0.8, False), (0.85, 0.2, False),
+        (0.4, 0.3, True)])
+    def test_each_slope_reaches_the_kernel_once(self, quad, monkeypatch, a,
+                                                eJ, planted):
+        # Probe, scan, bracket ends, Brent and rescan share one evaluator:
+        # no (n, e) of dRbar/de reaches the kernel twice in a cell.  (0.9,
+        # 0.8) is solved again at n = 256, (0.85, 0.2) freezes at 128 on an
+        # extrapolated probe, and the planted case negates the certified
+        # sign at one far scan point, so its two spurious brackets send the
+        # cell to a rescan at n_frozen = 64.
+        cfg = OrbitConfig(a=a, e_J=eJ)
+        want = find_equilibrium(cfg, quad)
+        if planted:
+            target = far_scan_point(cfg)
+            certified_scan = equilibrium._certified_scan
+
+            def flipped(*args):
+                values = certified_scan(*args)
+                return np.where(args[1] == target, -values, values)
+
+            monkeypatch.setattr(equilibrium, "_certified_scan", flipped)
+        seen = []
+        kernel = kernels.quarter_sums
+
+        def wrapped(a, e, eJ, n1, n2, order=0):
+            if order == 1:
+                seen.extend((n1, x) for x in np.atleast_1d(e).tolist())
+            return kernel(a, e, eJ, n1, n2, order=order)
+
+        monkeypatch.setattr(kernels, "quarter_sums", wrapped)
+        got = find_equilibrium(cfg, quad)
+        assert got.status == want.status == STATUS_FOUND
+        assert got.e_star == want.e_star
+        assert len(seen) == len(set(seen))
+        if planted:
+            scan, mask, _ = _scan_grid(cfg)
+            assert {e for n, e in seen if n == 64} >= set(scan[mask].tolist())
+
     def test_spurious_scan_sign_change_rescans_at_frozen_level(
             self, quad, monkeypatch):
         # Negate R_e at one scan point far from the root at n = 16 and 32,
@@ -379,12 +448,15 @@ class TestScanLevel:
         want = find_equilibrium(cfg, quad)
         target = far_scan_point(cfg)
 
-        def flip(calls, scan, n, e, out):
-            return flip_at(target, e, out) if scan and n <= 32 else out
+        def flip(requests, kind, n, es, out):
+            if kind == "scan" and n <= 32:
+                return flip_at(target, es, out)
+            return out
 
-        calls = recording_derivatives(monkeypatch, cfg, flip)
+        requests, _ = recording_requests(monkeypatch, cfg, flip)
         got = find_equilibrium(cfg, quad)
-        assert [n for scan, n, _, _ in calls if scan] == [16, 32, 64]
+        assert [(kind, n) for kind, n, _ in requests if kind != "other"] == [
+            ("all", 32), ("scan", 16), ("scan", 32), ("all", 64)]
         assert got.status == want.status == STATUS_FOUND
         assert got.e_star == want.e_star
         assert got.residual == want.residual
@@ -400,20 +472,22 @@ class TestScanLevel:
         cfg = OrbitConfig(a=0.4, e_J=0.3)
         target = far_scan_point(cfg)
 
-        def alter(calls, scan, n, e, out):
-            if missing == "root" and n == 64 and any(c[0] for c in calls):
-                return (out[0], np.abs(out[1])) + out[2:]
-            if missing == "spurious" and scan:
-                return flip_at(target, e, out)
+        def alter(requests, kind, n, es, out):
+            if missing == "root" and n == 64 and any(
+                    r[0] == "scan" for r in requests):
+                return np.array([out[0], np.abs(out[1])])
+            if missing == "spurious" and kind != "other":
+                return flip_at(target, es, out)
             return out
 
-        calls = recording_derivatives(monkeypatch, cfg, alter)
+        requests, _ = recording_requests(monkeypatch, cfg, alter)
         if missing == "root":
             assert find_equilibrium(cfg, quad).status == STATUS_NO_ROOT
         else:
             with pytest.raises(NonConvergedError, match="no sign change"):
                 find_equilibrium(cfg, quad)
-        assert [n for scan, n, _, _ in calls if scan] == [16, 32, 64]
+        assert [(kind, n) for kind, n, _ in requests if kind != "other"] == [
+            ("all", 32), ("scan", 16), ("scan", 32), ("all", 64)]
 
     def test_certified_scan_hides_no_root(self, quad):
         # The 21-point certified scan against a 301-point scan at n_frozen
@@ -433,9 +507,9 @@ class TestScanLevel:
         for a, eJ in cells:
             cfg = OrbitConfig(a=float(a), e_J=float(eJ))
             scan, mask, e_probe = _scan_grid(cfg)
-            _, _, n_frozen = _derivatives(cfg, e_probe, quad)
+            _, _, n_frozen = probe(cfg, e_probe, quad)
             coarse = np.full(scan.shape, math.nan)
-            coarse[mask] = _certified_scan(cfg, scan[mask], n_frozen)
+            coarse[mask] = _certified_scan(_slopes(cfg), scan[mask], n_frozen)
             brackets = {k for k in sign_changes(coarse)
                         if mask[k] and mask[k + 1]}
             segments = [k for k in range(len(scan) - 1) if mask[k] and mask[k + 1]]
@@ -460,12 +534,12 @@ class TestScanLevel:
         scan, mask, e_probe = _scan_grid(cfg)
         e = 0.50005
         assert e in scan[mask]
-        assert _derivatives(cfg, e_probe, quad)[2] == 512
+        assert probe(cfg, e_probe, quad)[2] == 512
         levels = scan_levels(cfg, np.array([e]), 256)
         assert [round(float(levels[n][0]), 4) for n in levels] == [
             0.3374, 0.2643, 0.0095, -0.1629, -0.174]
         assert abs(levels[32][0]) > 3.0 * abs(levels[32][0] - levels[16][0])
-        got = _certified_scan(cfg, np.array([e]), 512)
+        got = _certified_scan(_slopes(cfg), np.array([e]), 512)
         assert got[0] == levels[256][0] < 0.0
 
     def test_slow_point_takes_the_sign_of_a_fine_level(self, quad):
@@ -479,8 +553,8 @@ class TestScanLevel:
         fine = kernels.quarter_sums(cfg.a, e, cfg.e_J, 1024, 1024, order=1)[1]
         coarse = kernels.quarter_sums(cfg.a, e, cfg.e_J, 32, 32, order=1)[1]
         assert 0.27 < abs(coarse - fine) / abs(fine) < 0.29
-        _, _, n_frozen = _derivatives(cfg, e_probe, quad)
-        got = _certified_scan(cfg, np.array([e]), n_frozen)
+        _, _, n_frozen = probe(cfg, e_probe, quad)
+        got = _certified_scan(_slopes(cfg), np.array([e]), n_frozen)
         assert np.sign(got[0]) == np.sign(fine)
 
 
