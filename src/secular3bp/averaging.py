@@ -25,6 +25,9 @@ identically; ``averaged_coefficients`` evaluates it over the full domain
 as a numerical invariant.  On the quarter domain (r2^3 - r1^3) y yJ >= 0
 pointwise, which forces Abar < 0.  With y, yJ > 0 at every midpoint this
 is the sign of 1/r1^3 - 1/r2^3, asserted at every node of each evaluation.
+On near-coincident cells the kernels evaluate the same averages on a
+mapped half grid instead, and assert the same sign with the mirror image
+of each planet node (see ``kernels.quarter_sums``).
 One doubling, ``_point_quadrature``, converges the coefficients both for
 ``averaged_coefficients`` and, with the derivatives, at an equilibrium.
 """
@@ -71,6 +74,9 @@ class QuadratureSpec:
     exceed ``max_n``: the last level-to-level change, extrapolated at the
     rate the changes shrink (at most 1/2 per level), must clear ``tol``.
     That extrapolated error is reported as the convergence estimate.
+    ``max_n`` caps the level n, which samples n^2 nodes on either node rule
+    of ``kernels.quarter_sums``: n x n on the quarter grid, n/2 x 2n on the
+    mapped grid of a near-coincident cell.
     """
 
     tol: float = 1e-10

@@ -49,6 +49,8 @@ from .averaging import (
 )
 from .errors import NonConvergedError
 from .geometry import (
+    _SCAN_INSET,
+    DEFAULT_E_BRACKET,
     OrbitConfig,
     aligned_noncrossing_interval,
     aligned_separation,
@@ -78,9 +80,6 @@ NEGATIVE_DEFINITE = "NEGATIVE_DEFINITE"
 INDEFINITE = "INDEFINITE"
 DEGENERATE = "DEGENERATE"
 
-# Eccentricity search bracket; excludes the e = 0 coordinate singularity
-# of the canonical chart and extreme eccentricities.
-DEFAULT_E_BRACKET = (1e-4, 0.95)
 # Derivative scan points over the admissible part of the bracket.
 _N_SCAN = 21
 # Eigenvalues within this fraction of the largest (at least 1) count as 0.
@@ -93,9 +92,6 @@ _DEFINITE_FLOOR = 1e-9
 _SAFE_SEPARATION = 4.0 * DEFAULT_SEPARATION_THRESHOLD
 
 _ROOT_RESIDUAL_TOL = 1e-11
-# The scan grid is inset this far from the bracket ends; moving the grid
-# changes which sign changes it sees, and with them borderline verdicts.
-_SCAN_INSET = 1e-4
 
 # The scan's rule (see _certified_scan).  Below n_frozen / 8, R_e can sit on
 # a plateau (at (0.97, 0.5) and e = 0.50005: +0.264 at n = 32, -0.174 at 256).

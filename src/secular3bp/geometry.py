@@ -24,7 +24,22 @@ __all__ = [
     "OrbitConfig",
     "aligned_separation",
     "aligned_noncrossing_interval",
+    "near_coincident",
 ]
+
+# Eccentricity search bracket; excludes the e = 0 coordinate singularity
+# of the canonical chart and extreme eccentricities.
+DEFAULT_E_BRACKET = (1e-4, 0.95)
+# The equilibrium scan's grid is inset this far from the bracket ends;
+# moving the grid changes which sign changes it sees, and with them
+# borderline verdicts.
+_SCAN_INSET = 1e-4
+
+# A cell is near-coincident, and the kernels map its planet grid, when both
+# apsidal gaps at e* (see near_coincident) are below this.  It sits off the
+# 0.01 grid of the sweep windows, so no window column is classed by the
+# rounding of |a - 1|.
+COINCIDENT_GAP = 0.075
 
 
 @dataclass(frozen=True)
@@ -130,3 +145,23 @@ def aligned_noncrossing_interval(a, eJ):
     if e_lo >= e_hi:
         return None
     return e_lo, e_hi
+
+
+def near_coincident(a, eJ):
+    """Map parameter lambda of a near-coincident cell (a, eJ), else None.
+
+    At e* = eJ / a, clipped to the equilibrium scan's grid, the two orbits
+    share their focal distance and both apsidal gaps equal |a - 1|.  The
+    cell is near-coincident when both gaps at e* are below COINCIDENT_GAP;
+    then lambda = sqrt(smaller gap), below 0.28.  A cell whose orbits touch
+    at e* is not mapped.  Plain float arithmetic: every kernel call asks.
+    """
+    if not abs(a - 1.0) < COINCIDENT_GAP:  # each gap is at least |a - 1|
+        return None
+    lo, hi = DEFAULT_E_BRACKET
+    e = min(max(eJ / a, lo + _SCAN_INSET), hi - _SCAN_INSET)
+    peri = abs(a * (1.0 - e) - (1.0 - eJ))
+    apo = abs(a * (1.0 + e) - (1.0 + eJ))
+    if max(peri, apo) >= COINCIDENT_GAP or min(peri, apo) == 0.0:
+        return None
+    return math.sqrt(min(peri, apo))

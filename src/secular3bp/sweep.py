@@ -36,7 +36,7 @@ from .equilibrium import (
     find_equilibrium,
 )
 from .errors import NonConvergedError, OrbitCrossingError
-from .geometry import OrbitConfig
+from .geometry import COINCIDENT_GAP, OrbitConfig, near_coincident
 from .stability import INCONCLUSIVE, classify_spatial
 
 __all__ = [
@@ -232,6 +232,11 @@ def run_sweep(a_range, eJ_range, mu=0.0, *, quad: QuadratureSpec,
         # A cell is ORBIT_CROSSING when no scan point clears this margin,
         # scaled by max(1, a).
         "scan_separation_margin": _SAFE_SEPARATION,
+        # Cells whose kernels run on the mapped grid, and the apsidal gap
+        # that sets them (geometry.near_coincident).
+        "coincident_gap": COINCIDENT_GAP,
+        "mapped_cells": sum(near_coincident(a, e_J) is not None
+                            for a, e_J, _, _ in jobs_list),
         "cell_order": "row-major (a outer, e_J inner)",
         "jobs": jobs,
         "wall_time_s": wall,

@@ -14,6 +14,9 @@ Each check pits one production path against an independent evaluation:
                           against diag(2 Abar, 2 Cbar) with a vanishing
                           cross term.
 * ``mu-scaling``        - coefficients scale exactly as (1-mu)^(-1/2).
+* ``mapped-grid``       - Rbar/Abar/Cbar of near-coincident cells, which
+                          the kernels evaluate on the mapped grid, against
+                          the quarter grid at four times the accepted level.
 * ``spectrum``          - the assembled 4x4 linearization at located
                           equilibria has purely imaginary eigenvalues
                           matching the record's reported
@@ -29,11 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .averaging import (
     DEFAULT_SEPARATION_THRESHOLD,
     QuadratureSpec,
     _check_separation,
     _doubling,
+    _point_quadrature,
     averaged_coefficients,
 )
 from .errors import OrbitCrossingError
@@ -44,6 +49,7 @@ from .sweep import evaluate_cell
 __all__ = [
     "CheckResult",
     "sample_noncrossing_points",
+    "sample_coincident_points",
     "spatial_quadratic_oracle",
     "unfolded_reference",
     "run_validation",
@@ -56,6 +62,11 @@ DEFAULT_SEED = 20260809
 _INNER_A = (0.05, 0.55)
 _OUTER_A = (1.8, 4.0)
 _EJ_RANGE = (0.05, 0.85)
+# Semi-major axes of near-coincident samples, below and above the planet's,
+# and their separation floor: closer samples can need more than four times
+# the mapped grid's level on the quarter grid they are checked against.
+_COINCIDENT_A = ((0.93, 0.97), (1.03, 1.07))
+_COINCIDENT_SEP = 2e-2
 
 # Keep random samples comfortably inside the admissible wedge so every
 # check runs on smooth, well-converged quadratures.
@@ -89,18 +100,31 @@ def sample_noncrossing_points(n, seed):
     keeps each eccentricity inside the aligned non-crossing interval with
     a safety margin.
     """
+    return _sample_points(n, seed, (_INNER_A, _OUTER_A), _ECC_MARGIN_SEP)
+
+
+def sample_coincident_points(n, seed):
+    """Deterministic random near-coincident (a, e, eJ) triples.
+
+    As :func:`sample_noncrossing_points`, with a within 0.07 of 1, below
+    and above it in turn: the kernels evaluate these on the mapped grid.
+    """
+    return _sample_points(n, seed, _COINCIDENT_A, _COINCIDENT_SEP)
+
+
+def _sample_points(n, seed, a_ranges, sep):
     rng = np.random.default_rng(seed)
     points = []
     use_inner = True
     while len(points) < n:
-        lo_a, hi_a = _INNER_A if use_inner else _OUTER_A
+        lo_a, hi_a = a_ranges[0] if use_inner else a_ranges[1]
         use_inner = not use_inner
         a = float(rng.uniform(lo_a, hi_a))
         eJ = float(rng.uniform(*_EJ_RANGE))
         interval = aligned_noncrossing_interval(a, eJ)
         if interval is None:
             continue
-        sep_floor = _ECC_MARGIN_SEP * max(1.0, a)
+        sep_floor = sep * max(1.0, a)
         margin = sep_floor / a
         lo = interval[0] + (margin if interval[0] > 0.0 else 0.0)
         hi = interval[1] - (margin if interval[1] < 1.0 else 0.0)
@@ -278,6 +302,21 @@ def _check_mu_scaling(points, quad, tol):
                        f"mu={_MU_ALT}, {len(points)} points")
 
 
+def _check_mapped_grid(points, quad, tol):
+    worst = 0.0
+    for (a, e, eJ) in points:
+        cfg = OrbitConfig(a=a, e_J=eJ)
+        _, coeffs, n = _point_quadrature(cfg, e, quad, 0)
+        rbar, a_mean, c_mean, _ = kernels._grid_sums(a, e, eJ, 4 * n, 4 * n,
+                                                     0, None)
+        G = cfg.G_of(e)
+        for prod, quarter in ((coeffs.Rbar, rbar), (coeffs.Abar, -a_mean / G),
+                              (coeffs.Cbar, -c_mean / G)):
+            worst = max(worst, abs(prod - quarter) / abs(quarter))
+    return CheckResult("mapped-grid", tol, worst, worst < tol,
+                       f"{len(points)} points")
+
+
 def _check_spectrum(points, quad, tol):
     worst = 0.0
     used = 0
@@ -317,5 +356,7 @@ def run_validation(points, seed, quad, inject):
                                inject=inject),
         _check_mu_scaling(few, quad, tol=1e-12),
         _check_spectrum(samples[: max(4, points // 3)], quad, tol=1e-8),
+        _check_mapped_grid(sample_coincident_points(max(3, points // 5), seed),
+                           quad, tol=1e-10),
     ]
     return results, all(r.passed for r in results)

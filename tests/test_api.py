@@ -67,7 +67,7 @@ MAX_PUBLIC_NAMES = 23
 
 # Lines in src/secular3bp/*.py, as ``wc -l`` counts them.  Adding lines means
 # raising this on purpose; a change that removes lines may lower it.
-MAX_SRC_LINES = 2387
+MAX_SRC_LINES = 2639
 
 
 def _settable_values(tree):

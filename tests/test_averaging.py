@@ -21,9 +21,11 @@ from secular3bp.averaging import (
 from secular3bp.equilibrium import _SAFE_SEPARATION, planar_hessian
 from secular3bp.errors import NonConvergedError, OrbitCrossingError
 from secular3bp.geometry import (
+    COINCIDENT_GAP,
     OrbitConfig,
     aligned_noncrossing_interval,
     aligned_separation,
+    near_coincident,
 )
 from secular3bp.validate import (
     sample_noncrossing_points,
@@ -225,14 +227,21 @@ def level_values(a, e, eJ, n, order):
     return np.array((*sums[:-1], kernels.bbar_mean(a, e, eJ, n, n)))
 
 
-def near_end_points(n, seed):
+def near_end_points(n, seed, coincident=False):
     """(a, e, eJ) triples 1e-3 to 1e-1 inside an end of the non-crossing
-    interval, at an aligned separation the equilibrium scan admits."""
+    interval, at an aligned separation the equilibrium scan admits.
+
+    With ``coincident``, (a, eJ) is near-coincident instead, |a - 1| below
+    COINCIDENT_GAP, so the kernels run on the mapped grid.
+    """
     rng = np.random.default_rng(seed)
     points = []
     while len(points) < n:
-        a = float(rng.uniform(0.1, 0.95) if len(points) % 2
-                  else rng.uniform(1.05, 3.5))
+        if coincident:
+            a = float(1.0 + rng.uniform(-1.0, 1.0) * COINCIDENT_GAP)
+        else:
+            a = float(rng.uniform(0.1, 0.95) if len(points) % 2
+                      else rng.uniform(1.05, 3.5))
         eJ = float(rng.uniform(0.0, 0.9))
         interval = aligned_noncrossing_interval(a, eJ)
         if interval is None:
@@ -240,7 +249,8 @@ def near_end_points(n, seed):
         step = 10.0 ** rng.uniform(-3.0, -1.0)
         e = interval[0] + step if rng.uniform() < 0.5 else interval[1] - step
         if (0.0 < e < 0.95 and aligned_separation(a, e, eJ)
-                >= _SAFE_SEPARATION * max(1.0, a)):
+                >= _SAFE_SEPARATION * max(1.0, a)
+                and not (coincident and near_coincident(a, eJ) is None)):
             points.append((a, e, eJ))
     return points
 
@@ -379,16 +389,18 @@ class TestDoublingControl:
             assert abs(value - fine) <= 3.0 * c.err[name] + 4.0 * eps * abs(value)
 
     def test_accepted_levels_are_honest(self, quad, monkeypatch):
-        # 200 seeded triples, half 1e-3 to 1e-1 inside an end of the
-        # non-crossing interval; 100 run the root doubling and 100 the
-        # coefficient doubling.  Every accepted component lies within
+        # 260 seeded triples, 160 of them 1e-3 to 1e-1 inside an end of the
+        # non-crossing interval, 60 of those on near-coincident cells (the
+        # mapped grid); 130 run the root doubling and 130 the coefficient
+        # doubling.  Every accepted component lies within
         # tol * max(|v|, floor) of the same kernel at four times the nodes,
         # and Rbar, Abar and Cbar within three times their reported error
         # (the margin of the sign verdict).
-        root = sample_noncrossing_points(50, seed=20261019) + near_end_points(
-            50, seed=20261019)
-        coeff = sample_noncrossing_points(50, seed=20261020) + near_end_points(
-            50, seed=20261020)
+        root, coeff = (
+            sample_noncrossing_points(50, seed=seed)
+            + near_end_points(50, seed=seed)
+            + near_end_points(30, seed=seed, coincident=True)
+            for seed in (20261019, 20261020))
         worst = worst_err = 0.0
         for points, order, floors, run in (
                 (root, 2, _FLOORS[2],

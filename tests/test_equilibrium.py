@@ -89,13 +89,21 @@ class TestDerivative:
         assert r_gg == pytest.approx(want_gg, rel=1e-6)
 
     def test_batch_matches_single_calls(self):
-        # At n = 1024 every e spans several kernel chunks.  The cell's
-        # evaluator (_slopes) keeps order-1 values from batches of any size
-        # and reads them back for single points, so every order must give
-        # the same bytes for a scalar, a one-element array and a batch.
-        a, eJ, n = 0.4, 0.3, 1024
-        es = np.array([0.05, 0.12, 0.2, 0.31, 0.44])
-        assert n * n > kernels._CHUNK_NODES
+        # At n = 1024 every e spans several kernel chunks; on the mapped
+        # grid of the near-coincident (0.95, 0.42) one chunk at n = 64
+        # holds the whole batch.  The cell's evaluator (_slopes) keeps
+        # order-1 values from batches of any size and reads them back for
+        # single points, so every order must give the same bytes for a
+        # scalar, a one-element array and a batch.
+        assert 1024 * 1024 > kernels._CHUNK_NODES
+        for a, eJ, es, n in [
+                (0.4, 0.3, [0.05, 0.12, 0.2, 0.31, 0.44], 1024),
+                (0.95, 0.42, [0.40, 0.42, 0.44, 0.46, 0.48], 1024),
+                (0.95, 0.42, [0.40, 0.42, 0.44, 0.46, 0.48], 64)]:
+            self.check_batch(a, eJ, np.array(es), n)
+
+    @staticmethod
+    def check_batch(a, eJ, es, n):
         for order in (0, 1, 2):
             batch = kernels.quarter_sums(a, es, eJ, n, n, order=order)
             assert len(batch) == (4, 2, 7)[order]
@@ -112,9 +120,11 @@ class TestDerivative:
     def test_second_leaves_first_rows_unchanged(self, n):
         # find_equilibrium takes the residual from an order=2 call; its
         # R and R_e must be the bytes an order=1 call gives, and its R the
-        # bytes of averaged_coefficients' order=0 Rbar.
-        a, eJ = 0.4, 0.3
-        for e in (0.22, np.array([0.05, 0.22, 0.44])):
+        # bytes of averaged_coefficients' order=0 Rbar, on the quarter grid
+        # and on the mapped grid of (0.95, 0.42).
+        cases = [(0.4, 0.3, e) for e in (0.22, np.array([0.05, 0.22, 0.44]))]
+        cases += [(0.95, 0.42, e) for e in (0.44, np.array([0.40, 0.44, 0.48]))]
+        for a, eJ, e in cases:
             rbar = kernels.quarter_sums(a, e, eJ, n, n)[0]
             first = kernels.quarter_sums(a, e, eJ, n, n, order=1)
             both = kernels.quarter_sums(a, e, eJ, n, n, order=2)
@@ -524,23 +534,41 @@ class TestScanLevel:
             found += len(brackets) > 0
         assert found >= 20
 
-    def test_plateau_point_certifies_below_it(self, quad):
-        # At (0.97, 0.5), e = 0.50005, R_e sits on a positive plateau before
-        # it settles negative.  A rule on the change alone would certify
-        # +0.264 at n = 32; with n_frozen = 512 the first level the scan
-        # may certify at is 64, and the sign it certifies is the n = 256
-        # value's.
+    def test_plateau_point_certifies_below_it(self):
+        # On the quarter grid at (0.97, 0.5), e = 0.50005, R_e sits on a
+        # positive plateau before it settles negative; these are its values
+        # at n = 16 to 256.  A rule on the change alone would certify
+        # +0.264 at n = 32; with n_frozen = 512, as the quarter grid froze
+        # this cell, the first level the scan may certify at is 64, and the
+        # sign it certifies is the n = 256 value's.
+        e = 0.50005
+        recorded = [0.3374, 0.2643, 0.0095, -0.1629, -0.174]
+        levels = dict(zip((16, 32, 64, 128, 256), recorded))
+        assert [round(kernels._grid_sums(0.97, e, 0.5, n, n, 1, None)[1], 4)
+                for n in levels] == recorded
+        assert abs(levels[32]) > 3.0 * abs(levels[32] - levels[16])
+
+        def at(n, es):
+            return np.array([np.zeros(len(es)), np.full(len(es), levels[n])])
+
+        got = _certified_scan(at, np.array([e]), 512)
+        assert got[0] == levels[256] < 0.0
+
+    def test_plateau_is_gone_on_the_mapped_grid(self, quad):
+        # The cell is near-coincident, and on its mapped grid R_e at the
+        # plateau point is negative from n = 16 and settled at -0.17405 from
+        # n = 64; the probe freezes the cell at n = 128.
         cfg = OrbitConfig(a=0.97, e_J=0.5)
         scan, mask, e_probe = _scan_grid(cfg)
         e = 0.50005
         assert e in scan[mask]
-        assert probe(cfg, e_probe, quad)[2] == 512
+        assert probe(cfg, e_probe, quad)[2] == 128
         levels = scan_levels(cfg, np.array([e]), 256)
-        assert [round(float(levels[n][0]), 4) for n in levels] == [
-            0.3374, 0.2643, 0.0095, -0.1629, -0.174]
-        assert abs(levels[32][0]) > 3.0 * abs(levels[32][0] - levels[16][0])
-        got = _certified_scan(_slopes(cfg), np.array([e]), 512)
-        assert got[0] == levels[256][0] < 0.0
+        assert round(float(levels[32][0]), 4) == -0.1746
+        assert all(round(float(levels[n][0]), 5) == -0.17405
+                   for n in (64, 128, 256))
+        got = _certified_scan(_slopes(cfg), np.array([e]), 128)
+        assert got[0] < 0.0
 
     def test_slow_point_takes_the_sign_of_a_fine_level(self, quad):
         # At (0.473, 0.52), e = 2e-4 (separation 0.0068), R_e at n = 32 is
@@ -617,10 +645,12 @@ class TestPlanarHessian:
 
 
 class TestFoldedCoefficients:
-    @pytest.mark.parametrize("a, eJ", [(0.4, 0.3), (2.5, 0.4), (0.9, 0.8)])
+    @pytest.mark.parametrize("a, eJ", [(0.4, 0.3), (2.5, 0.4), (0.9, 0.8),
+                                       (0.95, 0.42)])
     def test_bytes_of_averaged_coefficients(self, quad, monkeypatch, a, eJ):
         # The root's quadrature and averaged_coefficients at e_star accept
-        # one level here; the record then carries the latter's bytes.
+        # one level here; the record then carries the latter's bytes.  The
+        # near-coincident (0.95, 0.42) runs on the mapped grid.
         cfg = OrbitConfig(a=a, e_J=eJ)
         rec = find_equilibrium(cfg, quad)
         want = averaged_coefficients(cfg, rec.e_star, quad)
@@ -644,9 +674,9 @@ class TestFoldedCoefficients:
                                         match):
         # Both orders of the point quadrature keep the two sign checks: the
         # root's order 2 through find_equilibrium, order 0 through
-        # averaged_coefficients.
+        # averaged_coefficients; on the quarter grid and on the mapped grid
+        # of the near-coincident (0.95, 0.42).
         kernel = kernels.quarter_sums
-        cfg = OrbitConfig(a=0.4, e_J=0.3)
 
         def planted(*args, **kwargs):
             out = kernel(*args, **kwargs)
@@ -655,11 +685,13 @@ class TestFoldedCoefficients:
             return out
 
         monkeypatch.setattr(kernels, "quarter_sums", planted)
-        with pytest.raises(RuntimeError, match=match):
-            if order == 2:
-                find_equilibrium(cfg, quad)
-            else:
-                averaged_coefficients(cfg, 0.17, quad)
+        for a, eJ, e in [(0.4, 0.3, 0.17), (0.95, 0.42, 0.44)]:
+            cfg = OrbitConfig(a=a, e_J=eJ)
+            with pytest.raises(RuntimeError, match=match):
+                if order == 2:
+                    find_equilibrium(cfg, quad)
+                else:
+                    averaged_coefficients(cfg, e, quad)
 
 
 class TestPlanarState:

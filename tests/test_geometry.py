@@ -12,9 +12,11 @@ from oracles import (
     support_separation,
 )
 from secular3bp.geometry import (
+    COINCIDENT_GAP,
     OrbitConfig,
     aligned_noncrossing_interval,
     aligned_separation,
+    near_coincident,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -236,3 +238,31 @@ class TestSeparation:
 
     def test_a_equal_one_always_crosses(self):
         assert aligned_noncrossing_interval(1.0, 0.3) is None
+
+
+class TestNearCoincident:
+    @pytest.mark.parametrize("a, eJ", [(0.95, 0.42), (1.05, 0.36), (0.97, 0.5)])
+    def test_mapped(self, a, eJ):
+        # e_J / a lies inside the scan grid: both gaps there are |a - 1|.
+        assert near_coincident(a, eJ) == pytest.approx(math.sqrt(abs(a - 1.0)),
+                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("a, eJ", [
+        (0.9, 0.8), (0.047, 0.95), (0.93, 0.9), (0.4, 0.3), (2.5, 0.4),
+        (1.0, 0.3)])
+    def test_not_mapped(self, a, eJ):
+        # At a = 1 the orbits touch at e* = e_J: no map has lambda = 0.
+        assert near_coincident(a, eJ) is None
+
+    def test_clipped_e_star(self):
+        # e_J = 0 clips e* to the scan grid's low end; both gaps stay near
+        # |a - 1| and lambda takes the smaller one.
+        lam = near_coincident(0.95, 0.0)
+        e = 2e-4
+        assert lam == math.sqrt(min(abs(0.95 * (1.0 - e) - 1.0),
+                                    abs(0.95 * (1.0 + e) - 1.0)))
+
+    def test_threshold_is_off_the_window_grids(self):
+        # No column of a 0.01 grid sits within rounding of the threshold.
+        cols = np.round(np.arange(0.0, 2.0, 0.01), 2)
+        assert np.min(np.abs(np.abs(cols - 1.0) - COINCIDENT_GAP)) > 1e-3

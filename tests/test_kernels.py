@@ -15,9 +15,13 @@ from oracles import (
     vbar_mean_reference,
 )
 from secular3bp import kernels
-from secular3bp.averaging import averaged_coefficients
-from secular3bp.geometry import OrbitConfig, aligned_separation
-from secular3bp.validate import DEFAULT_SEED, sample_noncrossing_points
+from secular3bp.averaging import _FLOORS, QuadratureSpec, averaged_coefficients
+from secular3bp.geometry import OrbitConfig, aligned_separation, near_coincident
+from secular3bp.validate import (
+    DEFAULT_SEED,
+    sample_coincident_points,
+    sample_noncrossing_points,
+)
 
 # (a, e, eJ): inner, outer, and an inner orbit whose aligned separation
 # from the planet's is about 5e-3.
@@ -25,6 +29,8 @@ NEAR_PLANET = (0.7, 0.707, 0.2)
 TRIPLES = [(0.4, 0.17, 0.3), (2.5, 0.2, 0.4), NEAR_PLANET]
 TRIPLE_IDS = ["inner", "outer", "near-planet"]
 SIZES = [64, 128, 1024]
+# A near-coincident inner cell: its kernels run on the mapped grid.
+COINCIDENT = (0.95, 0.44, 0.42)
 
 
 def test_near_planet_triple_is_near():
@@ -71,6 +77,20 @@ class TestAgainstReference:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_mapped_grid_matches_quarter_grid(order):
+    # On near-coincident cells the mapped grid at n = 256 agrees with the
+    # quarter grid at n = 1024 to the doubling's tolerance and floors.
+    tol, floors = QuadratureSpec().tol, np.array(_FLOORS[order][:(3, 2, 6)[order]])
+    for a, e, eJ in sample_coincident_points(12, seed=20261025):
+        assert near_coincident(a, eJ) is not None
+        got = kernels.quarter_sums(a, e, eJ, 256, 256, order=order)
+        want = kernels._grid_sums(a, e, eJ, 1024, 1024, order, None)
+        got, want = (np.array(v[:len(floors)]) for v in (got, want))
+        bound = tol * np.maximum(np.abs(want), floors)
+        assert np.all(np.abs(got - want) <= bound), (a, e, eJ, got - want)
+
+
 class TestAbarFactorCheck:
     def test_negative_factor_is_internal_error(self, monkeypatch, quad):
         real = kernels.quarter_sums
@@ -84,7 +104,9 @@ class TestAbarFactorCheck:
 
     @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
     def test_no_false_alarm(self, n):
-        for a, e, eJ in sample_noncrossing_points(64, DEFAULT_SEED) + [NEAR_PLANET]:
+        for a, e, eJ in (sample_noncrossing_points(64, DEFAULT_SEED)
+                         + [NEAR_PLANET, COINCIDENT]
+                         + sample_coincident_points(8, DEFAULT_SEED)):
             assert kernels.quarter_sums(a, e, eJ, n, n)[3] >= 0.0, (a, e, eJ)
 
 
@@ -120,10 +142,13 @@ CACHES = [kernels._planet_nodes, kernels._row_anomalies]
 
 
 def _all_kernels(e):
-    """Every kernel's output at a near-planet (a, eJ), as bytes."""
+    """Every kernel's output at a near-planet (a, eJ), as bytes, and
+    quarter_sums' on the mapped grid of a near-coincident one."""
     a, _, eJ = NEAR_PLANET
     outs = [kernels.quarter_sums(a, e, eJ, 64, 64, order=order)
             for order in (0, 1, 2)]
+    outs += [kernels.quarter_sums(COINCIDENT[0], e, COINCIDENT[2], 64, 64,
+                                  order=order) for order in (0, 1, 2)]
     if np.ndim(e) == 0:
         outs.append((kernels.bbar_mean(a, e, eJ, 64, 64),))
         outs.append(kernels.rbar_rotated_mean(a, e, eJ, 0.6, 0.8, 64, 64))
@@ -143,8 +168,10 @@ class TestNodeTableCache:
     def test_cold_and_warm_cache_give_the_same_bytes(self, e):
         for cache in CACHES:
             cache.cache_clear()
+        kernels._mapped_tables.clear()
         cold = _all_kernels(e)
         assert all(cache.cache_info().currsize > 0 for cache in CACHES)
+        assert kernels._mapped_tables
         warm = _all_kernels(e)
         assert all(cache.cache_info().hits > 0 for cache in CACHES)
         assert warm == cold
@@ -156,3 +183,38 @@ class TestNodeTableCache:
             info = cache.cache_info()
             assert info.maxsize == kernels._TABLE_CACHE_SIZE
             assert info.currsize <= info.maxsize
+
+    def test_mapped_tables_are_read_only(self):
+        a, e, eJ = COINCIDENT
+        kernels.quarter_sums(a, e, eJ, 64, 64)
+        table = kernels._mapped_table(near_coincident(a, eJ), eJ, 32, 128)
+        assert table.shape == (5, 32, 128) and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 1.0
+
+    def test_mapped_cache_is_bounded_in_bytes(self):
+        # Level-256 tables of 2.6 MB each for many cells: the cache keeps
+        # what fits in its byte bound, the last one used among them.
+        a, e, _ = COINCIDENT
+        for eJ in np.linspace(0.4, 0.44, 8):
+            kernels.quarter_sums(a, e, float(eJ), 256, 256, order=1)
+        tables = kernels._mapped_tables
+        assert 0 < sum(t.nbytes for t in tables.values()) <= \
+            kernels._MAPPED_CACHE_BYTES
+        assert list(tables)[-1] == (near_coincident(a, 0.44), 0.44, 128, 512)
+        # A level-512 table is above the bound: built per chunk, never kept.
+        kernels.quarter_sums(a, e, 0.42, 512, 512, order=1)
+        assert all(key[2] < 256 for key in tables)
+
+    def test_chunk_built_tables_give_the_same_bytes(self, monkeypatch):
+        a, _, eJ = COINCIDENT
+        es = np.array([0.40, 0.44, 0.48])
+        cached = [kernels.quarter_sums(a, es, eJ, 256, 256, order=order)
+                  for order in (0, 1, 2)]
+        monkeypatch.setattr(kernels, "_MAPPED_CACHE_BYTES", 0)
+        kernels._mapped_tables.clear()
+        built = [kernels.quarter_sums(a, es, eJ, 256, 256, order=order)
+                 for order in (0, 1, 2)]
+        assert not kernels._mapped_tables
+        assert [v.tobytes() for out in built for v in out] == \
+            [v.tobytes() for out in cached for v in out]

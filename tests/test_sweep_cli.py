@@ -54,6 +54,16 @@ class TestSweep:
         grid2 = run_sweep((0.1, 0.5, 3), (0.1, 0.5, 3), quad=quad, jobs=2)
         assert sweep_csv_text(grid1) == sweep_csv_text(grid2)
 
+    def test_metadata_counts_mapped_cells(self, quad):
+        # The a = 0.95 column is near-coincident and runs on the mapped
+        # grid; the count and the threshold do not depend on --jobs.
+        grids = [run_sweep((0.3, 0.95, 2), (0.2, 0.5, 2), quad=quad, jobs=jobs)
+                 for jobs in (1, 2)]
+        for grid in grids:
+            assert grid.metadata["mapped_cells"] == 2
+            assert grid.metadata["coincident_gap"] == 0.075
+        assert sweep_csv_text(grids[0]) == sweep_csv_text(grids[1])
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_refused(self, jobs, quad):
         with pytest.raises(ValueError, match="jobs"):
