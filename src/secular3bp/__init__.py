@@ -30,7 +30,6 @@ from .stability import (
     StabilityRecord,
     classify_spatial,
     frequencies,
-    linearized_matrix,
     trace_resonance,
 )
 from .sweep import CellResult, SweepGrid, evaluate_cell, run_sweep
@@ -55,7 +54,6 @@ __all__ = [
     "evaluate_cell",
     "find_equilibrium",
     "frequencies",
-    "linearized_matrix",
     "planar_hessian",
     "run_sweep",
     "trace_resonance",

@@ -50,7 +50,6 @@ __all__ = [
     "sign_verdict",
     "classify_spatial",
     "frequencies",
-    "linearized_matrix",
     "point_ratio",
     "trace_resonance",
 ]
@@ -128,28 +127,6 @@ def frequencies(eq: EquilibriumRecord, Abar, Cbar):
     omega_plane = math.sqrt(det)
     omega_z = 2.0 * math.sqrt(prod)
     return omega_plane, omega_z, omega_z / omega_plane
-
-
-def linearized_matrix(hessian, Abar, Cbar):
-    """4x4 linearization of the averaged system at an equilibrium, per mu.
-
-    State ordering (p2, q2, p3, q3) for the Hamiltonian
-    H = -mu (Rbar + Abar p3^2 + Cbar q3^2), divided by mu like the reported
-    frequencies; the planar and spatial blocks decouple exactly at the
-    equilibrium.  The spectrum of the returned matrix is
-    {+-i omega_plane, +-i omega_z}; multiply by mu for physical rates.
-    """
-    S = np.zeros((4, 4))
-    S[:2, :2] = -np.asarray(hessian)
-    S[2, 2] = -2.0 * Abar
-    S[3, 3] = -2.0 * Cbar
-    T = np.array([
-        [0.0, -1.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ])
-    return T @ S
 
 
 def classify_spatial(cfg: OrbitConfig, eq: EquilibriumRecord,

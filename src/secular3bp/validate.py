@@ -43,7 +43,6 @@ from .averaging import (
 )
 from .errors import OrbitCrossingError
 from .geometry import OrbitConfig, aligned_noncrossing_interval, aligned_separation
-from .stability import linearized_matrix
 from .sweep import evaluate_cell
 
 __all__ = [
@@ -52,6 +51,7 @@ __all__ = [
     "sample_coincident_points",
     "spatial_quadratic_oracle",
     "unfolded_reference",
+    "linearized_matrix",
     "run_validation",
 ]
 
@@ -315,6 +315,28 @@ def _check_mapped_grid(points, quad, tol):
             worst = max(worst, abs(prod - quarter) / abs(quarter))
     return CheckResult("mapped-grid", tol, worst, worst < tol,
                        f"{len(points)} points")
+
+
+def linearized_matrix(hessian, Abar, Cbar):
+    """4x4 linearization of the averaged system at an equilibrium, per mu.
+
+    State ordering (p2, q2, p3, q3) for the Hamiltonian
+    H = -mu (Rbar + Abar p3^2 + Cbar q3^2), divided by mu like the reported
+    frequencies; the planar and spatial blocks decouple exactly at the
+    equilibrium.  The spectrum of the returned matrix is
+    {+-i omega_plane, +-i omega_z}; multiply by mu for physical rates.
+    """
+    S = np.zeros((4, 4))
+    S[:2, :2] = -np.asarray(hessian)
+    S[2, 2] = -2.0 * Abar
+    S[3, 3] = -2.0 * Cbar
+    T = np.array([
+        [0.0, -1.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -1.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ])
+    return T @ S
 
 
 def _check_spectrum(points, quad, tol):

@@ -347,7 +347,11 @@ def bbar_mean_reference(a, e, eJ, n1, n2):
 
 
 def vbar_mean_reference(a, e, eJ, m00, m01, m10, m11, m20, m21, n1, n2):
-    """``kernels.vbar_mean`` from whole-grid temporaries."""
+    """Full-domain mean of w / r for an asteroid orbit oriented by the 3x2
+    matrix (m00..m21), and the smallest r^2, from whole-grid temporaries.
+
+    ``kernels.rbar_rotated_mean`` is its planar rotation by g.
+    """
     xJ, yJ, wJ = ellipse_nodes(kernels._midpoints(n2, 2.0 * np.pi), 1.0, eJ)
     xp, yp, wi = ellipse_nodes(kernels._midpoints(n1, 2.0 * np.pi), a, e)
     x = m00 * xp + m01 * yp

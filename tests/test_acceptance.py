@@ -1,9 +1,10 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS line.
 
-The two 50x50 parameter-plane sweeps are shared module-scoped fixtures;
-everything downstream (sign margins, Hessian definiteness, spectra,
-resonance curves) reads from them.  Run with ``pytest -s`` to watch the
-per-criterion lines stream.
+The two 50x50 parameter-plane sweeps and a 25x25 one across the planet
+strip between them, where near-coincident cells run on the mapped grid, are
+shared module-scoped fixtures; everything downstream (sign margins, Hessian
+definiteness, spectra, resonance curves) reads from them.  Run with
+``pytest -s`` to watch the per-criterion lines stream.
 """
 
 import math
@@ -14,12 +15,17 @@ import pytest
 from secular3bp import stability
 from secular3bp.averaging import QuadratureSpec, averaged_coefficients
 from secular3bp.geometry import OrbitConfig
-from secular3bp.stability import linearized_matrix, point_ratio, trace_resonance
+from secular3bp.stability import point_ratio, trace_resonance
 from secular3bp.sweep import run_sweep, sweep_csv_text
-from secular3bp.validate import sample_noncrossing_points, spatial_quadratic_oracle
+from secular3bp.validate import (
+    linearized_matrix,
+    sample_noncrossing_points,
+    spatial_quadratic_oracle,
+)
 
 INNER_WINDOW = ((0.05, 0.55, 50), (0.05, 0.85, 50))
 OUTER_WINDOW = ((1.8, 4.0, 50), (0.05, 0.85, 50))
+STRIP_WINDOW = ((0.56, 1.79, 25), (0.05, 0.85, 25))
 
 
 def _report(name, ok, detail=""):
@@ -40,6 +46,11 @@ def inner_sweep(default_quad):
 @pytest.fixture(scope="module")
 def outer_sweep(default_quad):
     return run_sweep(*OUTER_WINDOW, quad=default_quad, jobs=1)
+
+
+@pytest.fixture(scope="module")
+def strip_sweep(default_quad):
+    return run_sweep(*STRIP_WINDOW, quad=default_quad, jobs=1)
 
 
 def test_bbar_vanishes(default_quad):
@@ -64,11 +75,11 @@ def _sign_margins(cells, name):
     return worst
 
 
-def test_abar_negative_with_margin(inner_sweep, outer_sweep):
+def test_abar_negative_with_margin(inner_sweep, outer_sweep, strip_sweep):
     """Abar < 0 with margin > 3x quadrature error at every FOUND cell."""
     worst = math.inf
     n_cells = 0
-    for grid in (inner_sweep, outer_sweep):
+    for grid in (inner_sweep, outer_sweep, strip_sweep):
         found = grid.found_cells()
         n_cells += len(found)
         worst = min(worst, _sign_margins(found, "Abar"))
@@ -77,11 +88,11 @@ def test_abar_negative_with_margin(inner_sweep, outer_sweep):
             f"{n_cells} FOUND cells, min margin factor {worst:.2e} (need > 1)")
 
 
-def test_cbar_negative_with_margin(inner_sweep, outer_sweep):
-    """Cbar < 0 with margin at every FOUND equilibrium on both sweeps."""
+def test_cbar_negative_with_margin(inner_sweep, outer_sweep, strip_sweep):
+    """Cbar < 0 with margin at every FOUND equilibrium on the sweeps."""
     worst = math.inf
     n_cells = 0
-    for grid in (inner_sweep, outer_sweep):
+    for grid in (inner_sweep, outer_sweep, strip_sweep):
         found = grid.found_cells()
         n_cells += len(found)
         worst = min(worst, _sign_margins(found, "Cbar"))
@@ -110,12 +121,13 @@ def test_quadratic_form_oracle(default_quad):
             f"worst cross {worst_cross:.3e} (tol 1e-8)")
 
 
-def test_planar_hessian_positive_definite(inner_sweep, outer_sweep):
+def test_planar_hessian_positive_definite(inner_sweep, outer_sweep,
+                                          strip_sweep):
     """Planar Hessian positive definite at every stable equilibrium."""
     n_cells = 0
     min_eig = math.inf
     ok = True
-    for grid in (inner_sweep, outer_sweep):
+    for grid in (inner_sweep, outer_sweep, strip_sweep):
         for cell in grid.found_cells():
             n_cells += 1
             if cell.equilibrium.hessian_definite != "POSITIVE_DEFINITE":
@@ -142,11 +154,11 @@ def _sample_found(grid, k):
     return found[::stride][:k]
 
 
-def test_linearization_spectrum(inner_sweep, outer_sweep):
+def test_linearization_spectrum(inner_sweep, outer_sweep, strip_sweep):
     """4x4 linearization spectrum is {+-i w_plane, +-i w_z} to 1e-8 rel."""
     worst = 0.0
     n_checked = 0
-    for grid in (inner_sweep, outer_sweep):
+    for grid in (inner_sweep, outer_sweep, strip_sweep):
         for cell in _sample_found(grid, 10):
             st = cell.stability
             if not math.isfinite(st.ratio):
@@ -215,3 +227,13 @@ def test_sweep_determinism(default_quad):
     _report("sweep-determinism", ok,
             f"10x10 sweep, {len(texts[0].splitlines())} lines, "
             "jobs in (1, 4, 8) byte-identical")
+
+
+def test_strip_sweep_determinism(default_quad, strip_sweep):
+    """The planet-strip sweep is byte-identical at 1 and 2 workers."""
+    text = sweep_csv_text(strip_sweep)
+    ok = text == sweep_csv_text(run_sweep(*STRIP_WINDOW, quad=default_quad,
+                                          jobs=2))
+    _report("strip-sweep-determinism", ok,
+            f"25x25 strip sweep, {len(text.splitlines())} lines, "
+            "jobs in (1, 2) byte-identical")

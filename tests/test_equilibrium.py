@@ -91,15 +91,18 @@ class TestDerivative:
     def test_batch_matches_single_calls(self):
         # At n = 1024 every e spans several kernel chunks; on the mapped
         # grid of the near-coincident (0.95, 0.42) one chunk at n = 64
-        # holds the whole batch.  The cell's evaluator (_slopes) keeps
-        # order-1 values from batches of any size and reads them back for
-        # single points, so every order must give the same bytes for a
-        # scalar, a one-element array and a batch.
+        # holds the whole batch, and at n = 128 a chunk holds 4 e blocks on
+        # either grid, the last of 21 a partial one.  The cell's evaluator
+        # (_slopes) keeps order-1 values from batches of any size and reads
+        # them back for single points, so every order must give the same
+        # bytes for a scalar, a one-element array and a batch.
         assert 1024 * 1024 > kernels._CHUNK_NODES
         for a, eJ, es, n in [
                 (0.4, 0.3, [0.05, 0.12, 0.2, 0.31, 0.44], 1024),
                 (0.95, 0.42, [0.40, 0.42, 0.44, 0.46, 0.48], 1024),
-                (0.95, 0.42, [0.40, 0.42, 0.44, 0.46, 0.48], 64)]:
+                (0.95, 0.42, [0.40, 0.42, 0.44, 0.46, 0.48], 64),
+                (0.4, 0.3, np.linspace(0.02, 0.44, 21), 128),
+                (0.95, 0.42, np.linspace(0.30, 0.50, 21), 128)]:
             self.check_batch(a, eJ, np.array(es), n)
 
     @staticmethod

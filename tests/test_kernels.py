@@ -10,8 +10,6 @@ import pytest
 from oracles import (
     bbar_mean_reference,
     quarter_sums_reference,
-    rx,
-    rz,
     vbar_mean_reference,
 )
 from secular3bp import kernels
@@ -65,16 +63,15 @@ class TestAgainstReference:
         assert abs(got - bbar_mean_reference(a, e, eJ, n, n)) / four_g <= 1e-14
 
     def test_vbar_mean(self, a, e, eJ, n):
-        m = rz(1.1) @ rx(0.3) @ rz(0.7)
-        orient = (m[0, 0], m[0, 1], m[1, 0], m[1, 1], m[2, 0], m[2, 1])
-        got = kernels.vbar_mean(a, e, eJ, *orient, n, n)
-        want = vbar_mean_reference(a, e, eJ, *orient, n, n)
-        assert all(type(v) is float for v in got)
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        cg, sg = math.cos(0.3), math.sin(0.3)
-        got = kernels.rbar_rotated_mean(a, e, eJ, cg, sg, n, n)
-        want = vbar_mean_reference(a, e, eJ, cg, -sg, sg, cg, 0.0, 0.0, n, n)
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        # rbar_rotated_mean is the reference's spatial mean of w / r with
+        # the planar rotation by g as its orientation matrix.
+        for g in (0.0, 0.3, 2.0):
+            cg, sg = math.cos(g), math.sin(g)
+            got = kernels.rbar_rotated_mean(a, e, eJ, cg, sg, n, n)
+            want = vbar_mean_reference(a, e, eJ, cg, -sg, sg, cg, 0.0, 0.0,
+                                       n, n)
+            assert all(type(v) is float for v in got)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -138,7 +135,7 @@ def test_working_set_below_8_mib(fn, args, kwargs):
     assert _peak_bytes(fn, *args, **kwargs) < 8 * 2**20
 
 
-CACHES = [kernels._planet_nodes, kernels._row_anomalies]
+CACHES = [kernels._planet_nodes, kernels._row_anomalies, kernels._mapped_nodes]
 
 
 def _all_kernels(e):
@@ -168,10 +165,8 @@ class TestNodeTableCache:
     def test_cold_and_warm_cache_give_the_same_bytes(self, e):
         for cache in CACHES:
             cache.cache_clear()
-        kernels._mapped_tables.clear()
         cold = _all_kernels(e)
         assert all(cache.cache_info().currsize > 0 for cache in CACHES)
-        assert kernels._mapped_tables
         warm = _all_kernels(e)
         assert all(cache.cache_info().hits > 0 for cache in CACHES)
         assert warm == cold
@@ -179,6 +174,7 @@ class TestNodeTableCache:
     def test_caches_are_bounded(self):
         for eJ in np.linspace(0.0, 0.9, 3 * kernels._TABLE_CACHE_SIZE):
             kernels.quarter_sums(0.4, 0.17, float(eJ), 16, 16)
+            kernels.quarter_sums(COINCIDENT[0], 0.17, float(eJ), 16, 16)
         for cache in CACHES:
             info = cache.cache_info()
             assert info.maxsize == kernels._TABLE_CACHE_SIZE
@@ -187,34 +183,25 @@ class TestNodeTableCache:
     def test_mapped_tables_are_read_only(self):
         a, e, eJ = COINCIDENT
         kernels.quarter_sums(a, e, eJ, 64, 64)
-        table = kernels._mapped_table(near_coincident(a, eJ), eJ, 32, 128)
+        table = kernels._mapped_nodes(near_coincident(a, eJ), eJ, 32, 128,
+                                      0, 32)
         assert table.shape == (5, 32, 128) and not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0, 0] = 1.0
 
-    def test_mapped_cache_is_bounded_in_bytes(self):
-        # Level-256 tables of 2.6 MB each for many cells: the cache keeps
-        # what fits in its byte bound, the last one used among them.
-        a, e, _ = COINCIDENT
-        for eJ in np.linspace(0.4, 0.44, 8):
-            kernels.quarter_sums(a, e, float(eJ), 256, 256, order=1)
-        tables = kernels._mapped_tables
-        assert 0 < sum(t.nbytes for t in tables.values()) <= \
-            kernels._MAPPED_CACHE_BYTES
-        assert list(tables)[-1] == (near_coincident(a, 0.44), 0.44, 128, 512)
-        # A level-512 table is above the bound: built per chunk, never kept.
-        kernels.quarter_sums(a, e, 0.42, 512, 512, order=1)
-        assert all(key[2] < 256 for key in tables)
-
-    def test_chunk_built_tables_give_the_same_bytes(self, monkeypatch):
-        a, _, eJ = COINCIDENT
-        es = np.array([0.40, 0.44, 0.48])
-        cached = [kernels.quarter_sums(a, es, eJ, 256, 256, order=order)
-                  for order in (0, 1, 2)]
-        monkeypatch.setattr(kernels, "_MAPPED_CACHE_BYTES", 0)
-        kernels._mapped_tables.clear()
-        built = [kernels.quarter_sums(a, es, eJ, 256, 256, order=order)
-                 for order in (0, 1, 2)]
-        assert not kernels._mapped_tables
-        assert [v.tobytes() for out in built for v in out] == \
-            [v.tobytes() for out in cached for v in out]
+    def test_mapped_cache_holds_a_cell(self):
+        # A mapped cell's doubling visits levels 16 to 1024: every row
+        # chunk's table stays cached, and none is above one chunk's nodes.
+        a, e, eJ = COINCIDENT
+        lam, levels = near_coincident(a, eJ), [16 << k for k in range(7)]
+        kernels._mapped_nodes.cache_clear()
+        for n in levels:
+            kernels.quarter_sums(a, e, eJ, n, n, order=1)
+        built = kernels._mapped_nodes.cache_info().misses
+        assert built <= kernels._TABLE_CACHE_SIZE
+        for n in levels:
+            for (_, rb), _ in kernels._row_blocks(1, n // 2, 2 * n, 0):
+                table = kernels._mapped_nodes(lam, eJ, n // 2, 2 * n,
+                                              rb.start, rb.stop)
+                assert table.nbytes <= 5 * 8 * kernels._CHUNK_NODES
+        assert kernels._mapped_nodes.cache_info().misses == built

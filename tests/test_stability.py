@@ -15,11 +15,11 @@ from secular3bp.stability import (
     UNSTABLE,
     classify_spatial,
     frequencies,
-    linearized_matrix,
     sign_verdict,
     trace_resonance,
 )
 from secular3bp.sweep import CellResult, SweepGrid, evaluate_cell, run_sweep
+from secular3bp.validate import linearized_matrix
 
 
 class TestSignVerdict:
