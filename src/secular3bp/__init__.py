@@ -13,11 +13,7 @@ from .averaging import (
     QuadratureSpec,
     averaged_coefficients,
 )
-from .equilibrium import (
-    EquilibriumRecord,
-    find_equilibrium,
-    planar_hessian,
-)
+from .equilibrium import EquilibriumRecord, find_equilibrium
 from .errors import (
     DegenerateError,
     NonConvergedError,
@@ -54,7 +50,6 @@ __all__ = [
     "evaluate_cell",
     "find_equilibrium",
     "frequencies",
-    "planar_hessian",
     "run_sweep",
     "trace_resonance",
 ]

@@ -30,7 +30,7 @@ from .sweep import (
     write_metadata_json,
     write_sweep_csv,
 )
-from .stability import LINEARLY_STABLE, trace_resonance
+from .stability import trace_resonance
 from .validate import DEFAULT_SEED, run_validation
 
 EXIT_OK = 0
@@ -145,30 +145,28 @@ def _cell_json(cell):
     return doc
 
 
-def _print_point_table(cell):
-    eq, st = cell.equilibrium, cell.stability
-    rows = [("status", cell.status)]
-    if eq is not None and math.isfinite(eq.e_star):
-        rows.append(("e_star", f"{eq.e_star:.12f}"))
-        rows.append(("residual |dRbar/de|", f"{eq.residual:.3e}"))
-        rows.append(("hessian_definite", eq.hessian_definite))
+def _print_point_table(doc):
+    """The point document of :func:`_cell_json` as an aligned table."""
+    rows = [("status", doc["status"])]
+    if "e_star" in doc:
+        hess = doc["hessian"]
+        rows.append(("e_star", f"{doc['e_star']:.12f}"))
+        rows.append(("residual |dRbar/de|", f"{doc['residual']:.3e}"))
+        rows.append(("hessian_definite", doc["hessian_definite"]))
         rows.append(("hess (pp, qq, pq)",
-                     f"{eq.hessian[0, 0]:.9f}, {eq.hessian[1, 1]:.9f}, "
-                     f"{eq.hessian[0, 1]:.2e}"))
-    if st is not None:
-        coeffs = st.coefficients
-        rows.append(("Rbar", f"{coeffs.Rbar:.12f} (err {coeffs.err['Rbar']:.1e})"))
-        rows.append(("Abar", f"{coeffs.Abar:.12f} (err {coeffs.err['Abar']:.1e})"))
-        rows.append(("Bbar", f"{coeffs.Bbar:.3e} (err {coeffs.err['Bbar']:.1e})"))
-        rows.append(("Cbar", f"{coeffs.Cbar:.12f} (err {coeffs.err['Cbar']:.1e})"))
-        rows.append(("spatial verdict", st.spatial_verdict))
-        if math.isfinite(st.ratio):
-            rows.append(("omega_plane / mu", f"{st.omega_plane:.9f}"))
-            rows.append(("omega_z / mu", f"{st.omega_z:.9f}"))
-            rows.append(("omega_z / omega_plane", f"{st.ratio:.9f}"))
-    if cell.message:
-        rows.append(("note", cell.message))
-    print(f"point  a={cell.a:g}  e_J={cell.e_J:g}")
+                     f"{hess[0][0]:.9f}, {hess[1][1]:.9f}, {hess[0][1]:.2e}"))
+    if "verdict" in doc:
+        for name in ("Rbar", "Abar", "Bbar", "Cbar"):
+            fmt = ".3e" if name == "Bbar" else ".12f"
+            rows.append((name, f"{doc[name]:{fmt}} (err {doc['err'][name]:.1e})"))
+        rows.append(("spatial verdict", doc["verdict"]))
+        if "ratio" in doc:
+            rows.append(("omega_plane / mu", f"{doc['omega_plane_over_mu']:.9f}"))
+            rows.append(("omega_z / mu", f"{doc['omega_z_over_mu']:.9f}"))
+            rows.append(("omega_z / omega_plane", f"{doc['ratio']:.9f}"))
+    if doc["message"]:
+        rows.append(("note", doc["message"]))
+    print(f"point  a={doc['a']:g}  e_J={doc['e_J']:g}")
     for key, val in rows:
         print(f"  {key:<22s} {val}")
 
@@ -177,22 +175,19 @@ def cmd_point(args):
     if args.a is None or args.ej is None:
         raise InputError("point mode requires --a and --ej")
     cell = evaluate_cell(args.a, args.ej, args.mu, _quad(args))
+    doc = _cell_json(cell)
+    text = json.dumps(doc, indent=2, sort_keys=True)
     if args.json:
-        print(json.dumps(_cell_json(cell), indent=2, sort_keys=True))
+        print(text)
     else:
-        _print_point_table(cell)
+        _print_point_table(doc)
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "point.json"), "w") as fh:
-            json.dump(_cell_json(cell), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     if cell.status == STATUS_ORBIT_CROSSING:
         return EXIT_CROSSING
-    if cell.status in EQUILIBRIUM_STATUSES:
-        if cell.stability is not None and \
-                cell.stability.spatial_verdict == LINEARLY_STABLE:
-            return EXIT_OK
-    return EXIT_NUMERICAL
+    return EXIT_OK if cell.status in EQUILIBRIUM_STATUSES else EXIT_NUMERICAL
 
 
 def _run_grid(args):
@@ -211,7 +206,7 @@ def cmd_sweep(args):
     write_metadata_json(grid, os.path.join(args.out, "sweep_meta.json"))
     n_found = len(grid.found_cells())
     print(f"sweep: {grid.n_a}x{grid.n_eJ} cells -> {csv_path} "
-          f"({n_found} with equilibria)")
+          f"({n_found} linearly stable equilibria)")
     return EXIT_OK
 
 

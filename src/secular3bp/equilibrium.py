@@ -86,9 +86,9 @@ _N_SCAN = 21
 _DEFINITE_FLOOR = 1e-9
 
 # Inter-orbit separation (scaled by max(1, a)) needed for the quadrature to
-# converge within the node cap.  Scan points below it are masked out; being
-# above the crossing threshold, it certifies every point the cell evaluates
-# (see _scan_grid).
+# converge within the node cap.  Only scan points above it are scanned;
+# being above the crossing threshold, it certifies every point the cell
+# evaluates (see _scan_grid).
 _SAFE_SEPARATION = 4.0 * DEFAULT_SEPARATION_THRESHOLD
 
 _ROOT_RESIDUAL_TOL = 1e-11
@@ -249,19 +249,18 @@ def classify_definiteness(hessian):
 
 
 def _scan_grid(cfg):
-    """Scan abscissae, admissibility mask and the best-separated point.
+    """The admissible scan points and the best-separated one, or None.
 
-    A point is admissible when its exact aligned separation, from one
+    A grid point is admissible when its exact aligned separation, from one
     batched evaluation, clears the convergence-safety margin, which exceeds
-    the crossing threshold; inadmissible points are masked out rather than
-    failing the whole search, because the near-crossing band can sit at
-    either end (or both ends) of the eccentricity range.
+    the crossing threshold.  The near-crossing band can sit at either end
+    (or both ends) of the eccentricity range; the separation is concave in
+    e on the non-crossing interval (see :func:`aligned_separation`), so the
+    admissible points form one unbroken run of the grid.
 
-    The mask is the cell's one crossing certificate.  Every evaluation the
-    cell makes is an admissible scan point or lies inside a bracket whose
-    two ends are admissible, and the separation is concave in e on the
-    non-crossing interval for every a (see :func:`aligned_separation`), so
-    inside such a bracket it stays above the margin too.
+    The run is the cell's one crossing certificate.  Every evaluation the
+    cell makes is a point of the run or lies between two neighbours in it,
+    where by that concavity the separation stays above the margin too.
     """
     lo, hi = DEFAULT_E_BRACKET
     interval = aligned_noncrossing_interval(cfg.a, cfg.e_J)
@@ -273,10 +272,11 @@ def _scan_grid(cfg):
         return None
     grid = np.linspace(lo + _SCAN_INSET, hi - _SCAN_INSET, _N_SCAN)
     seps = aligned_separation(cfg.a, grid, cfg.e_J)
-    mask = seps >= _SAFE_SEPARATION * max(1.0, cfg.a)
-    if not mask.any():
+    admissible = seps >= _SAFE_SEPARATION * max(1.0, cfg.a)
+    if not admissible.any():
         return None
-    return grid, mask, float(grid[mask][np.argmax(seps[mask])])
+    points = grid[admissible]
+    return points, float(points[np.argmax(seps[admissible])])
 
 
 def _chain_rule_hessian(cfg, e_star, r_e, r_ee, r_gg):
@@ -377,26 +377,24 @@ def find_equilibrium(cfg: OrbitConfig, quad: QuadratureSpec) -> EquilibriumRecor
     # One frozen node count per cell keeps Brent's derivative an analytic
     # function of e; probe at the best-separated admissible point.  The
     # scan's level N_START holds every point, the probe's first level too.
-    scan, mask, e_probe = certified
+    scan, e_probe = certified
     at = _slopes(cfg)
-    at(N_START, scan[mask])
+    at(N_START, scan)
     _, _, n_frozen = _doubling(lambda n: at(n, [e_probe])[:, 0], quad,
                                floors=_FLOORS[1])
 
-    def brackets_of(scanned):
-        values = np.full(scan.shape, math.nan)
-        values[mask] = scanned
+    def brackets_of(values):
         neg = values < 0.0
         return [(float(scan[k]), float(scan[k + 1]))
-                for k in range(len(scan) - 1) if mask[k] and mask[k + 1]
-                and (values[k] == 0.0 or neg[k] != neg[k + 1])]
+                for k in range(len(scan) - 1)
+                if values[k] == 0.0 or neg[k] != neg[k + 1]]
 
     # A bracket whose ends lose their sign change at n_frozen sends the
     # cell back to a scan at n_frozen itself.
-    brackets = brackets_of(_certified_scan(at, scan[mask], n_frozen))
+    brackets = brackets_of(_certified_scan(at, scan, n_frozen))
     ends = at(n_frozen, [e for bracket in brackets for e in bracket])[1]
     if np.any(ends[::2] * ends[1::2] > 0.0):
-        brackets = brackets_of(at(n_frozen, scan[mask])[1])
+        brackets = brackets_of(at(n_frozen, scan)[1])
     if not brackets:
         return _unlocated(
             STATUS_NO_ROOT, DEGENERATE, (),

@@ -12,7 +12,7 @@ record; the point query, the sweep, resonance tracing and ``validate`` all
 run it.  It maps the typed numerical failures (orbit crossing,
 non-convergence) to cell statuses and lets any other exception, a defect,
 propagate.  The sweep's worker isolates defects: it records one as
-NON_CONVERGED "unexpected ..." so a single bad cell never aborts a sweep.
+INTERNAL_ERROR "unexpected ..." so a single bad cell never aborts a sweep.
 """
 
 import json
@@ -37,7 +37,7 @@ from .equilibrium import (
 )
 from .errors import NonConvergedError, OrbitCrossingError
 from .geometry import COINCIDENT_GAP, OrbitConfig, near_coincident
-from .stability import INCONCLUSIVE, classify_spatial
+from .stability import LINEARLY_STABLE, classify_spatial
 
 __all__ = [
     "CSV_COLUMNS",
@@ -60,6 +60,7 @@ CSV_COLUMNS = (
 CSV_SCHEMA_VERSION = "1"
 
 STATUS_NON_CONVERGED = "NON_CONVERGED"
+STATUS_INTERNAL_ERROR = "INTERNAL_ERROR"
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +136,10 @@ class SweepGrid:
 def evaluate_cell(a, e_J, mu, quad: QuadratureSpec) -> CellResult:
     """Full pipeline at one parameter point, mapped to a typed cell result.
 
-    Invalid parameters raise ValueError.  An orbit crossing or a
-    non-converged quadrature becomes the cell's status; any other
-    exception is a defect and propagates (the sweep's worker records it).
+    Invalid parameters raise ValueError.  An orbit crossing, a
+    non-converged quadrature or a spatial verdict other than
+    LINEARLY_STABLE becomes the cell's status; any other exception is a
+    defect and propagates (the sweep's worker records it).
     """
     cfg = OrbitConfig(a=a, e_J=e_J, mu=mu)
     try:
@@ -152,7 +154,8 @@ def evaluate_cell(a, e_J, mu, quad: QuadratureSpec) -> CellResult:
     except NonConvergedError as exc:
         return CellResult(a=a, e_J=e_J, status=STATUS_NON_CONVERGED,
                           message=str(exc))
-    status = INCONCLUSIVE if stab.spatial_verdict == INCONCLUSIVE else eq.status
+    verdict = stab.spatial_verdict
+    status = eq.status if verdict == LINEARLY_STABLE else verdict
     return CellResult(a=a, e_J=e_J, status=status, equilibrium=eq,
                       stability=stab)
 
@@ -162,7 +165,7 @@ def _cell_worker(args):
     try:
         return evaluate_cell(a, e_J, mu, quad)
     except Exception as exc:  # crash isolation: record, never poison the sweep
-        return CellResult(a=a, e_J=e_J, status=STATUS_NON_CONVERGED,
+        return CellResult(a=a, e_J=e_J, status=STATUS_INTERNAL_ERROR,
                           message=f"unexpected {type(exc).__name__}: {exc}")
 
 

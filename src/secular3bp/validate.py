@@ -244,42 +244,35 @@ def spatial_quadratic_oracle(cfg: OrbitConfig, e, quad: QuadratureSpec):
     return {"d2_p3": second("p"), "d2_q3": second("q"), "cross": cross}
 
 
-def _check_bbar(points, quad, tol):
-    worst = 0.0
-    for (a, e, eJ) in points:
-        bbar = averaged_coefficients(OrbitConfig(a=a, e_J=eJ), e, quad).Bbar
-        worst = max(worst, abs(bbar))
+def _check_bbar(coeffs, tol):
+    worst = max(abs(c.Bbar) for c in coeffs)
     return CheckResult("bbar-vanishes", tol, worst, worst < tol,
-                       f"{len(points)} points")
+                       f"{len(coeffs)} points")
 
 
-def _check_folding(points, quad, tol):
+def _check_folding(points, coeffs, tol):
     worst = 0.0
     # The independent reference is converged by its own doubling, absolutely
     # at tol / 10 on the O(1) scale of the coefficients.
     ref_quad = QuadratureSpec(tol=0.1 * tol, max_n=4096)
-    for (a, e, eJ) in points:
-        cfg = OrbitConfig(a=a, e_J=eJ)
-        coeffs = averaged_coefficients(cfg, e, quad)
+    for (a, e, eJ), c in zip(points, coeffs):
         ref, _, _ = _doubling(
-            lambda n: unfolded_reference(a, e, eJ, cfg.mu, n),
+            lambda n: unfolded_reference(a, e, eJ, 0.0, n),
             ref_quad, floors=(1.0, 1.0, 1.0))
-        for prod, indep in zip((coeffs.Rbar, coeffs.Abar, coeffs.Cbar), ref):
+        for prod, indep in zip((c.Rbar, c.Abar, c.Cbar), ref):
             worst = max(worst, abs(prod - indep) / max(abs(indep), 1e-30))
     return CheckResult("quarter-folding", tol, worst, worst < tol,
                        f"{len(points)} points")
 
 
-def _check_spatial_hessian(points, quad, rel_tol, cross_tol, inject):
+def _check_spatial_hessian(points, coeffs, quad, rel_tol, cross_tol, inject):
     worst_rel = 0.0
     worst_cross = 0.0
-    for (a, e, eJ) in points:
-        cfg = OrbitConfig(a=a, e_J=eJ)
-        coeffs = averaged_coefficients(cfg, e, quad)
-        abar, cbar = coeffs.Abar, coeffs.Cbar
+    for (a, e, eJ), c in zip(points, coeffs):
+        abar, cbar = c.Abar, c.Cbar
         if inject == "abar-sign":
             abar = -abar
-        fd = spatial_quadratic_oracle(cfg, e, quad)
+        fd = spatial_quadratic_oracle(OrbitConfig(a=a, e_J=eJ), e, quad)
         worst_rel = max(worst_rel,
                         abs(fd["d2_p3"] - 2.0 * abar) / abs(2.0 * abar),
                         abs(fd["d2_q3"] - 2.0 * cbar) / abs(2.0 * cbar))
@@ -290,11 +283,10 @@ def _check_spatial_hessian(points, quad, rel_tol, cross_tol, inject):
                        f"{len(points)} points")
 
 
-def _check_mu_scaling(points, quad, tol):
+def _check_mu_scaling(points, coeffs, quad, tol):
     worst = 0.0
     expected = (1.0 - _MU_ALT) ** -0.5
-    for (a, e, eJ) in points:
-        c0 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=0.0), e, quad)
+    for (a, e, eJ), c0 in zip(points, coeffs):
         c1 = averaged_coefficients(OrbitConfig(a=a, e_J=eJ, mu=_MU_ALT), e, quad)
         for v0, v1 in ((c0.Abar, c1.Abar), (c0.Cbar, c1.Cbar)):
             worst = max(worst, abs(v1 / v0 - expected) / expected)
@@ -371,12 +363,16 @@ def run_validation(points, seed, quad, inject):
         raise ValueError("validation needs at least one sample point")
     samples = sample_noncrossing_points(points, seed)
     few = samples[: max(3, points // 4)]
+    # One coefficient pass per sample (mu = 0) serves four checks; the
+    # checks given ``few`` read the first len(few) of them.
+    coeffs = [averaged_coefficients(OrbitConfig(a=a, e_J=eJ), e, quad)
+              for (a, e, eJ) in samples]
     results = [
-        _check_bbar(samples, quad, tol=1e-9),
-        _check_folding(few, quad, tol=1e-10),
-        _check_spatial_hessian(samples, quad, rel_tol=1e-6, cross_tol=1e-8,
-                               inject=inject),
-        _check_mu_scaling(few, quad, tol=1e-12),
+        _check_bbar(coeffs, tol=1e-9),
+        _check_folding(few, coeffs, tol=1e-10),
+        _check_spatial_hessian(samples, coeffs, quad, rel_tol=1e-6,
+                               cross_tol=1e-8, inject=inject),
+        _check_mu_scaling(few, coeffs, quad, tol=1e-12),
         _check_spectrum(samples[: max(4, points // 3)], quad, tol=1e-8),
         _check_mapped_grid(sample_coincident_points(max(3, points // 5), seed),
                            quad, tol=1e-10),

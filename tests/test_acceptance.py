@@ -8,6 +8,7 @@ definiteness, spectra, resonance curves) reads from them.  Run with
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -62,6 +63,23 @@ def test_bbar_vanishes(default_quad):
         worst = max(worst, abs(bbar))
     _report("Bbar-vanishes", worst < 1e-9,
             f"worst |Bbar| = {worst:.3e} over {len(points)} triples (tol 1e-9)")
+
+
+def test_every_cell_found(inner_sweep, outer_sweep, strip_sweep):
+    """Every cell of the three sweeps is FOUND.
+
+    The margin, Hessian and spectrum tests read ``found_cells()``; a cell
+    with any other status (UNSTABLE, INCONCLUSIVE, a failure) would leave
+    them silently, so it fails here.
+    """
+    statuses = Counter(cell.status for grid in
+                       (inner_sweep, outer_sweep, strip_sweep)
+                       for cell in grid.cells)
+    n_cells = sum(a[2] * e_J[2]
+                  for a, e_J in (INNER_WINDOW, OUTER_WINDOW, STRIP_WINDOW))
+    ok = statuses == Counter(FOUND=n_cells)
+    _report("every-cell-found", ok,
+            f"{n_cells} cells, statuses {dict(sorted(statuses.items()))}")
 
 
 def _sign_margins(cells, name):

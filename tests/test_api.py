@@ -63,11 +63,11 @@ MAX_SETTABLE_VALUES = 14
 
 # Names in secular3bp.__all__.  Oracles live in validate.py or tests/, not
 # in the public API; adding a public name means raising this on purpose.
-MAX_PUBLIC_NAMES = 22
+MAX_PUBLIC_NAMES = 21
 
 # Lines in src/secular3bp/*.py, as ``wc -l`` counts them.  Adding lines means
 # raising this on purpose; a change that removes lines may lower it.
-MAX_SRC_LINES = 2590
+MAX_SRC_LINES = 2577
 
 
 def _settable_values(tree):

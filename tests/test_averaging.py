@@ -138,7 +138,10 @@ class TestAveragedAC:
 
         monkeypatch.setattr(validate, "unfolded_reference", drifting)
         with pytest.raises(NonConvergedError):
-            validate._check_folding([(0.5, 0.1, 0.2)], quad, tol=1e-10)
+            validate._check_folding(
+                [(0.5, 0.1, 0.2)],
+                [averaged_coefficients(OrbitConfig(a=0.5, e_J=0.2), 0.1, quad)],
+                tol=1e-10)
 
     def test_abar_negative(self, quad):
         for (a, e, eJ) in [(0.1, 0.05, 0.1), (0.5, 0.3, 0.4), (3.0, 0.2, 0.6)]:

@@ -21,6 +21,7 @@ from secular3bp.averaging import (
     averaged_coefficients,
 )
 from secular3bp.equilibrium import (
+    _SAFE_SEPARATION,
     POSITIVE_DEFINITE,
     STATUS_FOUND,
     STATUS_NO_ROOT,
@@ -32,7 +33,13 @@ from secular3bp.equilibrium import (
     planar_hessian,
 )
 from secular3bp.errors import NonConvergedError
-from secular3bp.geometry import OrbitConfig, aligned_separation
+from secular3bp.geometry import (
+    _SCAN_INSET,
+    DEFAULT_E_BRACKET,
+    OrbitConfig,
+    aligned_noncrossing_interval,
+    aligned_separation,
+)
 from secular3bp.sweep import evaluate_cell
 from test_averaging import accepted_level
 
@@ -179,10 +186,49 @@ class TestFindEquilibrium:
 
     def test_near_boundary_cell_survives(self, quad):
         # Low-e scan points sit below the scan margin here (periapsis
-        # gap = a*e when a = 1 - e_J); masking must not lose the root.
+        # gap = a*e when a = 1 - e_J); leaving them out must not lose the
+        # root.
         rec = find_equilibrium(OrbitConfig(a=0.3, e_J=0.7), quad)
         assert rec.status == STATUS_FOUND
         assert rec.e_star == pytest.approx(0.424, abs=5e-3)
+
+    def test_admissible_scan_points_are_one_run(self):
+        # The separation is concave in e on the non-crossing interval, so
+        # the points of the 21-point scan grid that clear the margin form
+        # one run with no hole, and _scan_grid returns that run.  Seeded
+        # cells over both regimes, across the planet's orbit (straddle) and
+        # on near-crossing columns of a on the 0.01 grid.
+        rng = np.random.default_rng(20261022)
+        cells = [(rng.uniform(0.05, 4.0), rng.uniform(0.0, 0.99))
+                 for _ in range(400)]
+        cells += [(rng.uniform(0.85, 1.15), rng.uniform(0.0, 0.99))
+                  for _ in range(400)]
+        cells += [(a, eJ) for a in np.round(np.arange(0.80, 1.205, 0.01), 2)
+                  for eJ in np.linspace(0.0, 0.99, 34)]
+        cut = 0
+        for a, eJ in cells:
+            cfg = OrbitConfig(a=float(a), e_J=float(eJ))
+            got = _scan_grid(cfg)
+            interval = aligned_noncrossing_interval(cfg.a, cfg.e_J)
+            lo, hi = DEFAULT_E_BRACKET
+            if interval is not None:
+                lo, hi = max(lo, interval[0]), min(hi, interval[1])
+            if interval is None or lo + 2.0 * _SCAN_INSET >= hi:
+                assert got is None, (a, eJ)
+                continue
+            grid = np.linspace(lo + _SCAN_INSET, hi - _SCAN_INSET, 21)
+            seps = aligned_separation(cfg.a, grid, cfg.e_J)
+            keep = np.flatnonzero(seps >= _SAFE_SEPARATION * max(1.0, cfg.a))
+            if keep.size == 0:
+                assert got is None, (a, eJ)
+                continue
+            assert np.array_equal(keep, np.arange(keep[0], keep[-1] + 1)), (
+                a, eJ)
+            points, e_probe = got
+            assert points.tobytes() == grid[keep].tobytes(), (a, eJ)
+            assert e_probe in points
+            cut += keep.size < grid.size
+        assert cut >= 1000
 
     def test_residual_invariant(self, quad):
         for (a, eJ) in [(0.2, 0.5), (0.45, 0.2), (1.9, 0.4)]:
@@ -201,9 +247,9 @@ class TestFindEquilibrium:
         assert np.all(np.linalg.eigvalsh(cell.equilibrium.hessian) > 0.0)
 
     def test_cell_path_stays_clear_of_crossing(self, quad, monkeypatch):
-        # The scan mask is the cell's only crossing check: every e the
-        # kernels see on the cell path, scalar or batched, must clear the
-        # crossing threshold.
+        # The admissible scan run is the cell's only crossing check: every
+        # e the kernels see on the cell path, scalar or batched, must clear
+        # the crossing threshold.
         seen = []
 
         def recording(kernel):
@@ -260,7 +306,7 @@ def recording_requests(monkeypatch, cfg, alter=None):
     ``alter(requests, kind, n, es, out)`` may replace the rows (R, R_e) a
     request returns; ``requests`` holds the requests made before this one.
     """
-    scan_grid, mask, _ = _scan_grid(cfg)
+    scan, _ = _scan_grid(cfg)
     requests, calls, scanning = [], [], []
     kernel = kernels.quarter_sums
     slopes = equilibrium._slopes
@@ -278,7 +324,7 @@ def recording_requests(monkeypatch, cfg, alter=None):
             es = np.asarray(es, dtype=float)
             out = at(n, es)
             kind = ("scan" if scanning else "all"
-                    if np.array_equal(es, scan_grid[mask]) else "other")
+                    if np.array_equal(es, scan) else "other")
             if alter is not None:
                 out = alter(requests, kind, n, es, out)
             requests.append((kind, n, es.size))
@@ -312,8 +358,8 @@ def far_scan_point(cfg):
     For (a, e_J) = (0.4, 0.3) it lies far above the root, so negating R_e
     there adds two spurious sign changes.
     """
-    scan, mask, _ = _scan_grid(cfg)
-    return scan[mask][-3]
+    scan, _ = _scan_grid(cfg)
+    return scan[-3]
 
 
 def scan_levels(cfg, es, n_frozen):
@@ -348,8 +394,7 @@ class TestScanLevel:
         # (0.9, 0.8) one point is still uncertified at 64 and takes its
         # value at n_frozen = 128.
         cfg = OrbitConfig(a=a, e_J=eJ)
-        scan, mask, _ = _scan_grid(cfg)
-        es = scan[mask]
+        es, _ = _scan_grid(cfg)
         levels = scan_levels(cfg, es, n_frozen)
         own = [certified_level(levels, i, n_frozen) for i in range(es.size)]
         got = _certified_scan(_slopes(cfg), es, n_frozen)
@@ -377,15 +422,15 @@ class TestScanLevel:
         # needs no level near it: every point's R_e at n = 32 clears three
         # times its change from n = 16, so all are certified there.
         cfg = OrbitConfig(a=0.85, e_J=0.2)
-        scan, mask, e_probe = _scan_grid(cfg)
+        scan, e_probe = _scan_grid(cfg)
         (_, r_e), _, n_frozen = probe(cfg, e_probe, quad)
         below = kernels.quarter_sums(cfg.a, e_probe, cfg.e_J, 64, 64,
                                      order=1)[1]
         assert n_frozen == 128
         assert abs(below - r_e) > quad.tol * max(abs(r_e), 1.0)
-        levels = scan_levels(cfg, scan[mask], 32)
+        levels = scan_levels(cfg, scan, 32)
         assert np.all(np.abs(levels[32]) > 3.0 * np.abs(levels[32] - levels[16]))
-        got = _certified_scan(_slopes(cfg), scan[mask], n_frozen)
+        got = _certified_scan(_slopes(cfg), scan, n_frozen)
         assert got.tobytes() == levels[32].tobytes()
         requests, _ = recording_requests(monkeypatch, cfg)
         assert find_equilibrium(cfg, quad).status == STATUS_FOUND
@@ -448,8 +493,8 @@ class TestScanLevel:
         assert got.e_star == want.e_star
         assert len(seen) == len(set(seen))
         if planted:
-            scan, mask, _ = _scan_grid(cfg)
-            assert {e for n, e in seen if n == 64} >= set(scan[mask].tolist())
+            scan, _ = _scan_grid(cfg)
+            assert {e for n, e in seen if n == 64} >= set(scan.tolist())
 
     def test_spurious_scan_sign_change_rescans_at_frozen_level(
             self, quad, monkeypatch):
@@ -504,11 +549,11 @@ class TestScanLevel:
 
     def test_certified_scan_hides_no_root(self, quad):
         # The 21-point certified scan against a 301-point scan at n_frozen
-        # over the same admissible segments: the same number of sign
-        # changes, each dense one inside a coarse bracket.  The near-planet
-        # cells freeze at n = 128-512; a dense scan at n = 1024 alone would
-        # take about 6 s, and the near-planet golden window holds cells at
-        # that level to the stored statuses and roots.
+        # over the same admissible run: the same number of sign changes,
+        # each dense one inside a coarse bracket.  The near-planet cells
+        # freeze at n = 128-512; a dense scan at n = 1024 alone would take
+        # about 6 s, and the near-planet golden window holds cells at that
+        # level to the stored statuses and roots.
         rng = np.random.default_rng(20261021)
         cells = [(rng.uniform(0.05, 0.55), rng.uniform(0.05, 0.85))
                  for _ in range(11)]
@@ -519,13 +564,11 @@ class TestScanLevel:
         found = 0
         for a, eJ in cells:
             cfg = OrbitConfig(a=float(a), e_J=float(eJ))
-            scan, mask, e_probe = _scan_grid(cfg)
+            scan, e_probe = _scan_grid(cfg)
             _, _, n_frozen = probe(cfg, e_probe, quad)
-            coarse = np.full(scan.shape, math.nan)
-            coarse[mask] = _certified_scan(_slopes(cfg), scan[mask], n_frozen)
-            brackets = {k for k in sign_changes(coarse)
-                        if mask[k] and mask[k + 1]}
-            segments = [k for k in range(len(scan) - 1) if mask[k] and mask[k + 1]]
+            coarse = _certified_scan(_slopes(cfg), scan, n_frozen)
+            brackets = set(sign_changes(coarse))
+            segments = range(len(scan) - 1)
             dense_e = np.concatenate([
                 np.linspace(scan[k], scan[k + 1], 16) for k in segments])
             dense = kernels.quarter_sums(cfg.a, dense_e, cfg.e_J, n_frozen,
@@ -562,9 +605,9 @@ class TestScanLevel:
         # plateau point is negative from n = 16 and settled at -0.17405 from
         # n = 64; the probe freezes the cell at n = 128.
         cfg = OrbitConfig(a=0.97, e_J=0.5)
-        scan, mask, e_probe = _scan_grid(cfg)
+        scan, e_probe = _scan_grid(cfg)
         e = 0.50005
-        assert e in scan[mask]
+        assert e in scan
         assert probe(cfg, e_probe, quad)[2] == 128
         levels = scan_levels(cfg, np.array([e]), 256)
         assert round(float(levels[32][0]), 4) == -0.1746
@@ -578,9 +621,9 @@ class TestScanLevel:
         # 28% off its n = 1024 value; the scan certifies the sign of that
         # value.
         cfg = OrbitConfig(a=0.473, e_J=0.52)
-        scan, mask, e_probe = _scan_grid(cfg)
+        scan, e_probe = _scan_grid(cfg)
         e = 2e-4
-        assert e in scan[mask]
+        assert e in scan
         fine = kernels.quarter_sums(cfg.a, e, cfg.e_J, 1024, 1024, order=1)[1]
         coarse = kernels.quarter_sums(cfg.a, e, cfg.e_J, 32, 32, order=1)[1]
         assert 0.27 < abs(coarse - fine) / abs(fine) < 0.29

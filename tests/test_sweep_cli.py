@@ -164,7 +164,7 @@ class TestSweep:
         with pytest.raises(RuntimeError, match="planted defect"):
             point_ratio(0.4, 0.3, 0.0, quad)
         [cell] = run_sweep((0.4, 0.4, 1), (0.3, 0.3, 1), quad=quad, jobs=1).cells
-        assert cell.status == "NON_CONVERGED"
+        assert cell.status == "INTERNAL_ERROR"
         assert cell.message.startswith("unexpected RuntimeError")
 
         # The worker records every exception, so a window outside the
@@ -176,6 +176,29 @@ class TestSweep:
             with pytest.raises(ValueError, match="semi-major axis"):
                 run_sweep((a_min, 0.4, 3), (0.3, 0.3, 1), quad=quad, jobs=1)
         assert calls == []
+
+    def test_planted_unstable_cell(self, quad, monkeypatch, capsys):
+        # A positive Cbar at a located root gives an UNSTABLE verdict, and
+        # the verdict is the cell's status everywhere it is reported: the
+        # CSV row, the point table and the point command's exit code.
+        classify = sweep.classify_spatial
+
+        def positive_cbar(cfg, eq, quad):
+            coeffs = dataclasses.replace(eq.coefficients,
+                                         Cbar=-eq.coefficients.Cbar)
+            return classify(cfg, dataclasses.replace(eq, coefficients=coeffs),
+                            quad)
+
+        monkeypatch.setattr(sweep, "classify_spatial", positive_cbar)
+        [cell] = run_sweep((0.4, 0.4, 1), (0.3, 0.3, 1), quad=quad).cells
+        assert cell.stability.spatial_verdict == "UNSTABLE"
+        row = dict(zip(CSV_COLUMNS, cell.csv_row().split(",")))
+        assert row["status"] == "UNSTABLE"
+        assert float(row["Cbar"]) > 0.0 and row["ratio"] == ""
+        assert main(["point", "--a", "0.4", "--ej", "0.3"]) == 3
+        table = capsys.readouterr().out.splitlines()
+        assert table[1].split() == ["status", "UNSTABLE"]
+        assert "  spatial verdict        UNSTABLE" in table
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_WINDOWS))
     def test_golden_window_equivalence(self, quad, name):
